@@ -107,7 +107,9 @@ def _deep_update(base: dict, override: dict, path=""):
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ValidationError(f"unknown config field", field=here)
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        # family_params is a free-form map: a config file replaces it whole
+        if (isinstance(base[key], dict) and isinstance(value, dict)
+                and here != "sweep.family_params"):
             _deep_update(base[key], value, here)
         else:
             base[key] = value

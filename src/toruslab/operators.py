@@ -7,8 +7,15 @@ The operator attached to a symbol p acts by
 summed over the truncated lattice, so on the discrete torus T is exactly a
 G x G matrix and boundedness questions become questions about how matrix
 norms depend on the truncation.  x-independent symbols take an FFT
-multiplier fast path; the general path evaluates the sum directly in
-chunks of grid rows.
+multiplier fast path.  The general path works from the phase-symbol table
+A[x, xi] = e^{2 pi i x.xi} p(x, xi) of shape G x L: apply is A @ fhat and
+the adjoint is conj(conj(g) @ A) / G followed by the inverse DFT.
+
+Cost model of the general path: the first call builds the table (16 G L
+bytes, complex128) in blocks of grid rows at about the cost of one direct
+evaluation of the sum, and every later apply or adjoint is one mat-vec.
+Above MATRIX_GUARD grid points no table is stored; each call recomputes
+the same row blocks and discards them.
 
 The dense matrix in the grid basis carries the quadrature weight:
 M[x, y] = (1/G) k(x, y) with k the Schwartz kernel, so that M @ f equals
@@ -34,8 +41,11 @@ from .grid import (
 )
 from .symbols import depends_on_x, eval_expr, family_from_text, parse
 
-MATRIX_GUARD = 4096  # largest G for dense constructions
-_CHUNK = 256  # grid rows per block in the general path
+MATRIX_GUARD = 4096  # largest G for dense constructions and stored symbol tables
+# Grid rows per block of the phase-symbol table, whether the block is stored
+# or streamed: the transient memory of a block is a few times 16 * _CHUNK * L
+# bytes, independent of G.
+_CHUNK = 256
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
@@ -57,6 +67,7 @@ class PdoOperator:
         if self.params is None:
             self.params = {}
         self.lattice = self.spec.lattice()
+        self._table = None
         # probe evaluability on grid x lattice once, cheaply
         eval_expr(self.expr, tuple(0.0 for _ in range(self.spec.dim)),
                   tuple(0 for _ in range(self.spec.dim)), self.params)
@@ -110,16 +121,42 @@ class PdoOperator:
             return inverse_dft(SpectralFunction(self.lattice, coeffs))
         return self._apply_general(f)
 
-    def _apply_general(self, f: GridFunction) -> GridFunction:
-        fhat = forward_dft(f).coefficients.ravel()
+    def _table_rows(self):
+        """Successive blocks (rows, A[rows]) of the phase-symbol table."""
         x = self.spec.points()
         xi = self.lattice.points().astype(float)
         G = self.spec.npoints
-        out = np.empty(G, dtype=np.complex128)
         for start in range(0, G, _CHUNK):
             rows = np.arange(start, min(start + _CHUNK, G))
-            phases = np.exp(2j * np.pi * (x[rows] @ xi.T))
-            out[rows] = (phases * self.symbol_rows(rows)) @ fhat
+            block = np.exp(2j * np.pi * (x[rows] @ xi.T))
+            block *= self.symbol_rows(rows)
+            yield rows, block
+
+    def phase_symbol_table(self) -> np.ndarray:
+        """A[x, xi] = e^{2 pi i x.xi} p(x, xi), shape (G, L), built once on first use."""
+        _guard(self.spec)
+        if self._table is None:
+            table = np.empty((self.spec.npoints, self.lattice.npoints), dtype=np.complex128)
+            for rows, block in self._table_rows():
+                table[rows] = block
+            self._table = table
+        return self._table
+
+    def _table_blocks(self):
+        """The table as (rows, block) pairs covering all grid rows.
+
+        Up to MATRIX_GUARD grid points this is the cached table as one block;
+        above it the blocks are recomputed on every call and nothing is stored.
+        """
+        if self.spec.npoints > MATRIX_GUARD:
+            return self._table_rows()
+        return [(slice(None), self.phase_symbol_table())]
+
+    def _apply_general(self, f: GridFunction) -> GridFunction:
+        fhat = forward_dft(f).coefficients.ravel()
+        out = np.empty(self.spec.npoints, dtype=np.complex128)
+        for rows, block in self._table_blocks():
+            out[rows] = block @ fhat
         return GridFunction(self.spec, out.reshape(self.spec.sizes))
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
@@ -127,16 +164,11 @@ class PdoOperator:
         if self.is_multiplier:
             coeffs = forward_dft(g).coefficients * np.conj(self.multiplier_profile())
             return inverse_dft(SpectralFunction(self.lattice, coeffs))
-        x = self.spec.points()
-        xi = self.lattice.points().astype(float)
-        G = self.spec.npoints
-        gv = g.values.ravel()
+        gbar = np.conj(g.values.ravel())
         acc = np.zeros(self.lattice.npoints, dtype=np.complex128)
-        for start in range(0, G, _CHUNK):
-            rows = np.arange(start, min(start + _CHUNK, G))
-            phases = np.exp(-2j * np.pi * (x[rows] @ xi.T))
-            acc += (phases * np.conj(self.symbol_rows(rows))).T @ gv[rows]
-        coeffs = (acc / G).reshape(self.lattice.sizes)
+        for rows, block in self._table_blocks():
+            acc += gbar[rows] @ block
+        coeffs = (np.conj(acc) / self.spec.npoints).reshape(self.lattice.sizes)
         return inverse_dft(SpectralFunction(self.lattice, coeffs))
 
     def to_matrix(self) -> "DenseOperatorMatrix":
@@ -182,21 +214,20 @@ def to_matrix(op) -> DenseOperatorMatrix:
     _guard(op.spec)
     if isinstance(op, DenseOperatorMatrix):
         return op
-    if isinstance(op, PdoOperator):
-        kernel = _kernel_values(op)
-        return DenseOperatorMatrix(
-            op.spec, kernel / op.spec.npoints, label=op.label, class_params=op.class_params
-        )
-    # generic fallback: columns by application to basis vectors
-    G = op.spec.npoints
-    cols = np.empty((G, G), dtype=np.complex128)
-    basis = np.zeros(op.spec.sizes, dtype=np.complex128)
-    flat = basis.ravel()
-    for y in range(G):
-        flat[y] = 1.0
-        cols[:, y] = op.apply(GridFunction(op.spec, basis.copy())).values.ravel()
-        flat[y] = 0.0
-    return DenseOperatorMatrix(op.spec, cols, label=getattr(op, "label", "operator"),
+    spec = op.spec
+    G = spec.npoints
+    if isinstance(op, PdoOperator) or getattr(op, "is_multiplier", False):
+        matrix = offsets_to_full(kernel_offset_rows(op), spec) / G
+    else:
+        # generic fallback: columns by application to basis vectors
+        matrix = np.empty((G, G), dtype=np.complex128)
+        basis = np.zeros(spec.sizes, dtype=np.complex128)
+        flat = basis.ravel()
+        for y in range(G):
+            flat[y] = 1.0
+            matrix[:, y] = op.apply(GridFunction(spec, basis.copy())).values.ravel()
+            flat[y] = 0.0
+    return DenseOperatorMatrix(spec, matrix, label=getattr(op, "label", "operator"),
                                class_params=getattr(op, "class_params", None))
 
 
@@ -221,32 +252,37 @@ def kernel_offset_rows(op) -> np.ndarray:
     return full_to_offsets(to_matrix(op).matrix * G, spec)
 
 
+def _swap_offset_axes(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """out[r, w] = values[r, (x_r - w) mod N] for multi-indices r, w.
+
+    The map w -> (x_r - w) mod N is its own inverse, so one gather serves
+    both directions between dense rows k(x_r, y) and offset rows
+    k(x_r, x_r - z).  The index arrays broadcast per axis and hold
+    sum_j N_j^2 entries; axis sizes are powers of two, so the reduction
+    mod N is a bit mask.
+    """
+    sizes, dim = spec.sizes, spec.dim
+    rows, offsets = [], []
+    for ax, n in enumerate(sizes):
+        k = np.arange(n, dtype=np.int32)
+        shape = [1] * (2 * dim)
+        shape[ax] = n
+        rows.append(k.reshape(shape))
+        shape[dim + ax] = n
+        offsets.append(((k[:, None] - k[None, :]) & (n - 1)).reshape(shape))
+    values = np.asarray(values, dtype=np.complex128).reshape(sizes + sizes)
+    return values[tuple(rows + offsets)]
+
+
 def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Scatter offset rows into the dense k(x, y) matrix."""
+    """Dense k(x, y) matrix from offset rows."""
     G = spec.npoints
-    sizes = spec.sizes
-    idx = np.unravel_index(np.arange(G), sizes)
-    out = np.empty((G, G), dtype=np.complex128)
-    for r in range(G):
-        offset = tuple((idx[ax][r] - idx[ax]) % sizes[ax] for ax in range(spec.dim))
-        out[r] = K_offsets[r][offset]
-    return out
+    return _swap_offset_axes(K_offsets, spec).reshape(G, G)
 
 
 def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Gather the dense k(x, y) matrix into offset rows."""
-    G = spec.npoints
-    sizes = spec.sizes
-    idx = np.unravel_index(np.arange(G), sizes)
-    out = np.empty((G,) + sizes, dtype=np.complex128)
-    for r in range(G):
-        z = tuple((idx[ax][r] - idx[ax]) % sizes[ax] for ax in range(spec.dim))
-        out[r][z] = kernel[r]
-    return out
-
-
-def _kernel_values(op: PdoOperator) -> np.ndarray:
-    return offsets_to_full(kernel_offset_rows(op), op.spec)
+    """Offset rows from the dense k(x, y) matrix."""
+    return _swap_offset_axes(kernel, spec).reshape((spec.npoints,) + spec.sizes)
 
 
 def adjoint(op) -> DenseOperatorMatrix:
@@ -286,10 +322,7 @@ class BesselOperator:
         return bessel_apply(self.s, g)  # real symbol: self-adjoint
 
     def to_matrix(self) -> DenseOperatorMatrix:
-        _guard(self.spec)
-        kernel = offsets_to_full(kernel_offset_rows(self), self.spec)
-        return DenseOperatorMatrix(self.spec, kernel / self.spec.npoints, label=self.label,
-                                   class_params=self.class_params)
+        return to_matrix(self)
 
 
 @dataclass
@@ -321,10 +354,7 @@ class MultiplierOperator:
         return inverse_dft(SpectralFunction(self.lattice, coeffs))
 
     def to_matrix(self) -> "DenseOperatorMatrix":
-        _guard(self.spec)
-        kernel = offsets_to_full(kernel_offset_rows(self), self.spec)
-        return DenseOperatorMatrix(self.spec, kernel / self.spec.npoints, label=self.label,
-                                   class_params=self.class_params)
+        return to_matrix(self)
 
 
 def bessel_apply(s: float, f: GridFunction) -> GridFunction:

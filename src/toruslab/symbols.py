@@ -452,18 +452,6 @@ def depends_on_x(expr, axis=None) -> bool:
     return False
 
 
-def depends_on_xi(expr) -> bool:
-    if isinstance(expr, (XiVar, XiVec)):
-        return True
-    if isinstance(expr, Neg):
-        return depends_on_xi(expr.operand)
-    if isinstance(expr, BinOp):
-        return depends_on_xi(expr.left) or depends_on_xi(expr.right)
-    if isinstance(expr, Call):
-        return depends_on_xi(expr.arg)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Exact x-differentiation
 # ---------------------------------------------------------------------------

@@ -175,6 +175,19 @@ class TestSweepCommand:
         payload = load_report(tmp_path, "sweep")["payload"]
         assert payload["threshold_order"] == 0.0
 
+    def test_config_file_sets_family_params(self, tmp_path, capsys):
+        # family_params is a free-form map: keys other than the default "a"
+        config = {"sweep": {"family": "exotic", "family_params": {"d": 0.75, "c": 1},
+                            "p": 4.0, "m_grid": [-0.5], "n_grid": [8, 16, 32], "trials": 3}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code, out, err = run(["sweep", "--config", str(config_path), "--out", str(tmp_path)],
+                             capsys)
+        assert code == 0, err
+        report = load_report(tmp_path, "sweep")
+        assert report["config"]["sweep"]["family_params"] == {"d": 0.75, "c": 1}
+        assert report["payload"]["delta"] == 0.75
+
 
 class TestErrorsAndDeterminism:
     def test_unknown_command(self, capsys):

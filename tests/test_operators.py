@@ -1,6 +1,10 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
+from toruslab import operators
 from toruslab.errors import SizeGuardError, ValidationError
 from toruslab.grid import GridFunction, GridSpec, pure_wave
 from toruslab.operators import (
@@ -9,7 +13,9 @@ from toruslab.operators import (
     adjoint,
     bessel_apply,
     compose_bessel,
+    full_to_offsets,
     inner_product,
+    offsets_to_full,
     to_matrix,
 )
 from toruslab.symbols import bessel, exotic, parse, wainger
@@ -237,3 +243,85 @@ class TestCompose:
         assert C.class_params.m == pytest.approx(-0.75)
         assert C.class_params.rho == pytest.approx(0.25)
         assert C.class_params.delta == pytest.approx(0.75)
+
+
+def max_rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestPhaseSymbolTable:
+    def test_symbol_evaluated_once_per_operator(self, monkeypatch):
+        calls = []
+        original = PdoOperator.symbol_rows
+
+        def counted(self, rows):
+            calls.append(len(rows))
+            return original(self, rows)
+
+        monkeypatch.setattr(PdoOperator, "symbol_rows", counted)
+        spec = GridSpec((64,))
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), spec)
+        for seed in range(5):
+            T.apply(random_function(spec, seed))
+            T.apply_adjoint(random_function(spec, 10 + seed))
+        assert len(calls) == math.ceil(spec.npoints / operators._CHUNK)
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8)])
+    def test_streamed_blocks_match_table(self, monkeypatch, sizes):
+        spec = GridSpec(sizes)
+        family = exotic(-0.5, 0.75, 1.0)
+        f, g = random_function(spec, 1), random_function(spec, 2)
+        cached = PdoOperator.from_family(family, spec)
+        want_apply, want_adjoint = cached.apply(f).values, cached.apply_adjoint(g).values
+        # above the guard nothing is stored; a block size that does not divide
+        # G leaves a partial last block
+        monkeypatch.setattr(operators, "MATRIX_GUARD", 16)
+        monkeypatch.setattr(operators, "_CHUNK", 24)
+        streamed = PdoOperator.from_family(family, spec)
+        assert max_rel_diff(streamed.apply(f).values, want_apply) <= 1e-12
+        assert max_rel_diff(streamed.apply_adjoint(g).values, want_adjoint) <= 1e-12
+        assert streamed._table is None
+
+    def test_adjoint_identity_2d(self):
+        spec = GridSpec((16, 8))
+        T = PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), spec)
+        for seed in range(5):
+            f, g = random_function(spec, 400 + seed), random_function(spec, 500 + seed)
+            lhs = inner_product(T.apply(f), g)
+            rhs = inner_product(f, T.apply_adjoint(g))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def random_kernel(spec, seed):
+    rng = np.random.default_rng(seed)
+    shape = (spec.npoints, spec.npoints)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def offsets_by_definition(kernel, sizes):
+    """K[r, z] = k(x_r, x_r - z), one entry at a time."""
+    G = kernel.shape[0]
+    out = np.empty((G,) + sizes, dtype=np.complex128)
+    for r, z in product(range(G), np.ndindex(*sizes)):
+        xr = np.unravel_index(r, sizes)
+        y = np.ravel_multi_index(tuple((a - b) % n for a, b, n in zip(xr, z, sizes)), sizes)
+        out[(r,) + z] = kernel[r, y]
+    return out
+
+
+class TestOffsetRows:
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_matches_definition(self, sizes):
+        spec = GridSpec(sizes)
+        kernel = random_kernel(spec, 7)
+        offsets = offsets_by_definition(kernel, sizes)
+        assert np.array_equal(full_to_offsets(kernel, spec), offsets)
+        assert np.array_equal(offsets_to_full(offsets, spec), kernel)
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_inverse_pair(self, sizes):
+        spec = GridSpec(sizes)
+        kernel = random_kernel(spec, 8)
+        offsets = random_kernel(spec, 9).reshape((spec.npoints,) + sizes)
+        assert np.array_equal(offsets_to_full(full_to_offsets(kernel, spec), spec), kernel)
+        assert np.array_equal(full_to_offsets(offsets_to_full(offsets, spec), spec), offsets)
