@@ -42,7 +42,6 @@ from .calculus import (
 )
 from .operators import (
     PdoOperator,
-    BesselOperator,
     MultiplierOperator,
     ComposedOperator,
     AdjointOperator,
@@ -98,9 +97,8 @@ __all__ = [
     "ClassParams", "ClassEstimate", "difference", "x_derivative",
     "seminorm_constant", "fit_order",
     # operators
-    "PdoOperator", "BesselOperator", "MultiplierOperator", "ComposedOperator",
-    "AdjointOperator", "DenseOperatorMatrix", "bessel_apply", "to_matrix",
-    "adjoint", "compose_bessel",
+    "PdoOperator", "MultiplierOperator", "ComposedOperator", "AdjointOperator",
+    "DenseOperatorMatrix", "bessel_apply", "to_matrix", "adjoint", "compose_bessel",
     # kernels
     "KernelMatrix", "synthesize_kernel", "derivative_kernel", "decay_scan",
     "log_bound_check", "sigma_estimates",

@@ -59,7 +59,6 @@ DEFAULT_CONFIG = {
     "symbol": "bessel(-1)",
     "class": None,  # {"m":, "rho":, "delta":} for raw expressions
     "seed": 0,
-    "jobs": 1,
     "out": ".",
     "compose": None,  # {"s": float, "side": "left"|"right"}
     "adjoint": False,
@@ -143,8 +142,6 @@ def resolve_config(args) -> dict:
         _deep_update(config, loaded)
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.jobs is not None:
-        config["jobs"] = args.jobs
     if args.out is not None:
         config["out"] = args.out
     if args.grid is not None:
@@ -543,7 +540,6 @@ def build_parser() -> _Parser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--jobs", type=int, help="worker cap, recorded in reports")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--grid", help="per-axis sizes, e.g. 256 or 64,64")
     parser.add_argument("--symbol", help="expression or family(args)")

@@ -120,7 +120,7 @@ def l2_norm(op, seed: int = 0, tol: float = 1e-9, max_iter: int = 500) -> NormEs
         seed=seed,
         truncation=spec.sizes,
         witness=f,
-        label=getattr(op, "label", ""),
+        label=op.label,
     )
 
 
@@ -217,7 +217,7 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
         seed=seed,
         truncation=spec.sizes,
         witness=best_witness,
-        label=getattr(op, "label", ""),
+        label=op.label,
     )
 
 
@@ -441,11 +441,15 @@ def _realize_weak11_trial(param, spec: GridSpec):
 
 
 def _check_endpoint_hypothesis(op) -> bool:
-    cls = getattr(op, "class_params", None)
-    if cls is None:
-        return False
-    n = op.spec.dim
-    return cls.m <= -n * ((1 - cls.rho) / 2 + cls.lam) + 1e-12
+    cls = op.class_params
+    return cls is not None and cls.m <= lp_threshold(cls, 1, op.spec.dim) + 1e-12
+
+
+def _stability(per_truncation: dict) -> float:
+    """Relative change from the coarsest to the finest truncation."""
+    sizes = sorted(per_truncation)
+    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
+    return abs(hi - lo) / max(lo, 1e-300)
 
 
 def weak11_experiment(
@@ -493,16 +497,13 @@ def weak11_experiment(
                 if N == finest:
                     per_lam[k] = max(per_lam[k], value)
         per_truncation[N] = best
-    sizes = sorted(per_truncation)
-    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
-    stability = abs(hi - lo) / max(lo, 1e-300)
     return WeakTypeReport(
-        operator=getattr(op, "label", "T"),
+        operator=op.label,
         lam_grid=lam_grid,
         per_lam=per_lam,
         per_truncation=per_truncation,
         max_ratio=max(per_truncation.values()),
-        stability=stability,
+        stability=_stability(per_truncation),
         input_norms=input_norms,
         trials=trials,
         seed=seed,
@@ -551,13 +552,11 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
             f = GridFunction(spec, v)
             best = max(best, bmo_norm(op_N.apply(f)).value / np.max(np.abs(v)))
         per_truncation[N] = best
-    sizes = sorted(per_truncation)
-    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
     return {
-        "operator": getattr(op, "label", "T"),
+        "operator": op.label,
         "per_truncation": {str(k): v for k, v in per_truncation.items()},
         "max_ratio": max(per_truncation.values()),
-        "stability": abs(hi - lo) / max(lo, 1e-300),
+        "stability": _stability(per_truncation),
         "trials": trials,
         "seed": seed,
         "hypothesis_satisfied": hyp,
@@ -611,10 +610,8 @@ def h1_l1_experiment(
             per_radius[radius] = best
         per_truncation[N] = max(per_radius.values())
         per_radius_latest = per_radius
-    sizes = sorted(per_truncation)
-    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
     return {
-        "operator": getattr(op, "label", "T"),
+        "operator": op.label,
         "per_radius": {f"{r:g}": v for r, v in per_radius_latest.items()},
         "small_scale_max": max(
             (v for r, v in per_radius_latest.items() if r < unit_scale), default=0.0
@@ -624,7 +621,7 @@ def h1_l1_experiment(
         ),
         "per_truncation": {str(k): v for k, v in per_truncation.items()},
         "max_ratio": max(per_truncation.values()),
-        "stability": abs(hi - lo) / max(lo, 1e-300),
+        "stability": _stability(per_truncation),
         "trials": trials,
         "seed": seed,
         "hypothesis_satisfied": hyp,

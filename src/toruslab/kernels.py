@@ -35,7 +35,8 @@ import numpy as np
 from .calculus import mi_abs, mi_validate
 from .errors import EmptyDomainError, SizeGuardError, ValidationError
 from .grid import GridSpec, offset_distance_grid
-from .operators import PdoOperator, kernel_offset_rows, offsets_to_full
+from .experiments import lp_threshold
+from .operators import MATRIX_GUARD, PdoOperator, kernel_offset_rows, offsets_to_full
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
@@ -78,41 +79,15 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     ``lattice_box`` truncates the frequency sum to the centered sub-box of
     that per-axis size; the default keeps the grid's full FFT box.
     """
-    if op.spec.npoints > 4096:
-        raise SizeGuardError(f"kernel synthesis needs G <= 4096, got {op.spec.npoints}")
-    if lattice_box is None or lattice_box >= min(op.spec.sizes):
-        rows = kernel_offset_rows(op)
-    else:
-        rows = _truncated_offset_rows(op, int(lattice_box))
-    return KernelMatrix(
-        op.spec,
-        rows,
-        label=getattr(op, "label", "kernel"),
-        source=op,
-    )
-
-
-def _truncated_offset_rows(op, box: int) -> np.ndarray:
-    """Offset rows with the symbol zeroed outside the centered sub-box."""
-    spec = op.spec
-    lattice = spec.lattice()
-    G = spec.npoints
-    if isinstance(op, PdoOperator):
-        P = op.symbol_rows(np.arange(G)).reshape((G,) + lattice.sizes)
-    elif hasattr(op, "multiplier_profile"):
-        P = np.broadcast_to(op.multiplier_profile(), (G,) + lattice.sizes).copy()
-    else:
-        raise ValidationError(
-            f"lattice truncation needs a symbol-backed operator, got {type(op).__name__}"
+    if op.spec.npoints > MATRIX_GUARD:
+        raise SizeGuardError(
+            f"kernel synthesis needs G <= {MATRIX_GUARD}, got {op.spec.npoints}"
         )
-    for ax, xi in enumerate(lattice.axes()):
-        keep = (xi >= -(box // 2)) & (xi < box // 2)
-        shape = [1] * (1 + spec.dim)
-        shape[1 + ax] = xi.size
-        P = P * keep.reshape(shape)
-    axes = tuple(range(1, 1 + spec.dim))
-    K = np.fft.ifftn(np.fft.ifftshift(P, axes=axes), axes=axes) * lattice.npoints
-    return K.reshape((G,) + spec.sizes)
+    box = None
+    if lattice_box is not None and lattice_box < min(op.spec.sizes):
+        box = int(lattice_box)
+    rows = kernel_offset_rows(op, box)
+    return KernelMatrix(op.spec, rows, label=op.label, source=op)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +374,14 @@ def sigma_estimates(
             raise ValidationError(
                 f"sigma {s:g} outside (grid spacing {spacing:g}, 1/4]", field="sigma_grid"
             )
-    cls = getattr(op, "class_params", None)
+    cls = op.class_params
     if cls is None:
         raise ValidationError("operator needs class parameters for sigma estimates")
     rho = cls.rho
     n = spec.dim
     warnings = []
     if variant == "b":
-        threshold = -n * ((1 - rho) / 2 + cls.lam)
+        threshold = lp_threshold(cls, 1, n)
         ok = cls.m <= threshold + 1e-12
         if not ok:
             warnings.append(

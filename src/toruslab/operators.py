@@ -17,6 +17,14 @@ evaluation of the sum, and every later apply or adjoint is one mat-vec.
 Above MATRIX_GUARD grid points no table is stored; each call recomputes
 the same row blocks and discards them.
 
+Every operator carries ``spec``, ``label``, ``class_params``, ``apply`` and
+``apply_adjoint``.  The types are PdoOperator (Op(p) for a symbol
+expression, the potential J^s = Op(<xi>^s) included), MultiplierOperator (a
+stored lattice profile), ComposedOperator (J^s o T), AdjointOperator (T*)
+and DenseOperatorMatrix.  Right composition folds into the symbol,
+Op(p) o J^s = Op(p <xi>^s), so it stays a PdoOperator with kernel synthesis
+and the calculus; left composition stays a composition.
+
 The dense matrix in the grid basis carries the quadrature weight:
 M[x, y] = (1/G) k(x, y) with k the Schwartz kernel, so that M @ f equals
 apply(T, f) for plain matrix-vector products.  Adjoints are numerical
@@ -39,7 +47,7 @@ from .grid import (
     forward_dft,
     inverse_dft,
 )
-from .symbols import depends_on_x, eval_expr, family_from_text, parse
+from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
 MATRIX_GUARD = 4096  # largest G for dense constructions and stored symbol tables
 # Grid rows per block of the phase-symbol table, whether the block is stored
@@ -51,6 +59,12 @@ _CHUNK = 256
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """Quadrature inner product (1/G) sum f conj(g)."""
     return complex(np.sum(f.values * np.conj(g.values)) / f.spec.npoints)
+
+
+def _multiply(f: GridFunction, profile) -> GridFunction:
+    """Fourier multiplier: inverse DFT of profile(xi) fhat(xi)."""
+    fhat = forward_dft(f)
+    return inverse_dft(SpectralFunction(fhat.lattice, fhat.coefficients * profile))
 
 
 @dataclass
@@ -117,8 +131,7 @@ class PdoOperator:
                 f"grid mismatch: function on {f.spec.sizes}, operator on {self.spec.sizes}"
             )
         if self.is_multiplier:
-            coeffs = forward_dft(f).coefficients * self.multiplier_profile()
-            return inverse_dft(SpectralFunction(self.lattice, coeffs))
+            return _multiply(f, self.multiplier_profile())
         return self._apply_general(f)
 
     def _table_rows(self):
@@ -162,17 +175,13 @@ class PdoOperator:
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         """Action of the adjoint operator, matrix-free."""
         if self.is_multiplier:
-            coeffs = forward_dft(g).coefficients * np.conj(self.multiplier_profile())
-            return inverse_dft(SpectralFunction(self.lattice, coeffs))
+            return _multiply(g, np.conj(self.multiplier_profile()))
         gbar = np.conj(g.values.ravel())
         acc = np.zeros(self.lattice.npoints, dtype=np.complex128)
         for rows, block in self._table_blocks():
             acc += gbar[rows] @ block
         coeffs = (np.conj(acc) / self.spec.npoints).reshape(self.lattice.sizes)
         return inverse_dft(SpectralFunction(self.lattice, coeffs))
-
-    def to_matrix(self) -> "DenseOperatorMatrix":
-        return to_matrix(self)
 
 
 @dataclass
@@ -194,9 +203,6 @@ class DenseOperatorMatrix:
             self.spec, (self.matrix.conj().T @ g.values.ravel()).reshape(self.spec.sizes)
         )
 
-    def to_matrix(self) -> "DenseOperatorMatrix":
-        return self
-
 
 def _guard(spec: GridSpec):
     if spec.npoints > MATRIX_GUARD:
@@ -216,7 +222,7 @@ def to_matrix(op) -> DenseOperatorMatrix:
         return op
     spec = op.spec
     G = spec.npoints
-    if isinstance(op, PdoOperator) or getattr(op, "is_multiplier", False):
+    if isinstance(op, (PdoOperator, MultiplierOperator)):
         matrix = offsets_to_full(kernel_offset_rows(op), spec) / G
     else:
         # generic fallback: columns by application to basis vectors
@@ -227,29 +233,40 @@ def to_matrix(op) -> DenseOperatorMatrix:
             flat[y] = 1.0
             matrix[:, y] = op.apply(GridFunction(spec, basis.copy())).values.ravel()
             flat[y] = 0.0
-    return DenseOperatorMatrix(spec, matrix, label=getattr(op, "label", "operator"),
-                               class_params=getattr(op, "class_params", None))
+    return DenseOperatorMatrix(spec, matrix, label=op.label, class_params=op.class_params)
 
 
-def kernel_offset_rows(op) -> np.ndarray:
+def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form: K[r, z] = k(x_r, x_r - z), shape (G,) + sizes.
 
-    Row r is the inverse transform of xi -> p(x_r, xi); for multipliers all
-    rows coincide.  Falls back to the dense matrix for generic operators.
+    Row r is the inverse transform of xi -> p(x_r, xi), with the symbol
+    zeroed outside the centered sub-box of per-axis size ``box`` when one is
+    given.  A multiplier transforms its one row and repeats it.  Operators
+    without a symbol fall back to the dense matrix and take no ``box``.
     """
     spec = op.spec
     G = spec.npoints
-    if isinstance(op, PdoOperator) and not op.is_multiplier:
-        rows = np.arange(G)
-        P = op.symbol_rows(rows).reshape((G,) + op.lattice.sizes)
-        axes = tuple(range(1, 1 + spec.dim))
-        K = np.fft.ifftn(np.fft.ifftshift(P, axes=axes), axes=axes) * op.lattice.npoints
-        return K.reshape((G,) + spec.sizes)
-    if getattr(op, "is_multiplier", False):
-        coeffs = op.multiplier_profile()
-        k0 = np.fft.ifftn(np.fft.ifftshift(coeffs)) * G
-        return np.broadcast_to(k0.reshape((1,) + spec.sizes), (G,) + spec.sizes).copy()
-    return full_to_offsets(to_matrix(op).matrix * G, spec)
+    if not isinstance(op, (PdoOperator, MultiplierOperator)):
+        if box is not None:
+            raise ValidationError(
+                f"lattice truncation needs a symbol-backed operator, got {type(op).__name__}"
+            )
+        return full_to_offsets(to_matrix(op).matrix * G, spec)
+    lattice = op.lattice
+    if op.is_multiplier:
+        P = op.multiplier_profile()[None]
+    else:
+        P = op.symbol_rows(np.arange(G)).reshape((G,) + lattice.sizes)
+    if box is not None:
+        for ax, xi in enumerate(lattice.axes()):
+            shape = [1] * (1 + spec.dim)
+            shape[1 + ax] = xi.size
+            P = P * ((xi >= -(box // 2)) & (xi < box // 2)).reshape(shape)
+    axes = tuple(range(1, 1 + spec.dim))
+    K = np.fft.ifftn(np.fft.ifftshift(P, axes=axes), axes=axes) * lattice.npoints
+    if op.is_multiplier:
+        K = np.repeat(K, G, axis=0)
+    return K.reshape((G,) + spec.sizes)
 
 
 def _swap_offset_axes(values: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -297,35 +314,6 @@ def adjoint(op) -> DenseOperatorMatrix:
 
 
 @dataclass
-class BesselOperator:
-    """The Fourier multiplier <xi>^s (order-shifting potential)."""
-
-    s: float
-    spec: GridSpec
-
-    def __post_init__(self):
-        self.lattice = self.spec.lattice()
-        self.label = f"bessel_potential({self.s:g})"
-        self.class_params = ClassParams(self.s, 1.0, 0.0)
-
-    def multiplier_profile(self) -> np.ndarray:
-        return self.lattice.bracket_grid().astype(np.complex128) ** self.s
-
-    @property
-    def is_multiplier(self) -> bool:
-        return True
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return bessel_apply(self.s, f)
-
-    def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return bessel_apply(self.s, g)  # real symbol: self-adjoint
-
-    def to_matrix(self) -> DenseOperatorMatrix:
-        return to_matrix(self)
-
-
-@dataclass
 class MultiplierOperator:
     """Fourier multiplier with a stored profile on the lattice."""
 
@@ -333,82 +321,74 @@ class MultiplierOperator:
     spec: GridSpec
     label: str = "multiplier"
     class_params: ClassParams = None
+    is_multiplier = True
 
     def __post_init__(self):
         self.lattice = self.spec.lattice()
         self.profile = np.asarray(self.profile, dtype=np.complex128).reshape(self.lattice.sizes)
 
-    @property
-    def is_multiplier(self) -> bool:
-        return True
-
     def multiplier_profile(self) -> np.ndarray:
         return self.profile
 
     def apply(self, f: GridFunction) -> GridFunction:
-        coeffs = forward_dft(f).coefficients * self.profile
-        return inverse_dft(SpectralFunction(self.lattice, coeffs))
+        return _multiply(f, self.profile)
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        coeffs = forward_dft(g).coefficients * np.conj(self.profile)
-        return inverse_dft(SpectralFunction(self.lattice, coeffs))
-
-    def to_matrix(self) -> "DenseOperatorMatrix":
-        return to_matrix(self)
+        return _multiply(g, np.conj(self.profile))
 
 
 def bessel_apply(s: float, f: GridFunction) -> GridFunction:
     """Apply the multiplier <xi>^s through the FFT path."""
-    lattice = f.spec.lattice()
-    coeffs = forward_dft(f).coefficients * lattice.bracket_grid() ** s
-    return inverse_dft(SpectralFunction(lattice, coeffs))
+    return _multiply(f, f.spec.lattice().bracket_grid() ** s)
+
+
+def _shifted(cls: ClassParams, s: float) -> ClassParams:
+    """Class (m + s, rho, delta) of a composition with J^s."""
+    return None if cls is None else ClassParams(cls.m + s, cls.rho, cls.delta)
 
 
 @dataclass
 class ComposedOperator:
-    """Composition with a potential: f -> J^s(Tf) (left) or T(J^s f) (right)."""
+    """Left composition with the potential: f -> J^s(T f)."""
 
     inner: object
     s: float
-    side: str = "left"
 
     def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValidationError(f"side must be 'left' or 'right', got {self.side!r}")
         self.spec = self.inner.spec
-        base = getattr(self.inner, "class_params", None)
-        if base is not None:
-            self.class_params = ClassParams(base.m + self.s, base.rho, base.delta)
-        else:
-            self.class_params = None
-        self.label = (
-            f"J^{self.s:g} o {getattr(self.inner, 'label', 'T')}"
-            if self.side == "left"
-            else f"{getattr(self.inner, 'label', 'T')} o J^{self.s:g}"
-        )
+        self.class_params = _shifted(self.inner.class_params, self.s)
+        self.label = f"J^{self.s:g} o {self.inner.label}"
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if self.side == "left":
-            return bessel_apply(self.s, self.inner.apply(f))
-        return self.inner.apply(bessel_apply(self.s, f))
+        return bessel_apply(self.s, self.inner.apply(f))
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        # (J^s T)* = T* J^s and (T J^s)* = J^s T*
-        if self.side == "left":
-            return self.inner.apply_adjoint(bessel_apply(self.s, g))
-        return bessel_apply(self.s, self.inner.apply_adjoint(g))
-
-    def to_matrix(self) -> DenseOperatorMatrix:
-        _guard(self.spec)
-        J = BesselOperator(self.s, self.spec).to_matrix().matrix
-        T = to_matrix(self.inner).matrix
-        M = J @ T if self.side == "left" else T @ J
-        return DenseOperatorMatrix(self.spec, M, label=self.label,
-                                   class_params=self.class_params)
+        # (J^s T)* = T* J^s
+        return self.inner.apply_adjoint(bessel_apply(self.s, g))
 
 
-def compose_bessel(op, s: float, side: str = "left") -> ComposedOperator:
-    return ComposedOperator(op, s, side)
+def compose_bessel(op, s: float, side: str = "left"):
+    """J^s o op (left) or op o J^s (right).
+
+    Right composition is exact in the symbol, Op(p) o J^s = Op(p <xi>^s), so
+    it returns a PdoOperator of class (m + s, rho, delta); left composition
+    stays a ComposedOperator.
+    """
+    if side == "left":
+        return ComposedOperator(op, s)
+    if side != "right":
+        raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    if not isinstance(op, PdoOperator):
+        raise ValidationError(
+            f"right composition folds into the symbol of a PdoOperator, got {type(op).__name__}"
+        )
+    return PdoOperator(
+        BinOp("*", op.expr, BinOp("^", Call("bracket", XiVec()), Const(complex(s)))),
+        op.spec,
+        params=op.params,
+        class_params=_shifted(op.class_params, s),
+        label=f"{op.label} o J^{s:g}",
+    )
 
 
 @dataclass
@@ -419,8 +399,8 @@ class AdjointOperator:
 
     def __post_init__(self):
         self.spec = self.inner.spec
-        self.class_params = getattr(self.inner, "class_params", None)
-        self.label = f"adjoint({getattr(self.inner, 'label', 'T')})"
+        self.class_params = self.inner.class_params
+        self.label = f"adjoint({self.inner.label})"
 
     def apply(self, f: GridFunction) -> GridFunction:
         return self.inner.apply_adjoint(f)
@@ -428,19 +408,14 @@ class AdjointOperator:
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         return self.inner.apply(g)
 
-    def to_matrix(self) -> DenseOperatorMatrix:
-        return adjoint(self.inner)
-
 
 def rebuild_on(op, spec: GridSpec):
     """The same operator instantiated on another grid (per-truncation scans)."""
     if isinstance(op, PdoOperator):
         return PdoOperator(op.expr, spec, params=op.params,
                            class_params=op.class_params, label=op.label)
-    if isinstance(op, BesselOperator):
-        return BesselOperator(op.s, spec)
     if isinstance(op, ComposedOperator):
-        return ComposedOperator(rebuild_on(op.inner, spec), op.s, op.side)
+        return ComposedOperator(rebuild_on(op.inner, spec), op.s)
     if isinstance(op, AdjointOperator):
         return AdjointOperator(rebuild_on(op.inner, spec))
     raise ValidationError(f"cannot rebuild {type(op).__name__} on a new grid")

@@ -7,7 +7,6 @@ from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec
 from toruslab.operators import (
     AdjointOperator,
-    BesselOperator,
     MultiplierOperator,
     PdoOperator,
     compose_bessel,
@@ -57,7 +56,7 @@ class TestL2Norm:
     def test_smoothing_potential_norm_is_one(self):
         spec = GridSpec((64,))
         for s in (-0.5, -2.0):
-            got = l2_norm(BesselOperator(s, spec), seed=1).value
+            got = l2_norm(PdoOperator.from_family(bessel(s), spec), seed=1).value
             assert abs(got - 1.0) <= 1e-6
 
     def test_matches_svd_oracle(self):
@@ -109,7 +108,7 @@ class TestLowerBound:
         # for a multiplier the 2 -> inf norm is attained by the matched
         # filter; the closed form is the l2 mass of the profile
         spec = GridSpec((32,))
-        J = BesselOperator(-1.0, spec)
+        J = PdoOperator.from_family(bessel(-1.0), spec)
         est = lp_lq_lower_bound(J, 2.0, np.inf, trials=12, seed=5)
         exact = float(np.sqrt(np.sum(np.abs(J.multiplier_profile()) ** 2)))
         assert est.value >= 0.95 * exact
@@ -189,7 +188,7 @@ class TestThresholdSweep:
 class TestWeak11:
     def test_identity_chebyshev(self):
         spec = GridSpec((64,))
-        I = BesselOperator(0.0, spec)
+        I = PdoOperator.from_family(bessel(0.0), spec)
         rep = weak11_experiment(I, trials=30, seed=0, truncations=[64, 128])
         assert rep.max_ratio <= 1.0 + 1e-9
         assert len(rep.per_lam) == len(rep.lam_grid)
@@ -201,7 +200,7 @@ class TestWeak11:
         values = {}
         for N in (128, 256):
             spec = GridSpec((N,))
-            J = BesselOperator(-2.0, spec)
+            J = PdoOperator.from_family(bessel(-2.0), spec)
             kmax = synthesize_kernel(J).max_abs()
             v = np.zeros(N, dtype=complex)
             v[N // 3] = N
@@ -237,7 +236,7 @@ class TestLinfBmo:
 
     def test_identity_bounded_by_two(self):
         spec = GridSpec((64,))
-        I = BesselOperator(0.0, spec)
+        I = PdoOperator.from_family(bessel(0.0), spec)
         rep = linf_bmo_experiment(I, trials=10, seed=1, truncations=[64])
         assert rep["max_ratio"] <= 2.0 + 1e-9
 
@@ -251,7 +250,7 @@ class TestLinfBmo:
 class TestH1L1:
     def test_identity_atoms_bounded_by_one(self):
         spec = GridSpec((64,))
-        I = BesselOperator(0.0, spec)
+        I = PdoOperator.from_family(bessel(0.0), spec)
         rep = h1_l1_experiment(I, trials=8, seed=0, truncations=[64])
         assert rep["max_ratio"] <= 1.0 + 1e-9
 
@@ -323,7 +322,7 @@ class TestAdmissibility:
 class TestEffectiveOrder:
     def test_potential_profile(self):
         spec = GridSpec((256,))
-        J = BesselOperator(-1.5, spec)
+        J = PdoOperator.from_family(bessel(-1.5), spec)
         out = effective_order(J)
         assert out["order"] == pytest.approx(-1.5, abs=0.05)
 

@@ -13,7 +13,7 @@ from toruslab.kernels import (
     sigma_estimates,
     synthesize_kernel,
 )
-from toruslab.operators import BesselOperator, PdoOperator, to_matrix
+from toruslab.operators import PdoOperator, to_matrix
 from toruslab.symbols import bessel, exotic, wainger
 
 FOUR_FAMILIES = [bessel(-1.0), wainger(0.5, 1.0), exotic(0.0, 0.75, 1.0), exotic(-0.5, 0.5, 2.0)]
@@ -184,7 +184,7 @@ class TestSigmaEstimates:
     def test_smoothing_potential_variant_b(self):
         values = {}
         for N in (128, 256):
-            J = BesselOperator(-2.0, GridSpec((N,)))
+            J = PdoOperator.from_family(bessel(-2.0), GridSpec((N,)))
             rep = sigma_estimates(J, "b", self.SIGMAS, sample_count=64, seed=11)
             assert rep.hypothesis_satisfied and not rep.warnings
             assert all(np.isfinite(v) and v >= 0 for v in rep.per_sigma)
@@ -195,7 +195,7 @@ class TestSigmaEstimates:
 
     def test_identical_points_contribute_zero(self):
         spec = GridSpec((64,))
-        J = BesselOperator(-2.0, spec)
+        J = PdoOperator.from_family(bessel(-2.0), spec)
         kernel = synthesize_kernel(J).full()
         diff = np.abs(kernel[:, 7] - kernel[:, 7])
         assert float(np.sum(diff)) == 0.0
@@ -210,7 +210,7 @@ class TestSigmaEstimates:
     def test_variant_c_equals_b_for_real_multiplier(self):
         # real even symbol: k(x, y) = k(y, x), so row and column variants agree
         spec = GridSpec((64,))
-        J = BesselOperator(-2.0, spec)
+        J = PdoOperator.from_family(bessel(-2.0), spec)
         rb = sigma_estimates(J, "b", self.SIGMAS, sample_count=32, seed=5)
         rc = sigma_estimates(J, "c", self.SIGMAS, sample_count=32, seed=5)
         for a, b in zip(rb.per_sigma, rc.per_sigma):
@@ -222,7 +222,7 @@ class TestSigmaEstimates:
         assert not rep.hypothesis_satisfied and rep.warnings
 
     def test_sigma_grid_validation(self):
-        J = BesselOperator(-2.0, GridSpec((64,)))
+        J = PdoOperator.from_family(bessel(-2.0), GridSpec((64,)))
         with pytest.raises(ValidationError):
             sigma_estimates(J, "b", [0.5], sample_count=4, seed=0)
         with pytest.raises(ValidationError):

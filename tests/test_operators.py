@@ -7,18 +7,22 @@ import pytest
 from toruslab import operators
 from toruslab.errors import SizeGuardError, ValidationError
 from toruslab.grid import GridFunction, GridSpec, pure_wave
+from toruslab.kernels import derivative_kernel, synthesize_kernel
 from toruslab.operators import (
-    BesselOperator,
+    AdjointOperator,
+    MultiplierOperator,
     PdoOperator,
     adjoint,
     bessel_apply,
     compose_bessel,
     full_to_offsets,
     inner_product,
+    kernel_offset_rows,
     offsets_to_full,
+    rebuild_on,
     to_matrix,
 )
-from toruslab.symbols import bessel, exotic, parse, wainger
+from toruslab.symbols import bessel, eval_expr, exotic, parse, wainger
 
 FOUR_FAMILIES = [bessel(-1.0), wainger(0.5, 1.0), exotic(0.0, 0.75, 1.0), exotic(-0.5, 0.5, 2.0)]
 
@@ -218,7 +222,7 @@ class TestCompose:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_potential_semigroup(self, side):
         spec = GridSpec((32,))
-        J_t = BesselOperator(-0.7, spec)
+        J_t = PdoOperator.from_family(bessel(-0.7), spec)
         C = compose_bessel(J_t, -0.5, side)
         f = random_function(spec, 5)
         want = bessel_apply(-1.2, f)
@@ -230,11 +234,44 @@ class TestCompose:
         spec = GridSpec((16,))
         T = PdoOperator.from_family(exotic(-1.0, 0.5, 1.0), spec)
         C = compose_bessel(T, 0.5, "right")
-        M = C.to_matrix().matrix
+        M = to_matrix(C).matrix
         f = random_function(spec, 6)
         lhs = M @ f.values.ravel()
         rhs = C.apply(f).values.ravel()
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_right_composition_is_a_symbol(self, sizes):
+        # Op(p) o J^s = Op(p <xi>^s): kernel synthesis, lattice truncation and
+        # derivative kernels work on it, and its kernel is the matrix product
+        spec = GridSpec(sizes)
+        T = PdoOperator.from_family(exotic(-1.0, 0.5, 1.0), spec)
+        C = compose_bessel(T, 0.5, "right")
+        assert isinstance(C, PdoOperator)
+        assert C.label == "exotic(-1, 0.5, 1) o J^0.5"
+        assert (C.class_params.m, C.class_params.rho, C.class_params.delta) == (-0.5, 0.5, 0.5)
+        J = PdoOperator.from_family(bessel(0.5), spec)
+        product_kernel = (to_matrix(T).matrix @ to_matrix(J).matrix) * spec.npoints
+        want = full_to_offsets(product_kernel, spec)
+        assert max_rel_diff(synthesize_kernel(C).offset_rows, want) <= 1e-12
+        assert max_rel_diff(full_to_offsets(to_matrix(C).matrix * spec.npoints, spec), want) <= 1e-12
+        # a box that reaches the smallest axis keeps the full lattice
+        truncated = synthesize_kernel(C, lattice_box=4).offset_rows
+        box = 4 if min(sizes) > 4 else max(sizes)
+        assert max_rel_diff(truncated, offset_rows_by_definition(C, box)) <= 1e-12
+        dx = derivative_kernel(C, (1,) + (0,) * (spec.dim - 1), (0,) * spec.dim)
+        assert dx.offset_rows.shape == (spec.npoints,) + sizes
+        assert np.all(np.isfinite(dx.offset_rows))
+
+    def test_invalid_compositions_and_rebuilds_raise(self):
+        spec = GridSpec((16,))
+        T = PdoOperator.from_family(exotic(-1.0, 0.5, 1.0), spec)
+        with pytest.raises(ValidationError, match="AdjointOperator"):
+            compose_bessel(AdjointOperator(T), 0.5, "right")
+        with pytest.raises(ValidationError, match="'up'"):
+            compose_bessel(T, 0.5, "up")
+        with pytest.raises(ValidationError, match="MultiplierOperator"):
+            rebuild_on(MultiplierOperator(np.ones(16), spec), GridSpec((32,)))
 
     def test_composed_class_order_shifts(self):
         spec = GridSpec((32,))
@@ -309,6 +346,23 @@ def offsets_by_definition(kernel, sizes):
     return out
 
 
+def offset_rows_by_definition(op, box):
+    """K[r, z] = sum over xi in the centered box of e^{2 pi i z.xi} p(x_r, xi).
+
+    Both the grid points x_r and the offsets z run over the grid points.
+    """
+    spec = op.spec
+    points = spec.points()
+    xi = op.lattice.points()
+    xi = xi[np.all((xi >= -(box // 2)) & (xi < box // 2), axis=1)]
+    phase = np.exp(2j * np.pi * points @ xi.T)
+    out = np.empty((spec.npoints, spec.npoints), dtype=np.complex128)
+    for r in range(spec.npoints):
+        p_r = eval_expr(op.expr, tuple(points[r]), tuple(xi.T.astype(float)), op.params)
+        out[r] = phase @ np.broadcast_to(p_r, xi.shape[:1])
+    return out.reshape((spec.npoints,) + spec.sizes)
+
+
 class TestOffsetRows:
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     def test_matches_definition(self, sizes):
@@ -325,3 +379,13 @@ class TestOffsetRows:
         offsets = random_kernel(spec, 9).reshape((spec.npoints,) + sizes)
         assert np.array_equal(offsets_to_full(full_to_offsets(kernel, spec), spec), kernel)
         assert np.array_equal(full_to_offsets(offsets_to_full(offsets, spec), spec), offsets)
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    @pytest.mark.parametrize("fam", [wainger(0.5, 1.0), exotic(-0.5, 0.75, 1.0)],
+                             ids=lambda f: f.label())
+    @pytest.mark.parametrize("box", [None, 4])
+    def test_kernel_rows_match_definition(self, sizes, fam, box):
+        spec = GridSpec(sizes)
+        T = PdoOperator.from_family(fam, spec)
+        want = offset_rows_by_definition(T, max(sizes) if box is None else box)
+        assert max_rel_diff(kernel_offset_rows(T, box), want) <= 1e-12
