@@ -301,12 +301,14 @@ def fit_order(
 
     fitted_m is the slope at alpha = beta = 0; rho comes from first
     differences only, delta from first x-derivatives only (higher orders
-    amplify noise).  Differences are evaluated exactly at any lattice point,
-    so there is no truncation edge; the contaminated shells are the two
-    innermost (preasymptotic radii where subleading terms still compete) and
-    those are dropped from every fit.  A derivative that vanishes
-    identically contributes the best possible exponent of its kind
-    (rho = 1, delta = 0).
+    amplify noise).  The class bound must hold in every direction, so rho
+    is the worst (smallest) of the |alpha| = 1 terms and delta the worst
+    (largest) of the |beta| = 1 terms.  Differences are evaluated exactly at
+    any lattice point, so there is no truncation edge; the contaminated
+    shells are the two innermost (preasymptotic radii where subleading terms
+    still compete) and those are dropped from every fit.  A derivative that
+    vanishes identically contributes the best possible exponent of its kind
+    (rho = 1, delta = 0), which never masks a worse direction.
     """
     if max_order is None:
         max_order = math.ceil(dim / 2) + 1
@@ -357,8 +359,8 @@ def fit_order(
         if mi_abs(beta) == 1:
             s = slopes.get((zero, beta))
             delta_terms.append(0.0 if s is None else s - fitted_m)
-    fitted_rho = float(np.mean(rho_terms)) if rho_terms else 1.0
-    fitted_delta = float(np.mean(delta_terms)) if delta_terms else 0.0
+    fitted_rho = float(min(rho_terms)) if rho_terms else 1.0
+    fitted_delta = float(max(delta_terms)) if delta_terms else 0.0
 
     ref = nominal if nominal is not None else ClassParams(
         fitted_m, min(max(fitted_rho, 1e-6), 1.0), min(max(fitted_delta, 0.0), 1.0 - 1e-9)

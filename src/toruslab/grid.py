@@ -258,11 +258,6 @@ def _center_distance_grid(center, spec: GridSpec) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def ball_measure(indices: np.ndarray, spec: GridSpec) -> float:
-    """Quadrature measure of an index set: count / G."""
-    return indices.size / spec.npoints
-
-
 def constant_function(spec: GridSpec, value=1.0) -> GridFunction:
     return GridFunction(spec, np.full(spec.sizes, value, dtype=np.complex128))
 

@@ -33,10 +33,10 @@ from itertools import product
 import numpy as np
 
 from .calculus import mi_abs, mi_validate
-from .errors import EmptyDomainError, SizeGuardError, ValidationError
+from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, offset_distance_grid
 from .experiments import lp_threshold
-from .operators import MATRIX_GUARD, PdoOperator, kernel_offset_rows, offsets_to_full
+from .operators import PdoOperator, _guard, kernel_offset_rows, offsets_to_full
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
@@ -77,16 +77,11 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     """Kernel of the operator on its own grid (dense size guard applies).
 
     ``lattice_box`` truncates the frequency sum to the centered sub-box of
-    that per-axis size; the default keeps the grid's full FFT box.
+    that per-axis size, and an axis no larger than the box stays whole; the
+    default keeps the grid's full FFT box.
     """
-    if op.spec.npoints > MATRIX_GUARD:
-        raise SizeGuardError(
-            f"kernel synthesis needs G <= {MATRIX_GUARD}, got {op.spec.npoints}"
-        )
-    box = None
-    if lattice_box is not None and lattice_box < min(op.spec.sizes):
-        box = int(lattice_box)
-    rows = kernel_offset_rows(op, box)
+    _guard(op.spec)
+    rows = kernel_offset_rows(op, None if lattice_box is None else int(lattice_box))
     return KernelMatrix(op.spec, rows, label=op.label, source=op)
 
 

@@ -7,15 +7,19 @@ The operator attached to a symbol p acts by
 summed over the truncated lattice, so on the discrete torus T is exactly a
 G x G matrix and boundedness questions become questions about how matrix
 norms depend on the truncation.  x-independent symbols take an FFT
-multiplier fast path.  The general path works from the phase-symbol table
-A[x, xi] = e^{2 pi i x.xi} p(x, xi) of shape G x L: apply is A @ fhat and
-the adjoint is conj(conj(g) @ A) / G followed by the inverse DFT.
+multiplier fast path.  Every other PdoOperator works from one table, its
+grid-basis matrix M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi):
+apply is M @ f, the adjoint is conj(conj(g) @ M), to_matrix returns M and
+the kernel rows are G M regathered by offset.
 
-Cost model of the general path: the first call builds the table (16 G L
-bytes, complex128) in blocks of grid rows at about the cost of one direct
-evaluation of the sum, and every later apply or adjoint is one mat-vec.
-Above MATRIX_GUARD grid points no table is stored; each call recomputes
-the same row blocks and discards them.
+Cost model of the general path: the first call builds M (16 G^2 bytes,
+complex128) in blocks of grid rows, each block the phase-symbol rows
+e^{2 pi i x.xi} p(x, xi) and one FFT over the lattice axes, at about the
+cost of one direct evaluation of the sum.  The symbol is evaluated once per
+operator; every later apply or adjoint is one mat-vec with no DFT, and the
+dense matrix and kernel rows (any lattice sub-box included) read M.  Above
+MATRIX_GUARD grid points nothing is stored; apply and adjoint recompute the
+same row blocks on every call and discard them.
 
 Every operator carries ``spec``, ``label``, ``class_params``, ``apply`` and
 ``apply_adjoint``.  The types are PdoOperator (Op(p) for a symbol
@@ -49,10 +53,10 @@ from .grid import (
 )
 from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
-MATRIX_GUARD = 4096  # largest G for dense constructions and stored symbol tables
-# Grid rows per block of the phase-symbol table, whether the block is stored
-# or streamed: the transient memory of a block is a few times 16 * _CHUNK * L
-# bytes, independent of G.
+MATRIX_GUARD = 4096  # largest G for dense constructions and stored grid-basis matrices
+# Grid rows per block of the grid-basis matrix, whether the block is stored
+# or streamed: the transient memory of a block is a few times 16 * _CHUNK * G
+# bytes.
 _CHUNK = 256
 
 
@@ -81,7 +85,7 @@ class PdoOperator:
         if self.params is None:
             self.params = {}
         self.lattice = self.spec.lattice()
-        self._table = None
+        self._matrix = None
         # probe evaluability on grid x lattice once, cheaply
         eval_expr(self.expr, tuple(0.0 for _ in range(self.spec.dim)),
                   tuple(0 for _ in range(self.spec.dim)), self.params)
@@ -134,54 +138,59 @@ class PdoOperator:
             return _multiply(f, self.multiplier_profile())
         return self._apply_general(f)
 
-    def _table_rows(self):
-        """Successive blocks (rows, A[rows]) of the phase-symbol table."""
+    def _matrix_rows(self):
+        """Successive blocks (rows, M[rows]) of the grid-basis matrix.
+
+        Each block is the phase-symbol rows e^{2 pi i x.xi} p(x, xi) followed
+        by one FFT over the lattice axes, which sums against e^{-2 pi i y.xi}.
+        """
         x = self.spec.points()
         xi = self.lattice.points().astype(float)
         G = self.spec.npoints
+        axes = tuple(range(1, 1 + self.spec.dim))
         for start in range(0, G, _CHUNK):
             rows = np.arange(start, min(start + _CHUNK, G))
-            block = np.exp(2j * np.pi * (x[rows] @ xi.T))
-            block *= self.symbol_rows(rows)
-            yield rows, block
+            block = np.exp(2j * np.pi * (x[rows] @ xi.T)) * self.symbol_rows(rows)
+            block = np.fft.ifftshift(block.reshape((rows.size,) + self.lattice.sizes), axes=axes)
+            yield rows, np.fft.fftn(block, axes=axes).reshape(rows.size, G) / G
 
-    def phase_symbol_table(self) -> np.ndarray:
-        """A[x, xi] = e^{2 pi i x.xi} p(x, xi), shape (G, L), built once on first use."""
+    def _grid_matrix(self) -> np.ndarray:
+        """M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi), built once, read-only."""
         _guard(self.spec)
-        if self._table is None:
-            table = np.empty((self.spec.npoints, self.lattice.npoints), dtype=np.complex128)
-            for rows, block in self._table_rows():
-                table[rows] = block
-            self._table = table
-        return self._table
+        if self._matrix is None:
+            matrix = np.empty((self.spec.npoints, self.spec.npoints), dtype=np.complex128)
+            for rows, block in self._matrix_rows():
+                matrix[rows] = block
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
-    def _table_blocks(self):
-        """The table as (rows, block) pairs covering all grid rows.
+    def _matrix_blocks(self):
+        """M as (rows, block) pairs covering all grid rows.
 
-        Up to MATRIX_GUARD grid points this is the cached table as one block;
+        Up to MATRIX_GUARD grid points this is the cached matrix as one block;
         above it the blocks are recomputed on every call and nothing is stored.
         """
         if self.spec.npoints > MATRIX_GUARD:
-            return self._table_rows()
-        return [(slice(None), self.phase_symbol_table())]
+            return self._matrix_rows()
+        return [(slice(None), self._grid_matrix())]
 
     def _apply_general(self, f: GridFunction) -> GridFunction:
-        fhat = forward_dft(f).coefficients.ravel()
+        fvals = f.values.ravel()
         out = np.empty(self.spec.npoints, dtype=np.complex128)
-        for rows, block in self._table_blocks():
-            out[rows] = block @ fhat
+        for rows, block in self._matrix_blocks():
+            out[rows] = block @ fvals
         return GridFunction(self.spec, out.reshape(self.spec.sizes))
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        """Action of the adjoint operator, matrix-free."""
+        """Action of the adjoint operator, conj(conj(g) @ M)."""
         if self.is_multiplier:
             return _multiply(g, np.conj(self.multiplier_profile()))
         gbar = np.conj(g.values.ravel())
-        acc = np.zeros(self.lattice.npoints, dtype=np.complex128)
-        for rows, block in self._table_blocks():
+        acc = np.zeros(self.spec.npoints, dtype=np.complex128)
+        for rows, block in self._matrix_blocks():
             acc += gbar[rows] @ block
-        coeffs = (np.conj(acc) / self.spec.npoints).reshape(self.lattice.sizes)
-        return inverse_dft(SpectralFunction(self.lattice, coeffs))
+        return GridFunction(self.spec, np.conj(acc).reshape(self.spec.sizes))
 
 
 @dataclass
@@ -215,15 +224,18 @@ def to_matrix(op) -> DenseOperatorMatrix:
     """Dense grid-basis matrix with rows = output points.
 
     Column y is the image of the unit-mass discrete delta at y divided by G,
-    i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).
+    i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).  A
+    general PdoOperator returns its cached, read-only matrix.
     """
     _guard(op.spec)
     if isinstance(op, DenseOperatorMatrix):
         return op
     spec = op.spec
     G = spec.npoints
-    if isinstance(op, (PdoOperator, MultiplierOperator)):
+    if isinstance(op, (PdoOperator, MultiplierOperator)) and op.is_multiplier:
         matrix = offsets_to_full(kernel_offset_rows(op), spec) / G
+    elif isinstance(op, PdoOperator):
+        matrix = op._grid_matrix()
     else:
         # generic fallback: columns by application to basis vectors
         matrix = np.empty((G, G), dtype=np.complex128)
@@ -239,32 +251,23 @@ def to_matrix(op) -> DenseOperatorMatrix:
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form: K[r, z] = k(x_r, x_r - z), shape (G,) + sizes.
 
-    Row r is the inverse transform of xi -> p(x_r, xi), with the symbol
-    zeroed outside the centered sub-box of per-axis size ``box`` when one is
-    given.  A multiplier transforms its one row and repeats it.  Operators
-    without a symbol fall back to the dense matrix and take no ``box``.
+    The rows are G times the dense matrix regathered by offset; a multiplier
+    transforms its one profile row and repeats it.  ``box`` keeps only the
+    frequencies of the centered sub-box of that per-axis size, one Fourier
+    filter along the offset axes; an axis no larger than the box stays whole.
     """
     spec = op.spec
     G = spec.npoints
-    if not isinstance(op, (PdoOperator, MultiplierOperator)):
-        if box is not None:
-            raise ValidationError(
-                f"lattice truncation needs a symbol-backed operator, got {type(op).__name__}"
-            )
-        return full_to_offsets(to_matrix(op).matrix * G, spec)
-    lattice = op.lattice
-    if op.is_multiplier:
-        P = op.multiplier_profile()[None]
-    else:
-        P = op.symbol_rows(np.arange(G)).reshape((G,) + lattice.sizes)
-    if box is not None:
-        for ax, xi in enumerate(lattice.axes()):
-            shape = [1] * (1 + spec.dim)
-            shape[1 + ax] = xi.size
-            P = P * ((xi >= -(box // 2)) & (xi < box // 2)).reshape(shape)
     axes = tuple(range(1, 1 + spec.dim))
-    K = np.fft.ifftn(np.fft.ifftshift(P, axes=axes), axes=axes) * lattice.npoints
-    if op.is_multiplier:
+    if isinstance(op, (PdoOperator, MultiplierOperator)) and op.is_multiplier:
+        K = np.fft.ifftn(np.fft.ifftshift(op.multiplier_profile()))[None] * G
+    else:
+        K = full_to_offsets(to_matrix(op).matrix * G, spec)
+    if box is not None:
+        xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
+        inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
+        K = np.fft.ifftn(np.fft.fftn(K, axes=axes) * inside, axes=axes)
+    if K.shape[0] < G:
         K = np.repeat(K, G, axis=0)
     return K.reshape((G,) + spec.sizes)
 

@@ -217,6 +217,20 @@ class TestFitOrder:
         assert est.fitted_rho == pytest.approx(0.25, abs=0.1)
         assert est.fitted_delta == pytest.approx(0.75, abs=0.1)
 
+    def test_exotic_2d_takes_worst_direction(self):
+        # the x2-derivative of exotic vanishes (delta term 0) and must not
+        # dilute the x1 term: delta is the largest |beta|=1 term, rho the
+        # smallest |alpha|=1 term
+        fam = exotic(0.0, 0.75, 1.0)
+        est = fit_order(fam.expr, dim=2, params=fam.parameters,
+                        shell_range=(8.0, 128.0), x_resolution=4)
+        zero = (0, 0)
+        assert est.slopes[(zero, (0, 1))] is None
+        rho_terms = [est.fitted_m - est.slopes[(alpha, zero)] for alpha in ((1, 0), (0, 1))]
+        assert est.fitted_rho == min(rho_terms)
+        assert est.fitted_rho == pytest.approx(0.25, abs=0.01)
+        assert est.fitted_delta == pytest.approx(0.75, abs=0.01)
+
     def test_bessel_higher_difference_slopes(self):
         est = self.fit(bessel(-1.0))
         for alpha_order in (1, 2):
