@@ -9,7 +9,11 @@ collected over dyadic frequency shells decay like powers of <xi>; the
 exponents recover the order m, the frequency-smoothing exponent rho (from
 first differences) and the spatial-loss exponent delta (from first
 x-derivatives).  Fits are least squares in log-log coordinates with the two
-outermost shells excluded.
+innermost shells excluded.
+
+seminorm_constant and fit_order share one evaluation, in which each shifted
+symbol d^beta_x p(x, xi + gamma) is evaluated once per shell for all alphas;
+so a fit's constants are seminorm_constant at its reference class.
 
 x-derivatives come in two flavours: exact symbolic differentiation of the
 expression tree (always available, used by the fitting machinery) and
@@ -190,27 +194,36 @@ def shell_lattice_points(lo: float, hi: float, dim: int) -> np.ndarray:
     return pts
 
 
-def _x_sample(dim: int, resolution: int) -> np.ndarray:
-    axes = [np.arange(resolution) / resolution] * dim
-    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
+    """max over the x-sample of |d^beta_x D^alpha_xi p(x, xi)| at each shell point.
+
+    Returns the brackets <xi> of each shell's points and, per alpha, a list of
+    per-shell maxima.  Each shifted symbol d^beta_x p(x, xi + gamma) is
+    evaluated once per shell and shared by all alphas, whose differences sum in
+    difference_terms order; one shell's shifted values are held at a time.
+    """
+    if x_resolution < 1:
+        raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
+    tree = diff_x_multi(expr, beta)
+    r = x_resolution if depends_on_x(tree) else 1
+    xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*[np.arange(r) / r] * dim, indexing="ij"))
+    gammas = {gamma for alpha in alphas for gamma, _ in difference_terms(alpha)}
+    brackets, maxima = [], {alpha: [] for alpha in alphas}
+    for lo, hi in shells:
+        xi = shell_lattice_points(lo, hi, dim).astype(float)
+        shifted = {g: eval_expr(tree, xs, tuple(xi[None, :, j] + g[j] for j in range(dim)), params)
+                   for g in gammas}
+        for alpha in alphas:
+            total = sum(coef * shifted[g] for g, coef in difference_terms(alpha))
+            maxima[alpha].append(np.max(np.abs(total), axis=0))
+        del shifted, total
+        brackets.append(np.sqrt(1.0 + np.sum(xi**2, axis=-1)))
+    return brackets, maxima
 
 
-def _difference_values(expr, alpha, xi_pts, x_pts, params):
-    """|D^alpha expr| on the x-sample x shell-point product, shape (X, S)."""
-    xs = tuple(x_pts[:, j][:, None] for j in range(x_pts.shape[1]))
-    total = None
-    for gamma, coef in difference_terms(alpha):
-        shifted = tuple(
-            (xi_pts[:, j] + gamma[j]).astype(float)[None, :] for j in range(xi_pts.shape[1])
-        )
-        vals = eval_expr(expr, xs, shifted, params)
-        term = coef * np.asarray(vals)
-        total = term if total is None else total + term
-    return np.abs(total)
-
-
-def _shell_supremum(expr, alpha, xi_pts, x_pts, params):
-    return float(np.max(_difference_values(expr, alpha, xi_pts, x_pts, params)))
+def _weighted_max(brackets, maxima, exponent) -> float:
+    """max over shells and points of maxima * <xi>^(-exponent), the seminorm constant."""
+    return max(float(np.max(m * br ** (-exponent))) for br, m in zip(brackets, maxima))
 
 
 def seminorm_constant(
@@ -230,25 +243,20 @@ def seminorm_constant(
     """
     alpha = mi_validate(alpha, dim)
     beta = mi_validate(beta, dim)
-    tree = diff_x_multi(expr, beta)
-    x_pts = _x_sample(dim, x_resolution if depends_on_x(tree) else 1)
-    exponent = class_params.seminorm_exponent(alpha, beta)
-    best = 0.0
-    for lo, hi in dyadic_shells(*shell_range):
-        xi_pts = shell_lattice_points(lo, hi, dim)
-        best = max(best, _weighted_supremum(tree, alpha, xi_pts, x_pts, params, exponent))
-    return best
-
-
-def _weighted_supremum(expr, alpha, xi_pts, x_pts, params, exponent):
-    vals = _difference_values(expr, alpha, xi_pts, x_pts, params)
-    br = np.sqrt(1.0 + np.sum(xi_pts.astype(float) ** 2, axis=-1))[None, :]
-    return float(np.max(vals * br ** (-exponent)))
+    brackets, maxima = _shell_maxima(
+        expr, beta, [alpha], dyadic_shells(*shell_range), dim, params, x_resolution
+    )
+    return _weighted_max(brackets, maxima[alpha], class_params.seminorm_exponent(alpha, beta))
 
 
 @dataclass
 class ClassEstimate:
-    """Fitted class parameters with per-(alpha, beta) diagnostics."""
+    """Fitted class parameters with per-(alpha, beta) diagnostics.
+
+    ``params`` is the reference class: the nominal one when given, else the
+    fitted one.  ``constants[(alpha, beta)]`` is seminorm_constant at that
+    class over the fit's whole shell range, floored at 1e-300.
+    """
 
     params: ClassParams
     constants: dict
@@ -308,10 +316,14 @@ def fit_order(
     shells are the two innermost (preasymptotic radii where subleading terms
     still compete) and those are dropped from every fit.  A derivative that
     vanishes identically contributes the best possible exponent of its kind
-    (rho = 1, delta = 0), which never masks a worse direction.
+    (rho = 1, delta = 0), which never masks a worse direction.  The constants
+    are seminorm_constant at the reference class (nominal, else fitted), each
+    from the same evaluation as the slopes.
     """
     if max_order is None:
         max_order = math.ceil(dim / 2) + 1
+    if max_order < 1:
+        raise ValidationError(f"must be >= 1, got {max_order}", field="max_order")
     shells = dyadic_shells(*shell_range)
     if len(shells) < 4:
         raise ValidationError(f"need >= 4 dyadic shells, got {len(shells)}")
@@ -319,20 +331,13 @@ def fit_order(
     centers = [math.sqrt(lo * hi) for lo, hi in fit_shells]
 
     indices = [mi for mi in product(range(max_order + 1), repeat=dim) if mi_abs(mi) <= max_order]
-    x_pts_full = _x_sample(dim, x_resolution)
-    x_pts_one = _x_sample(dim, 1)
+    zero = tuple([0] * dim)
+    by_beta = {b: _shell_maxima(expr, b, indices, shells, dim, params, x_resolution) for b in indices}
+    brackets = by_beta[zero][0]
+    maxima = {(a, b): by_beta[b][1][a] for a in indices for b in indices}
+    sups = {key: [float(np.max(m)) for m in ms] for key, ms in maxima.items()}
 
-    sups = {}
-    for alpha in indices:
-        for beta in indices:
-            tree = diff_x_multi(expr, beta)
-            x_pts = x_pts_full if depends_on_x(tree) else x_pts_one
-            sups[(alpha, beta)] = [
-                _shell_supremum(tree, alpha, shell_lattice_points(lo, hi, dim), x_pts, params)
-                for lo, hi in shells
-            ]
-
-    floor = 1e-14 * max(max(sups[(tuple([0] * dim), tuple([0] * dim))]), 1e-300)
+    floor = 1e-14 * max(max(sups[(zero, zero)]), 1e-300)
     slopes, residuals = {}, {}
     for key, values in sups.items():
         fit_values = values[len(shells) - len(fit_shells) :]
@@ -344,7 +349,6 @@ def fit_order(
         slopes[key] = report["slope"]
         residuals[key] = report
 
-    zero = tuple([0] * dim)
     fitted_m = slopes[(zero, zero)]
     if fitted_m is None:
         raise NumericalError("symbol vanishes identically on the fitted shells")
@@ -365,15 +369,10 @@ def fit_order(
     ref = nominal if nominal is not None else ClassParams(
         fitted_m, min(max(fitted_rho, 1e-6), 1.0), min(max(fitted_delta, 0.0), 1.0 - 1e-9)
     )
-    constants = {}
-    for key, values in sups.items():
-        alpha, beta = key
-        exponent = ref.seminorm_exponent(alpha, beta)
-        cs = [
-            v * (math.sqrt(lo * hi)) ** (-exponent)
-            for v, (lo, hi) in zip(values, shells)
-        ]
-        constants[key] = float(max(max(cs), 1e-300))
+    constants = {
+        key: max(_weighted_max(brackets, ms, ref.seminorm_exponent(*key)), 1e-300)
+        for key, ms in maxima.items()
+    }
 
     return ClassEstimate(
         params=ref,

@@ -209,12 +209,7 @@ def offset_distance_grid(spec: GridSpec) -> np.ndarray:
     Since the grid is translation invariant, d(x_a, x_b) = D[(a - b) mod N]
     with D the array returned here.
     """
-    mesh = spec.mesh()
-    sq = np.zeros(spec.sizes)
-    for m in mesh:
-        d = np.minimum(m, 1.0 - m)
-        sq = sq + d * d
-    return np.sqrt(sq)
+    return _center_distance_grid(np.zeros(spec.dim), spec)
 
 
 def _max_radius(dim: int) -> float:

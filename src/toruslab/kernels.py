@@ -36,7 +36,7 @@ from .calculus import mi_abs, mi_validate
 from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, offset_distance_grid
 from .experiments import lp_threshold
-from .operators import PdoOperator, _guard, kernel_offset_rows, offsets_to_full
+from .operators import PdoOperator, kernel_offset_rows, offsets_to_full
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
@@ -80,8 +80,7 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    _guard(op.spec)
-    rows = kernel_offset_rows(op, None if lattice_box is None else int(lattice_box))
+    rows = kernel_offset_rows(op, lattice_box)
     return KernelMatrix(op.spec, rows, label=op.label, source=op)
 
 

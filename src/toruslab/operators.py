@@ -253,9 +253,13 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
 
     The rows are G times the dense matrix regathered by offset; a multiplier
     transforms its one profile row and repeats it.  ``box`` keeps only the
-    frequencies of the centered sub-box of that per-axis size, one Fourier
-    filter along the offset axes; an axis no larger than the box stays whole.
+    frequencies of the centered sub-box of that per-axis size, an even
+    integer >= 2, one Fourier filter along the offset axes; an axis no
+    larger than the box stays whole.  The dense size guard applies.
     """
+    _guard(op.spec)
+    if box is not None and (box < 2 or box % 2):
+        raise ValidationError(f"lattice box {box!r} must be an even integer >= 2", field="box")
     spec = op.spec
     G = spec.npoints
     axes = tuple(range(1, 1 + spec.dim))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from toruslab import calculus
 from toruslab.calculus import (
     ClassParams,
+    _shell_maxima,
     difference,
     dyadic_shells,
     fit_order,
@@ -17,7 +19,7 @@ from toruslab.errors import (
     ValidationError,
 )
 from toruslab.grid import GridSpec
-from toruslab.symbols import TableSymbol, bessel, bind, exotic, parse, wainger
+from toruslab.symbols import TableSymbol, bessel, bind, diff_x_multi, exotic, parse, wainger
 
 
 class TestClassParams:
@@ -189,6 +191,29 @@ class TestSeminorm:
         assert c < 1e-10
 
 
+    @pytest.mark.parametrize(
+        "dim, shell, x_resolution",
+        [(1, (8.0, 16.0), 64), (1, (64.0, 128.0), 64), (2, (8.0, 16.0), 4)],
+    )
+    def test_shared_evaluation_matches_difference(self, dim, shell, x_resolution):
+        # oracle: the public difference at each shell point, maximised over
+        # the same x-sample
+        fam = exotic(0.0, 0.75, 1.0)
+        alphas = [a for a in np.ndindex(*([3] * dim)) if sum(a) <= 2]
+        axes = np.meshgrid(*[np.arange(x_resolution) / x_resolution] * dim, indexing="ij")
+        x = tuple(m.ravel() for m in axes)
+        for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
+            tree = diff_x_multi(fam.expr, beta)
+            _, maxima = _shell_maxima(fam.expr, beta, alphas, [shell], dim, fam.parameters,
+                                      x_resolution)
+            for alpha in alphas:
+                want = [
+                    np.max(np.abs(difference(tree, alpha, x, tuple(xi), fam.parameters)))
+                    for xi in shell_lattice_points(*shell, dim)
+                ]
+                assert np.max(np.abs(maxima[alpha][0] - want)) <= 1e-12 * np.max(want)
+
+
 class TestFitOrder:
     def fit(self, fam, shell_hi=512.0):
         return fit_order(
@@ -258,3 +283,52 @@ class TestFitOrder:
         est = self.fit(bessel(-1.0))
         d = est.to_dict()
         assert set(d) >= {"nominal", "fitted", "constants", "slopes", "residuals", "shells"}
+
+    @pytest.mark.parametrize(
+        "fam, dim, shell_hi, x_resolution, nominal",
+        [
+            (bessel(-1.0), 1, 512.0, 64, True),
+            (wainger(0.5, 1.0), 1, 512.0, 64, True),
+            (exotic(0.0, 0.75, 1.0), 1, 512.0, 64, True),
+            (exotic(-0.5, 0.5, 2.0), 1, 512.0, 64, True),
+            (exotic(0.0, 0.75, 1.0), 2, 128.0, 4, False),
+        ],
+        ids=["bessel", "wainger", "exotic", "exotic-m0.5", "exotic-2d"],
+    )
+    def test_constants_are_seminorm_constants(self, fam, dim, shell_hi, x_resolution, nominal):
+        cls = ClassParams(fam.order, fam.rho, fam.delta) if nominal else None
+        est = fit_order(fam.expr, dim=dim, params=fam.parameters, nominal=cls,
+                        shell_range=(8.0, shell_hi), x_resolution=x_resolution)
+        for (alpha, beta), value in est.constants.items():
+            want = seminorm_constant(fam.expr, alpha, beta, est.params, (8.0, shell_hi), dim,
+                                     fam.parameters, x_resolution)
+            assert value == max(want, 1e-300)
+
+    def test_each_shifted_symbol_evaluated_once(self, monkeypatch):
+        calls = []
+        original = calculus.eval_expr
+        monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(1) or original(*a))
+        fam = exotic(0.0, 0.75, 1.0)
+        fit_order(fam.expr, params=fam.parameters)  # 3 indices, 6 shells
+        assert len(calls) == 3 * 3 * 6
+        calls.clear()
+        fit_order(fam.expr, dim=2, params=fam.parameters, shell_range=(8.0, 128.0),
+                  x_resolution=4)  # 6 indices, 4 shells
+        assert len(calls) == 6 * 6 * 4
+        calls.clear()
+        seminorm_constant(fam.expr, (2,), (1,), ClassParams(0, 0.25, 0.75),
+                          params=fam.parameters)
+        assert len(calls) == 3 * 6
+
+    @pytest.mark.parametrize("kwargs", [{"max_order": 0}, {"max_order": -1},
+                                        {"x_resolution": 0}])
+    def test_rejects_unfittable_input(self, kwargs):
+        fam = exotic(0.0, 0.75, 1.0)
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            fit_order(fam.expr, params=fam.parameters, **kwargs)
+
+    def test_seminorm_rejects_empty_x_sample(self):
+        fam = exotic(0.0, 0.75, 1.0)
+        with pytest.raises(ValidationError, match="x_resolution"):
+            seminorm_constant(fam.expr, (0,), (0,), ClassParams(0, 0.25, 0.75),
+                              params=fam.parameters, x_resolution=0)

@@ -214,6 +214,24 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert not (tmp_path / "kernel_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, symbol, setting",
+        [
+            ("symbol-class", "exotic(0, 0.75, 1)", "symbol_class.max_order=0"),
+            ("symbol-class", "exotic(0, 0.75, 1)", "symbol_class.max_order=-1"),
+            ("symbol-class", "exotic(0, 0.75, 1)", "symbol_class.x_resolution=0"),
+            ("kernel", "bessel(-2)", "kernel.truncations=[0,32,64]"),
+            ("kernel", "bessel(-2)", "kernel.truncations=[-8,32,64]"),
+        ],
+    )
+    def test_unusable_settings_exit_1(self, tmp_path, capsys, command, symbol, setting):
+        code, out, err = run(
+            [command, "--symbol", symbol, "--grid", "64", "--out", str(tmp_path), "--set", setting],
+            capsys,
+        )
+        assert code == 1
+        assert "Traceback" not in err
+
     def test_byte_identical_reports_modulo_timestamp(self, tmp_path, capsys):
         args = [
             "weak11",

@@ -11,6 +11,7 @@ from toruslab.grid import (
     constant_function,
     forward_dft,
     inverse_dft,
+    offset_distance_grid,
     pure_wave,
     torus_distance,
 )
@@ -187,6 +188,12 @@ class TestDistance:
         pts = rng.random((500, 2, 2))
         d = torus_distance(pts[:, 0], pts[:, 1])
         assert np.all(d <= np.sqrt(2.0) / 2 + 1e-15)
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_offset_distance_grid(self, sizes):
+        spec = GridSpec(sizes)
+        want = torus_distance(spec.points(), np.zeros(spec.dim)).reshape(sizes)
+        assert np.max(np.abs(offset_distance_grid(spec) - want)) <= 1e-15
 
 
 class TestBall:

@@ -442,6 +442,19 @@ class TestOffsetRows:
         want = offset_rows_by_toroidal_symbol(op, 4)
         assert max_rel_diff(kernel_offset_rows(op, 4), want) <= 1e-12
 
+    @pytest.mark.parametrize("box", [0, -8, 1, 3, 2.5])
+    def test_box_must_be_even_integer(self, box):
+        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec((16,)))
+        with pytest.raises(ValidationError, match="box"):
+            kernel_offset_rows(T, box)
+
+    def test_size_guard_covers_multipliers(self, monkeypatch):
+        monkeypatch.setattr(operators, "MATRIX_GUARD", 16)
+        T = PdoOperator.from_family(bessel(-1.0), GridSpec((32,)))
+        assert T.is_multiplier
+        with pytest.raises(SizeGuardError):
+            kernel_offset_rows(T)
+
 
 def test_perfbench_tracer_hooks_resolve(monkeypatch):
     # the benchmark's tracer wraps operator and module functions by name and
