@@ -48,7 +48,6 @@ from .operators import (
     DenseOperatorMatrix,
     bessel_apply,
     to_matrix,
-    adjoint,
     compose_bessel,
 )
 from .kernels import (
@@ -98,7 +97,7 @@ __all__ = [
     "seminorm_constant", "fit_order",
     # operators
     "PdoOperator", "MultiplierOperator", "ComposedOperator", "AdjointOperator",
-    "DenseOperatorMatrix", "bessel_apply", "to_matrix", "adjoint", "compose_bessel",
+    "DenseOperatorMatrix", "bessel_apply", "to_matrix", "compose_bessel",
     # kernels
     "KernelMatrix", "synthesize_kernel", "derivative_kernel", "decay_scan",
     "log_bound_check", "sigma_estimates",

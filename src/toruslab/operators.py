@@ -6,20 +6,21 @@ The operator attached to a symbol p acts by
 
 summed over the truncated lattice, so on the discrete torus T is exactly a
 G x G matrix and boundedness questions become questions about how matrix
-norms depend on the truncation.  x-independent symbols take an FFT
-multiplier fast path.  Every other PdoOperator works from one table, its
-grid-basis matrix M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi):
-apply is M @ f, the adjoint is conj(conj(g) @ M), to_matrix returns M and
-the kernel rows are G M regathered by offset.
+norms depend on the truncation.  Each operator works from one read-only
+table, built once.  A Fourier multiplier (x-independent symbol) keeps its
+profile sigma(xi) and a copy in FFT order, L = G complex entries from one
+evaluation of the symbol; apply is two FFTs, ifftn(fftn(f) * table), the
+adjoint uses the conjugate table and the kernel rows one inverse FFT of
+it.  A non-finite table is rejected when built.
 
-Cost model of the general path: the first call builds M (16 G^2 bytes,
-complex128) in blocks of grid rows, each block the phase-symbol rows
-e^{2 pi i x.xi} p(x, xi) and one FFT over the lattice axes, at about the
-cost of one direct evaluation of the sum.  The symbol is evaluated once per
-operator; every later apply or adjoint is one mat-vec with no DFT, and the
-dense matrix and kernel rows (any lattice sub-box included) read M.  Above
-MATRIX_GUARD grid points nothing is stored; apply and adjoint recompute the
-same row blocks on every call and discard them.
+Every other PdoOperator's table is its grid-basis matrix
+M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi), 16 G^2 bytes, built in
+blocks of grid rows (the phase-symbol rows e^{2 pi i x.xi} p(x, xi), then
+one FFT over the lattice axes) at about the cost of one direct evaluation
+of the sum.  apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT;
+to_matrix returns M and the kernel rows (any lattice sub-box included) are
+G M regathered by offset.  Above MATRIX_GUARD grid points nothing is
+stored; apply and adjoint recompute the row blocks on every call.
 
 Every operator carries ``spec``, ``label``, ``class_params``, ``apply`` and
 ``apply_adjoint``.  The types are PdoOperator (Op(p) for a symbol
@@ -44,13 +45,7 @@ import numpy as np
 
 from .calculus import ClassParams
 from .errors import SizeGuardError, ValidationError
-from .grid import (
-    GridFunction,
-    GridSpec,
-    SpectralFunction,
-    forward_dft,
-    inverse_dft,
-)
+from .grid import GridFunction, GridSpec
 from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
 MATRIX_GUARD = 4096  # largest G for dense constructions and stored grid-basis matrices
@@ -65,10 +60,26 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) / f.spec.npoints)
 
 
-def _multiply(f: GridFunction, profile) -> GridFunction:
-    """Fourier multiplier: inverse DFT of profile(xi) fhat(xi)."""
-    fhat = forward_dft(f)
-    return inverse_dft(SpectralFunction(fhat.lattice, fhat.coefficients * profile))
+def _grid_values(spec: GridSpec, f: GridFunction) -> np.ndarray:
+    """The values of ``f``, which must live on the operator's grid ``spec``."""
+    if f.spec == spec:
+        return f.values
+    raise ValidationError(f"grid mismatch: function on {f.spec.sizes}, operator on {spec.sizes}")
+
+
+def _multiply(spec: GridSpec, f: GridFunction, table: np.ndarray) -> GridFunction:
+    """Fourier multiplier, table in FFT order: ifftn(fftn(f) * table), as 1/G and G cancel."""
+    return GridFunction(spec, np.fft.ifftn(np.fft.fftn(_grid_values(spec, f)) * table))
+
+
+def _fft_table(profile, label: str):
+    """(profile, profile in FFT order), both read-only; non-finite values are rejected."""
+    profile = np.array(profile, dtype=np.complex128)
+    if not np.all(np.isfinite(profile)):
+        raise ValidationError(f"multiplier {label!r} has non-finite values on the lattice")
+    table = np.fft.ifftshift(profile)
+    profile.flags.writeable = table.flags.writeable = False
+    return profile, table
 
 
 @dataclass
@@ -85,7 +96,8 @@ class PdoOperator:
         if self.params is None:
             self.params = {}
         self.lattice = self.spec.lattice()
-        self._matrix = None
+        self.is_multiplier = not depends_on_x(self.expr)
+        self._matrix = self._profile = self._table = None
         # probe evaluability on grid x lattice once, cheaply
         eval_expr(self.expr, tuple(0.0 for _ in range(self.spec.dim)),
                   tuple(0 for _ in range(self.spec.dim)), self.params)
@@ -107,18 +119,22 @@ class PdoOperator:
             return cls.from_family(family, spec)
         return cls(expr=parse(text), spec=spec, class_params=class_params, label=text)
 
-    @property
-    def is_multiplier(self) -> bool:
-        return not depends_on_x(self.expr)
-
     def multiplier_profile(self) -> np.ndarray:
-        """sigma(xi) on the lattice for x-independent symbols."""
+        """sigma(xi) on the lattice for x-independent symbols, evaluated once, read-only."""
         if not self.is_multiplier:
             raise ValidationError(f"symbol {self.label!r} depends on x")
-        xi = tuple(m.astype(float) for m in self.lattice.mesh())
-        x = tuple(np.zeros(()) for _ in range(self.spec.dim))
-        vals = eval_expr(self.expr, x, xi, self.params)
-        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), self.lattice.sizes)
+        if self._profile is None:
+            xi = tuple(m.astype(float) for m in self.lattice.mesh())
+            x = tuple(np.zeros(()) for _ in range(self.spec.dim))
+            vals = np.broadcast_to(eval_expr(self.expr, x, xi, self.params), self.lattice.sizes)
+            self._profile, self._table = _fft_table(vals, self.label)
+        return self._profile
+
+    def _multiplier_table(self) -> np.ndarray:
+        """The profile in FFT order, the multiplier's one table."""
+        if self._table is None:
+            self.multiplier_profile()
+        return self._table
 
     def symbol_rows(self, flat_rows: np.ndarray) -> np.ndarray:
         """p(x, xi) for the given flat grid rows, shape (rows, L)."""
@@ -130,12 +146,8 @@ class PdoOperator:
         return np.asarray(vals, dtype=np.complex128)
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.spec:
-            raise ValidationError(
-                f"grid mismatch: function on {f.spec.sizes}, operator on {self.spec.sizes}"
-            )
         if self.is_multiplier:
-            return _multiply(f, self.multiplier_profile())
+            return _multiply(self.spec, f, self._multiplier_table())
         return self._apply_general(f)
 
     def _matrix_rows(self):
@@ -166,17 +178,14 @@ class PdoOperator:
         return self._matrix
 
     def _matrix_blocks(self):
-        """M as (rows, block) pairs covering all grid rows.
-
-        Up to MATRIX_GUARD grid points this is the cached matrix as one block;
-        above it the blocks are recomputed on every call and nothing is stored.
-        """
+        """M as (rows, block) pairs: the cached matrix as one block up to
+        MATRIX_GUARD grid points, above it blocks recomputed on every call."""
         if self.spec.npoints > MATRIX_GUARD:
             return self._matrix_rows()
         return [(slice(None), self._grid_matrix())]
 
     def _apply_general(self, f: GridFunction) -> GridFunction:
-        fvals = f.values.ravel()
+        fvals = _grid_values(self.spec, f).ravel()
         out = np.empty(self.spec.npoints, dtype=np.complex128)
         for rows, block in self._matrix_blocks():
             out[rows] = block @ fvals
@@ -185,8 +194,8 @@ class PdoOperator:
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         """Action of the adjoint operator, conj(conj(g) @ M)."""
         if self.is_multiplier:
-            return _multiply(g, np.conj(self.multiplier_profile()))
-        gbar = np.conj(g.values.ravel())
+            return _multiply(self.spec, g, np.conj(self._multiplier_table()))
+        gbar = np.conj(_grid_values(self.spec, g).ravel())
         acc = np.zeros(self.spec.npoints, dtype=np.complex128)
         for rows, block in self._matrix_blocks():
             acc += gbar[rows] @ block
@@ -203,14 +212,12 @@ class DenseOperatorMatrix:
     class_params: ClassParams = None
 
     def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.spec:
-            raise ValidationError("grid mismatch in matrix application")
-        return GridFunction(self.spec, (self.matrix @ f.values.ravel()).reshape(self.spec.sizes))
+        fvals = _grid_values(self.spec, f).ravel()
+        return GridFunction(self.spec, (self.matrix @ fvals).reshape(self.spec.sizes))
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return GridFunction(
-            self.spec, (self.matrix.conj().T @ g.values.ravel()).reshape(self.spec.sizes)
-        )
+        gvals = _grid_values(self.spec, g).ravel()
+        return GridFunction(self.spec, (self.matrix.conj().T @ gvals).reshape(self.spec.sizes))
 
 
 def _guard(spec: GridSpec):
@@ -264,7 +271,7 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     G = spec.npoints
     axes = tuple(range(1, 1 + spec.dim))
     if isinstance(op, (PdoOperator, MultiplierOperator)) and op.is_multiplier:
-        K = np.fft.ifftn(np.fft.ifftshift(op.multiplier_profile()))[None] * G
+        K = np.fft.ifftn(op._multiplier_table())[None] * G
     else:
         K = full_to_offsets(to_matrix(op).matrix * G, spec)
     if box is not None:
@@ -309,17 +316,6 @@ def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _swap_offset_axes(kernel, spec).reshape((spec.npoints,) + spec.sizes)
 
 
-def adjoint(op) -> DenseOperatorMatrix:
-    """Numerical adjoint: conjugate transpose of the dense matrix."""
-    M = to_matrix(op)
-    return DenseOperatorMatrix(
-        M.spec,
-        M.matrix.conj().T,
-        label=f"adjoint({M.label})",
-        class_params=M.class_params,
-    )
-
-
 @dataclass
 class MultiplierOperator:
     """Fourier multiplier with a stored profile on the lattice."""
@@ -332,21 +328,25 @@ class MultiplierOperator:
 
     def __post_init__(self):
         self.lattice = self.spec.lattice()
-        self.profile = np.asarray(self.profile, dtype=np.complex128).reshape(self.lattice.sizes)
+        self.profile, self._table = _fft_table(np.reshape(self.profile, self.lattice.sizes),
+                                               self.label)
 
     def multiplier_profile(self) -> np.ndarray:
         return self.profile
 
+    def _multiplier_table(self) -> np.ndarray:
+        return self._table
+
     def apply(self, f: GridFunction) -> GridFunction:
-        return _multiply(f, self.profile)
+        return _multiply(self.spec, f, self._table)
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return _multiply(g, np.conj(self.profile))
+        return _multiply(self.spec, g, np.conj(self._table))
 
 
 def bessel_apply(s: float, f: GridFunction) -> GridFunction:
     """Apply the multiplier <xi>^s through the FFT path."""
-    return _multiply(f, f.spec.lattice().bracket_grid() ** s)
+    return _multiply(f.spec, f, np.fft.ifftshift(f.spec.lattice().bracket_grid() ** s))
 
 
 def _shifted(cls: ClassParams, s: float) -> ClassParams:
@@ -365,13 +365,14 @@ class ComposedOperator:
         self.spec = self.inner.spec
         self.class_params = _shifted(self.inner.class_params, self.s)
         self.label = f"J^{self.s:g} o {self.inner.label}"
+        self._bessel = np.fft.ifftshift(self.spec.lattice().bracket_grid() ** self.s)
 
     def apply(self, f: GridFunction) -> GridFunction:
-        return bessel_apply(self.s, self.inner.apply(f))
+        return _multiply(self.spec, self.inner.apply(f), self._bessel)
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        # (J^s T)* = T* J^s
-        return self.inner.apply_adjoint(bessel_apply(self.s, g))
+        # (J^s T)* = T* J^s, J^s being real
+        return self.inner.apply_adjoint(_multiply(self.spec, g, self._bessel))
 
 
 def compose_bessel(op, s: float, side: str = "left"):

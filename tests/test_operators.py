@@ -13,8 +13,8 @@ from toruslab.kernels import derivative_kernel, synthesize_kernel
 from toruslab.operators import (
     AdjointOperator,
     MultiplierOperator,
+    ComposedOperator,
     PdoOperator,
-    adjoint,
     bessel_apply,
     compose_bessel,
     full_to_offsets,
@@ -183,19 +183,19 @@ class TestAdjoint:
     def test_real_multiplier_self_adjoint(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_family(bessel(-1.0), spec)
-        A = adjoint(T)
+        A = to_matrix(AdjointOperator(T))
         assert np.max(np.abs(A.matrix - to_matrix(T).matrix)) < 1e-12
 
     def test_skew_multiplier(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_text("i*bracket(xi1)^(-1)", spec)
-        A = adjoint(T)
+        A = to_matrix(AdjointOperator(T))
         assert np.max(np.abs(A.matrix + to_matrix(T).matrix)) < 1e-12
 
     def test_duality_identity(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), spec)
-        A = adjoint(T)
+        A = to_matrix(AdjointOperator(T))
         for seed in range(50):
             f = random_function(spec, 200 + seed)
             g = random_function(spec, 300 + seed)
@@ -206,7 +206,7 @@ class TestAdjoint:
     def test_matrix_free_adjoint_action(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
-        A = adjoint(T)
+        A = to_matrix(AdjointOperator(T))
         g = random_function(spec, 17)
         lhs = T.apply_adjoint(g).values
         rhs = A.apply(g).values
@@ -324,6 +324,24 @@ class TestPhaseSymbolTable:
         kernel_offset_rows(T)
         kernel_offset_rows(T, 4)
         assert len(calls) == math.ceil(spec.npoints / operators._CHUNK)
+
+    def test_multiplier_profile_evaluated_once(self, monkeypatch):
+        calls = []
+        spec = GridSpec((64,))
+        T = PdoOperator.from_family(wainger(0.5, 1.0), spec)
+        original = operators.eval_expr
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(operators, "eval_expr", counted)
+        for seed in range(5):
+            T.apply(random_function(spec, seed))
+            T.apply_adjoint(random_function(spec, 10 + seed))
+        to_matrix(T)
+        kernel_offset_rows(T, 4)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sizes", [(64,), (16, 8)])
     def test_streamed_blocks_match_table(self, monkeypatch, sizes):
@@ -454,6 +472,91 @@ class TestOffsetRows:
         assert T.is_multiplier
         with pytest.raises(SizeGuardError):
             kernel_offset_rows(T)
+
+
+def shifted_multiply(values, profile):
+    """The multiplier through the shifted spectrum, (1/G)-weighted DFT and G-weighted series."""
+    G = values.size
+    coeffs = np.fft.fftshift(np.fft.fftn(values)) / G * profile
+    return np.fft.ifftn(np.fft.ifftshift(coeffs)) * G
+
+
+class TestMultiplierTable:
+    @pytest.mark.parametrize("sizes", [(64,), (16, 32), (8, 4, 16)])
+    def test_bit_identical_to_shifted_formula(self, sizes):
+        spec = GridSpec(sizes)
+        f, g = random_function(spec, 1), random_function(spec, 2)
+        rng = np.random.default_rng(3)
+        stored = rng.standard_normal(sizes) + 1j * rng.standard_normal(sizes)
+        T = PdoOperator.from_family(wainger(0.5, 1.0), spec)
+        js = spec.lattice().bracket_grid() ** -0.75
+        cases = [(T, T.multiplier_profile()), (MultiplierOperator(stored, spec), stored)]
+        for op, profile in cases:
+            assert np.array_equal(op.apply(f).values, shifted_multiply(f.values, profile))
+            want = shifted_multiply(g.values, np.conj(profile))
+            assert np.array_equal(op.apply_adjoint(g).values, want)
+        C = compose_bessel(T, -0.75, "left")
+        want = shifted_multiply(shifted_multiply(f.values, T.multiplier_profile()), js)
+        assert np.array_equal(C.apply(f).values, want)
+        want = shifted_multiply(shifted_multiply(g.values, js), np.conj(T.multiplier_profile()))
+        assert np.array_equal(C.apply_adjoint(g).values, want)
+        assert np.array_equal(bessel_apply(-0.75, f).values, shifted_multiply(f.values, js))
+
+    def test_tables_are_read_only(self):
+        spec = GridSpec((16,))
+        T = PdoOperator.from_family(bessel(-1.0), spec)
+        M = MultiplierOperator(np.ones(16), spec)
+        for table in (T.multiplier_profile(), M.multiplier_profile()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    @pytest.mark.parametrize("use", ["apply", "adjoint", "to_matrix", "kernel_rows"])
+    def test_non_finite_symbol_rejected(self, use):
+        spec = GridSpec((2048,))
+        T = PdoOperator.from_text("exp(xi1)", spec)
+        f = random_function(spec, 0)
+        calls = {
+            "apply": lambda: T.apply(f),
+            "adjoint": lambda: T.apply_adjoint(f),
+            "to_matrix": lambda: to_matrix(T),
+            "kernel_rows": lambda: kernel_offset_rows(T, 4),
+        }
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match=r"'exp\(xi1\)'"):
+            calls[use]()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_profile_rejected(self, bad):
+        profile = np.ones(16, dtype=complex)
+        profile[3] = bad
+        with pytest.raises(ValidationError, match="'stored' has non-finite"):
+            MultiplierOperator(profile, GridSpec((16,)), label="stored")
+
+
+def grid_mismatch_cases():
+    spec = GridSpec((16,))
+    general = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+    multiplier = PdoOperator.from_family(bessel(-1.0), spec)
+    return {
+        "general": general,
+        "multiplier": multiplier,
+        "stored": MultiplierOperator(np.ones(16), spec),
+        "composed": compose_bessel(general, -0.5, "left"),
+        "composed-multiplier": ComposedOperator(multiplier, 0.5),
+        "adjoint": AdjointOperator(multiplier),
+        "dense": to_matrix(general),
+    }
+
+
+class TestGridMismatch:
+    @pytest.mark.parametrize("kind", list(grid_mismatch_cases()))
+    @pytest.mark.parametrize("sizes", [(16, 16), (32,)])
+    def test_every_operator_checks_the_grid(self, kind, sizes):
+        op = grid_mismatch_cases()[kind]
+        f = random_function(GridSpec(sizes), 0)
+        with pytest.raises(ValidationError, match="grid mismatch"):
+            op.apply(f)
+        with pytest.raises(ValidationError, match="grid mismatch"):
+            op.apply_adjoint(f)
 
 
 def test_perfbench_tracer_hooks_resolve(monkeypatch):
