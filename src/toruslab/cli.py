@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import math
 import sys
@@ -172,7 +173,13 @@ def validate_config(config: dict):
         for key in ("m", "rho", "delta"):
             if key not in cls:
                 raise ValidationError(f"missing {key}", field="class")
-        ClassParams(cls["m"], cls["rho"], cls["delta"])
+        family = family_from_text(config["symbol"])
+        if family is not None:
+            raise ValidationError(
+                f"the family {family.label()} carries its own class; class is for raw expressions",
+                field="class",
+            )
+        config_class(config)
     if config["compose"] is not None:
         comp = config["compose"]
         if "s" not in comp:
@@ -186,16 +193,15 @@ def validate_config(config: dict):
 # ---------------------------------------------------------------------------
 
 
+def config_class(config: dict):
+    """The nominal class a raw expression is given in ``class``, or None."""
+    cls = config["class"]
+    return ClassParams(cls["m"], cls["rho"], cls["delta"]) if cls else None
+
+
 def build_operator(config: dict):
     spec = GridSpec(tuple(config["grid"]))
-    text = config["symbol"]
-    family = family_from_text(text)
-    if family is not None:
-        op = PdoOperator.from_family(family, spec)
-    else:
-        cls = config["class"]
-        class_params = ClassParams(cls["m"], cls["rho"], cls["delta"]) if cls else None
-        op = PdoOperator(parse(text), spec, class_params=class_params, label=text)
+    op = PdoOperator.from_text(config["symbol"], spec, class_params=config_class(config))
     if config["compose"]:
         op = compose_bessel(op, float(config["compose"]["s"]), config["compose"].get("side", "left"))
     if config["adjoint"]:
@@ -294,9 +300,7 @@ def cmd_symbol_class(config):
         expr, params = family.expr, family.parameters
         nominal = ClassParams(family.order, family.rho, family.delta)
     else:
-        expr, params = parse(text), None
-        cls = config["class"]
-        nominal = ClassParams(cls["m"], cls["rho"], cls["delta"]) if cls else None
+        expr, params, nominal = parse(text), None, config_class(config)
     est = fit_order(
         expr,
         dim=len(config["grid"]),
@@ -456,45 +460,22 @@ def cmd_sweep(config):
     return payload, [record.calibration_note]
 
 
-def cmd_weak11(config):
-    op = build_operator(config)
-    sub = config["weak11"]
-    lam_grid = list(
-        np.geomspace(float(sub["lam_lo"]), float(sub["lam_hi"]), int(sub["lam_count"]))
-    )
-    rep = weak11_experiment(
-        op,
-        trials=int(sub["trials"]),
-        lam_grid=lam_grid,
-        seed=int(config["seed"]),
-        truncations=sub["truncations"],
-    )
-    print(f"max ratio={rep.max_ratio:.6g} stability={rep.stability:.4f}")
-    notes = [] if rep.hypothesis_satisfied else ["operator order above the endpoint threshold"]
-    return rep.to_dict(), notes
-
-
-def cmd_bmo(config):
-    op = build_operator(config)
-    sub = config["bmo"]
-    rep = linf_bmo_experiment(
-        op, trials=int(sub["trials"]), seed=int(config["seed"]), truncations=sub["truncations"]
-    )
-    print(f"max ratio={rep['max_ratio']:.6g} stability={rep['stability']:.4f}")
-    notes = [] if rep["hypothesis_satisfied"] else ["operator order above the endpoint threshold"]
-    return rep, notes
-
-
-def cmd_h1l1(config):
-    op = build_operator(config)
-    sub = config["h1l1"]
-    rep = h1_l1_experiment(
-        op,
-        atom_radii=[float(r) for r in sub["radii"]],
-        trials=int(sub["trials"]),
-        seed=int(config["seed"]),
-        truncations=sub["truncations"],
-    )
+def cmd_endpoint(config, command):
+    """weak11, bmo and h1l1: one endpoint experiment on the configured operator."""
+    sub = config[command]
+    kwargs = {"trials": int(sub["trials"]), "seed": int(config["seed"]),
+              "truncations": sub["truncations"]}
+    if command == "weak11":
+        kwargs["lam_grid"] = list(
+            np.geomspace(float(sub["lam_lo"]), float(sub["lam_hi"]), int(sub["lam_count"]))
+        )
+    if command == "h1l1":
+        kwargs["atom_radii"] = [float(r) for r in sub["radii"]]
+    experiment = {"weak11": weak11_experiment, "bmo": linf_bmo_experiment,
+                  "h1l1": h1_l1_experiment}[command]
+    rep = experiment(build_operator(config), **kwargs)
+    if command == "weak11":
+        rep = rep.to_dict()
     print(f"max ratio={rep['max_ratio']:.6g} stability={rep['stability']:.4f}")
     notes = [] if rep["hypothesis_satisfied"] else ["operator order above the endpoint threshold"]
     return rep, notes
@@ -502,14 +483,12 @@ def cmd_h1l1(config):
 
 def cmd_admissible(config):
     sub = config["admissible"]
-    cls = config["class"]
-    if cls is None:
+    params = config_class(config)
+    if params is None:
         family = family_from_text(config["symbol"])
         if family is None:
             raise ValidationError("admissible needs class parameters or a family", field="class")
         params = ClassParams(family.order, family.rho, family.delta)
-    else:
-        params = ClassParams(cls["m"], cls["rho"], cls["delta"])
     dim = len(config["grid"])
     p, q = float(sub["p"]), float(sub["q"])
     out = lp_lq_admissibility(params, p, q)
@@ -528,9 +507,7 @@ HANDLERS = {
     "norms": cmd_norms,
     "cz": cmd_cz,
     "sweep": cmd_sweep,
-    "weak11": cmd_weak11,
-    "bmo": cmd_bmo,
-    "h1l1": cmd_h1l1,
+    **{name: functools.partial(cmd_endpoint, command=name) for name in ("weak11", "bmo", "h1l1")},
     "admissible": cmd_admissible,
 }
 

@@ -16,6 +16,13 @@ The classification thresholds are calibrated on two anchors with known
 truth: the identity (slope 0) and the full Dirichlet sum, whose L^1 mass
 grows like log N (slope about 0.2 over the desk range 64..512).
 
+The endpoint experiments (weak-(1,1), L^inf -> BMO, H^1 -> L^1) share one
+truncation scan: the operator is rebuilt with ``op.on`` at each truncation
+in ascending order, one rebuilt operator alive at a time, and the trial
+draws are made once, independent of the grid.  They report the same
+common fields (operator, per-truncation maxima, max ratio, stability,
+trials, seed, whether the order meets the endpoint threshold).
+
 All randomness is seeded; sweep cells derive their seed from (master seed,
 cell index), so results are independent of execution order.
 """
@@ -23,19 +30,21 @@ cell index), so results are independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .calculus import ClassParams
 from .errors import ConvergenceError, ValidationError
 from .grid import GridFunction, GridSpec, pure_wave
-from .operators import PdoOperator, rebuild_on
+from .operators import PdoOperator
 from .spaces import bmo_norm, dyadic_radii, make_atom
 
 SLOPE_BOUNDED = 0.05
 SLOPE_GROWTH = 0.15
 ASCENT_STEPS = 50
+H1_UNIT_SCALE = 0.125  # h1_l1_experiment: atom radii below it count as small scale
+EFFECTIVE_ORDER_SHELL_LO = 2.0  # effective_order: lower edge of the first dyadic shell
 
 
 def _norm(values: np.ndarray, p: float, G: int) -> float:
@@ -165,7 +174,8 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     The ascent reweights by the dual exponents: h is the L^q-pairing
     extremizer of Tf, and the next iterate is the L^p-pairing extremizer of
     T*h.  Fifty steps, best iterate kept; the result is always a certified
-    lower bound with a stored witness.
+    lower bound with a stored witness.  Each iterate is applied once: the
+    image that scores it is the Tf of the next step.
     """
     if not (1 <= p) or not (1 <= q):
         raise ValidationError(f"exponents ({p:g}, {q:g}) must be >= 1")
@@ -177,23 +187,22 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     best_ratio, best_witness = 0.0, None
 
     def consider(values):
+        """(ratio, Tf) of ``values``; T0 = 0 is not applied."""
         nonlocal best_ratio, best_witness
         nv = _norm(values, p, G)
         if nv == 0:
-            return 0.0
+            return 0.0, np.zeros_like(values)
         f = GridFunction(spec, values)
-        ratio = _norm(op.apply(f).values, q, G) / nv
+        Tf = op.apply(f).values
+        ratio = _norm(Tf, q, G) / nv
         if ratio > best_ratio:
             best_ratio, best_witness = ratio, f
-        return ratio
+        return ratio, Tf
 
-    starts = _witness_battery(spec, rng, trials)
-    ratios = [consider(values) for values in starts]
-    order = np.argsort(ratios)[::-1]
-    for values in [starts[i] for i in order[:4]]:
-        f = np.array(values)
+    scored = [consider(values) for values in _witness_battery(spec, rng, trials)]
+    order = np.argsort([ratio for ratio, _ in scored])[::-1]
+    for _, g in [scored[i] for i in order[:4]]:
         for _ in range(ASCENT_STEPS):
-            g = op.apply(GridFunction(spec, f)).values
             h = _dual_map(g, q)
             if not np.any(h):
                 break
@@ -202,12 +211,11 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
             scale = np.max(np.abs(f))
             if scale == 0:
                 break
-            f = f / scale
-            consider(f)
+            _, g = consider(f / scale)
 
     if best_witness is None:
         best_witness = GridFunction(spec, np.ones(spec.sizes, dtype=complex))
-        best_ratio = consider(best_witness.values)
+        best_ratio = consider(best_witness.values)[0]
     return NormEstimate(
         p=float(p),
         q=float(q),
@@ -353,7 +361,7 @@ class WeakTypeReport:
     operator: str
     lam_grid: list
     per_lam: list  # max over trials of lam |{|Tf| > lam}|, finest truncation
-    per_truncation: dict  # N -> max ratio over trials
+    per_truncation: dict  # str(N) -> max ratio over trials
     max_ratio: float
     stability: float  # relative change across the truncation pair
     input_norms: list  # ||f||_1 per trial at the finest truncation
@@ -362,18 +370,40 @@ class WeakTypeReport:
     hypothesis_satisfied: bool
 
     def to_dict(self):
-        return {
-            "operator": self.operator,
-            "lam_grid": list(self.lam_grid),
-            "per_lam": list(self.per_lam),
-            "per_truncation": {str(k): v for k, v in self.per_truncation.items()},
-            "max_ratio": self.max_ratio,
-            "stability": self.stability,
-            "input_norms": list(self.input_norms),
-            "trials": self.trials,
-            "seed": self.seed,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-        }
+        return asdict(self)
+
+
+def _rebuilt(op, truncations=None):
+    """(N, op rebuilt on the N^n grid) in ascending N; N and 2N by default,
+    N the smallest axis of op's grid.  Each operator is built when the
+    previous one is done with, so one rebuilt table is alive at a time."""
+    if truncations is None:
+        base = min(op.spec.sizes)
+        truncations = [base, 2 * base]
+    for N in sorted(truncations):
+        yield N, op.on(GridSpec((N,) * op.spec.dim))
+
+
+def _endpoint_fields(op, per_truncation: dict, trials: int, seed: int) -> dict:
+    """The report fields every endpoint experiment carries.
+
+    ``stability`` is the relative change from the coarsest to the finest
+    truncation; the hypothesis holds when the order is at most the L^1
+    threshold of the operator's class.
+    """
+    sizes = sorted(per_truncation)
+    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
+    cls = op.class_params
+    hypothesis = cls is not None and cls.m <= lp_threshold(cls, 1, op.spec.dim) + 1e-12
+    return {
+        "operator": op.label,
+        "per_truncation": {str(N): v for N, v in per_truncation.items()},
+        "max_ratio": max(per_truncation.values()),
+        "stability": abs(hi - lo) / max(lo, 1e-300),
+        "trials": trials,
+        "seed": seed,
+        "hypothesis_satisfied": hypothesis,
+    }
 
 
 def _snap_index(point, spec: GridSpec):
@@ -440,18 +470,6 @@ def _realize_weak11_trial(param, spec: GridSpec):
     return v
 
 
-def _check_endpoint_hypothesis(op) -> bool:
-    cls = op.class_params
-    return cls is not None and cls.m <= lp_threshold(cls, 1, op.spec.dim) + 1e-12
-
-
-def _stability(per_truncation: dict) -> float:
-    """Relative change from the coarsest to the finest truncation."""
-    sizes = sorted(per_truncation)
-    lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
-    return abs(hi - lo) / max(lo, 1e-300)
-
-
 def weak11_experiment(
     op,
     trials: int = 100,
@@ -466,49 +484,29 @@ def weak11_experiment(
     """
     if lam_grid is None:
         lam_grid = list(np.geomspace(1e-3, 1e3, 61))
-    hyp = _check_endpoint_hypothesis(op)
-    base = min(op.spec.sizes)
-    if truncations is None:
-        truncations = [base, 2 * base]
     params = _weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
     per_truncation = {}
-    per_lam = [0.0] * len(lam_grid)
-    input_norms = []
-    finest = max(truncations)
-    for N in sorted(truncations):
-        spec = GridSpec((N,) * op.spec.dim)
-        op_N = rebuild_on(op, spec)
+    for N, op_N in _rebuilt(op, truncations):
+        spec = op_N.spec
         G = spec.npoints
         best = 0.0
-        if N == finest:
-            input_norms = []
+        # the finest truncation comes last: its level maxima and norms are kept
+        per_lam, input_norms = [0.0] * len(lam_grid), []
         for param in params:
             v = _realize_weak11_trial(param, spec)
             if v is None:
                 continue
             f = GridFunction(spec, v)
             norm1 = _norm(f.values, 1.0, G)
-            if N == finest:
-                input_norms.append(norm1)
+            input_norms.append(norm1)
             Tf = np.abs(op_N.apply(f).values)
             for k, lam in enumerate(lam_grid):
                 value = lam * float(np.count_nonzero(Tf > lam)) / G
                 best = max(best, value / norm1)
-                if N == finest:
-                    per_lam[k] = max(per_lam[k], value)
+                per_lam[k] = max(per_lam[k], value)
         per_truncation[N] = best
-    return WeakTypeReport(
-        operator=op.label,
-        lam_grid=lam_grid,
-        per_lam=per_lam,
-        per_truncation=per_truncation,
-        max_ratio=max(per_truncation.values()),
-        stability=_stability(per_truncation),
-        input_norms=input_norms,
-        trials=trials,
-        seed=seed,
-        hypothesis_satisfied=hyp,
-    )
+    return WeakTypeReport(lam_grid=lam_grid, per_lam=per_lam, input_norms=input_norms,
+                          **_endpoint_fields(op, per_truncation, trials, seed))
 
 
 def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) -> dict:
@@ -517,11 +515,8 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
     Trials are random sign patterns and lacunary cosine sums normalized in
     the sup norm.
     """
-    hyp = _check_endpoint_hypothesis(op)
-    base = min(op.spec.sizes)
-    if truncations is None:
-        truncations = [base, 2 * base]
-    coarse = min(min(truncations), base)
+    dim = op.spec.dim
+    coarse = min([*op.spec.sizes, *(truncations or [])])
     # trial draws are grid-independent: sign patterns live on the coarse
     # cells and get replicated, lacunary frequencies stop at a fixed depth
     rng = np.random.default_rng(seed)
@@ -529,20 +524,19 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
     trial_params = []
     for t in range(trials):
         if t % 2 == 0:
-            trial_params.append(("signs", rng.choice([-1.0, 1.0], size=(coarse,) * op.spec.dim)))
+            trial_params.append(("signs", rng.choice([-1.0, 1.0], size=(coarse,) * dim)))
         else:
             trial_params.append(("lacunary", rng.choice([-1.0, 1.0], size=depth)))
     per_truncation = {}
-    for N in truncations:
-        spec = GridSpec((N,) * op.spec.dim)
-        op_N = rebuild_on(op, spec)
+    for N, op_N in _rebuilt(op, truncations):
+        spec = op_N.spec
         best = 0.0
         x1 = spec.mesh()[0]
         for kind, data in trial_params:
             if kind == "signs":
                 reps = N // coarse
                 v = data.astype(complex)
-                for ax in range(op.spec.dim):
+                for ax in range(dim):
                     v = np.repeat(v, reps, axis=ax)
             else:
                 v = np.zeros(spec.sizes)
@@ -552,48 +546,29 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
             f = GridFunction(spec, v)
             best = max(best, bmo_norm(op_N.apply(f)).value / np.max(np.abs(v)))
         per_truncation[N] = best
-    return {
-        "operator": op.label,
-        "per_truncation": {str(k): v for k, v in per_truncation.items()},
-        "max_ratio": max(per_truncation.values()),
-        "stability": _stability(per_truncation),
-        "trials": trials,
-        "seed": seed,
-        "hypothesis_satisfied": hyp,
-    }
+    return _endpoint_fields(op, per_truncation, trials, seed)
 
 
-def h1_l1_experiment(
-    op,
-    atom_radii=None,
-    trials: int = 20,
-    seed: int = 0,
-    truncations=None,
-    unit_scale: float = 0.125,
-) -> dict:
+def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
+                     truncations=None) -> dict:
     """max of ||Ta||_1 over atoms at dyadic radii with random profiles.
 
     Atoms carry H^1 norm at most 1 by construction, so every ratio is an
-    H^1 -> L^1 witness.  The per-radius breakdown separates radii below and
-    above the unit scale s0 (the desk-scale stand-in for the sigma < 1 /
-    sigma >= 1 dichotomy).
+    H^1 -> L^1 witness.  The per-radius breakdown, at the finest
+    truncation, separates radii below and above the unit scale
+    H1_UNIT_SCALE (the desk-scale stand-in for the sigma < 1 / sigma >= 1
+    dichotomy).
     """
-    base = min(op.spec.sizes)
-    if truncations is None:
-        truncations = [base, 2 * base]
     if atom_radii is None:
         atom_radii = [2.0**-k for k in range(2, 7)]
-    hyp = _check_endpoint_hypothesis(op)
     rng = np.random.default_rng(seed)
     draws = {
         radius: [(rng.random(op.spec.dim), rng.standard_normal(33)) for _ in range(trials)]
         for radius in atom_radii
     }
-    per_truncation, per_radius_latest = {}, {}
-    for N in truncations:
-        spec = GridSpec((N,) * op.spec.dim)
-        op_N = rebuild_on(op, spec)
-        G = spec.npoints
+    per_truncation = {}
+    for N, op_N in _rebuilt(op, truncations):
+        spec = op_N.spec
         per_radius = {}
         for radius in atom_radii:
             best = 0.0
@@ -606,25 +581,18 @@ def h1_l1_experiment(
                 except ValidationError:
                     continue
                 out = op_N.apply(atom.values)
-                best = max(best, _norm(out.values, 1.0, G))
+                best = max(best, _norm(out.values, 1.0, spec.npoints))
             per_radius[radius] = best
         per_truncation[N] = max(per_radius.values())
-        per_radius_latest = per_radius
     return {
-        "operator": op.label,
-        "per_radius": {f"{r:g}": v for r, v in per_radius_latest.items()},
+        **_endpoint_fields(op, per_truncation, trials, seed),
+        "per_radius": {f"{r:g}": v for r, v in per_radius.items()},
         "small_scale_max": max(
-            (v for r, v in per_radius_latest.items() if r < unit_scale), default=0.0
+            (v for r, v in per_radius.items() if r < H1_UNIT_SCALE), default=0.0
         ),
         "large_scale_max": max(
-            (v for r, v in per_radius_latest.items() if r >= unit_scale), default=0.0
+            (v for r, v in per_radius.items() if r >= H1_UNIT_SCALE), default=0.0
         ),
-        "per_truncation": {str(k): v for k, v in per_truncation.items()},
-        "max_ratio": max(per_truncation.values()),
-        "stability": _stability(per_truncation),
-        "trials": trials,
-        "seed": seed,
-        "hypothesis_satisfied": hyp,
     }
 
 
@@ -667,18 +635,17 @@ def admissible_order(params: ClassParams, p: float, q: float, dim: int) -> float
 # ---------------------------------------------------------------------------
 
 
-def effective_order(op, shell_range=(2.0, None)) -> dict:
+def effective_order(op) -> dict:
     """Slope of log ||T e_xi||_2 against log <xi> over dyadic shells.
 
-    Pure waves are L^2-normalized, so the shell suprema of the response
-    norms trace the effective multiplier profile of the operator.
+    The shells run from EFFECTIVE_ORDER_SHELL_LO up to half the smallest
+    axis.  Pure waves are L^2-normalized, so the shell suprema of the
+    response norms trace the effective multiplier profile of the operator.
     """
     spec = op.spec
-    lo, hi = shell_range
-    if hi is None:
-        hi = min(spec.sizes) / 2.0
+    hi = min(spec.sizes) / 2.0
     shells = []
-    r = lo
+    r = EFFECTIVE_ORDER_SHELL_LO
     while 2 * r <= hi:
         shells.append((r, 2 * r))
         r *= 2

@@ -114,7 +114,7 @@ def derivative_kernel(op: PdoOperator, alpha, beta) -> KernelMatrix:
     of order m + |alpha + beta|.  Orders beyond |alpha + beta| = 2 amplify
     truncation noise beyond usefulness and are rejected.
     """
-    if not isinstance(op, PdoOperator):
+    if not isinstance(op, PdoOperator) or op.expr is None:
         raise ValidationError("derivative kernels need an expression-backed operator")
     dim = op.spec.dim
     alpha = mi_validate(alpha, dim)

@@ -9,7 +9,8 @@ G x G matrix and boundedness questions become questions about how matrix
 norms depend on the truncation.  Each operator works from one read-only
 table, built once.  A Fourier multiplier (x-independent symbol) keeps its
 profile sigma(xi) and a copy in FFT order, L = G complex entries from one
-evaluation of the symbol; apply is two FFTs, ifftn(fftn(f) * table), the
+evaluation of the symbol, or given outright (MultiplierOperator, and the
+J^s of a left composition); apply is two FFTs, ifftn(fftn(f) * table), the
 adjoint uses the conjugate table and the kernel rows one inverse FFT of
 it.  A non-finite table is rejected when built.
 
@@ -17,18 +18,21 @@ Every other PdoOperator's table is its grid-basis matrix
 M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi), 16 G^2 bytes, built in
 blocks of grid rows (the phase-symbol rows e^{2 pi i x.xi} p(x, xi), then
 one FFT over the lattice axes) at about the cost of one direct evaluation
-of the sum.  apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT;
-to_matrix returns M and the kernel rows (any lattice sub-box included) are
-G M regathered by offset.  Above MATRIX_GUARD grid points nothing is
-stored; apply and adjoint recompute the row blocks on every call.
+of the sum.  apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT
+and no transposed copy (DenseOperatorMatrix shares both); to_matrix returns
+M and the kernel rows (any lattice sub-box included) are G M regathered by
+offset.  Above MATRIX_GUARD grid points nothing is stored; apply and
+adjoint recompute the row blocks on every call.
 
-Every operator carries ``spec``, ``label``, ``class_params``, ``apply`` and
-``apply_adjoint``.  The types are PdoOperator (Op(p) for a symbol
-expression, the potential J^s = Op(<xi>^s) included), MultiplierOperator (a
-stored lattice profile), ComposedOperator (J^s o T), AdjointOperator (T*)
-and DenseOperatorMatrix.  Right composition folds into the symbol,
-Op(p) o J^s = Op(p <xi>^s), so it stays a PdoOperator with kernel synthesis
-and the calculus; left composition stays a composition.
+Every operator carries ``spec``, ``label``, ``class_params``, ``apply``,
+``apply_adjoint`` and ``on(spec)``, the same operator on another grid.  The
+types are PdoOperator (Op(p) for a symbol expression), MultiplierOperator
+(a PdoOperator with a given profile), ComposedOperator (J^s o T),
+AdjointOperator (T*) and DenseOperatorMatrix; a given table cannot be
+rebuilt, so ``on`` raises for the last and MultiplierOperator.  Right
+composition folds into the symbol, Op(p) o J^s = Op(p <xi>^s), so it stays
+a PdoOperator with kernel synthesis and the calculus; left composition
+stays a composition.
 
 The dense matrix in the grid basis carries the quadrature weight:
 M[x, y] = (1/G) k(x, y) with k the Schwartz kernel, so that M @ f equals
@@ -39,7 +43,7 @@ sides that is the exact adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,9 +86,30 @@ def _fft_table(profile, label: str):
     return profile, table
 
 
-@dataclass
+def _dense_apply(spec: GridSpec, f: GridFunction, blocks) -> GridFunction:
+    """M @ f, M given as (rows, M[rows]) pairs."""
+    fvals = _grid_values(spec, f).ravel()
+    out = np.empty(spec.npoints, dtype=np.complex128)
+    for rows, block in blocks:
+        out[rows] = block @ fvals
+    return GridFunction(spec, out.reshape(spec.sizes))
+
+
+def _dense_adjoint(spec: GridSpec, g: GridFunction, blocks) -> GridFunction:
+    """conj(conj(g) @ M), M given as (rows, M[rows]) pairs; no transposed copy."""
+    gbar = np.conj(_grid_values(spec, g).ravel())
+    acc = np.zeros(spec.npoints, dtype=np.complex128)
+    for rows, block in blocks:
+        acc += gbar[rows] @ block
+    return GridFunction(spec, np.conj(acc).reshape(spec.sizes))
+
+
+@dataclass(eq=False)
 class PdoOperator:
-    """Operator Op(p) for a symbol given as an expression tree."""
+    """Operator Op(p) for a symbol given as an expression tree.
+
+    Operators compare by identity, as each holds its own table.
+    """
 
     expr: object
     spec: GridSpec
@@ -119,6 +144,10 @@ class PdoOperator:
             return cls.from_family(family, spec)
         return cls(expr=parse(text), spec=spec, class_params=class_params, label=text)
 
+    def on(self, spec: GridSpec) -> "PdoOperator":
+        """The same symbol quantized on the grid ``spec``."""
+        return replace(self, spec=spec)
+
     def multiplier_profile(self) -> np.ndarray:
         """sigma(xi) on the lattice for x-independent symbols, evaluated once, read-only."""
         if not self.is_multiplier:
@@ -148,7 +177,7 @@ class PdoOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         if self.is_multiplier:
             return _multiply(self.spec, f, self._multiplier_table())
-        return self._apply_general(f)
+        return _dense_apply(self.spec, f, self._matrix_blocks())
 
     def _matrix_rows(self):
         """Successive blocks (rows, M[rows]) of the grid-basis matrix.
@@ -178,28 +207,18 @@ class PdoOperator:
         return self._matrix
 
     def _matrix_blocks(self):
-        """M as (rows, block) pairs: the cached matrix as one block up to
-        MATRIX_GUARD grid points, above it blocks recomputed on every call."""
+        """M as (rows, block) pairs, lazily: the cached matrix as one block up
+        to MATRIX_GUARD grid points, above it blocks recomputed on every call."""
         if self.spec.npoints > MATRIX_GUARD:
-            return self._matrix_rows()
-        return [(slice(None), self._grid_matrix())]
-
-    def _apply_general(self, f: GridFunction) -> GridFunction:
-        fvals = _grid_values(self.spec, f).ravel()
-        out = np.empty(self.spec.npoints, dtype=np.complex128)
-        for rows, block in self._matrix_blocks():
-            out[rows] = block @ fvals
-        return GridFunction(self.spec, out.reshape(self.spec.sizes))
+            yield from self._matrix_rows()
+        else:
+            yield slice(None), self._grid_matrix()
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         """Action of the adjoint operator, conj(conj(g) @ M)."""
         if self.is_multiplier:
             return _multiply(self.spec, g, np.conj(self._multiplier_table()))
-        gbar = np.conj(_grid_values(self.spec, g).ravel())
-        acc = np.zeros(self.spec.npoints, dtype=np.complex128)
-        for rows, block in self._matrix_blocks():
-            acc += gbar[rows] @ block
-        return GridFunction(self.spec, np.conj(acc).reshape(self.spec.sizes))
+        return _dense_adjoint(self.spec, g, self._matrix_blocks())
 
 
 @dataclass
@@ -212,12 +231,13 @@ class DenseOperatorMatrix:
     class_params: ClassParams = None
 
     def apply(self, f: GridFunction) -> GridFunction:
-        fvals = _grid_values(self.spec, f).ravel()
-        return GridFunction(self.spec, (self.matrix @ fvals).reshape(self.spec.sizes))
+        return _dense_apply(self.spec, f, [(slice(None), self.matrix)])
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        gvals = _grid_values(self.spec, g).ravel()
-        return GridFunction(self.spec, (self.matrix.conj().T @ gvals).reshape(self.spec.sizes))
+        return _dense_adjoint(self.spec, g, [(slice(None), self.matrix)])
+
+    def on(self, spec: GridSpec):
+        raise ValidationError(f"{type(self).__name__} cannot be rebuilt: its table is given")
 
 
 def _guard(spec: GridSpec):
@@ -239,7 +259,7 @@ def to_matrix(op) -> DenseOperatorMatrix:
         return op
     spec = op.spec
     G = spec.npoints
-    if isinstance(op, (PdoOperator, MultiplierOperator)) and op.is_multiplier:
+    if isinstance(op, PdoOperator) and op.is_multiplier:
         matrix = offsets_to_full(kernel_offset_rows(op), spec) / G
     elif isinstance(op, PdoOperator):
         matrix = op._grid_matrix()
@@ -270,7 +290,7 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     spec = op.spec
     G = spec.npoints
     axes = tuple(range(1, 1 + spec.dim))
-    if isinstance(op, (PdoOperator, MultiplierOperator)) and op.is_multiplier:
+    if isinstance(op, PdoOperator) and op.is_multiplier:
         K = np.fft.ifftn(op._multiplier_table())[None] * G
     else:
         K = full_to_offsets(to_matrix(op).matrix * G, spec)
@@ -316,37 +336,33 @@ def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
     return _swap_offset_axes(kernel, spec).reshape((spec.npoints,) + spec.sizes)
 
 
-@dataclass
-class MultiplierOperator:
-    """Fourier multiplier with a stored profile on the lattice."""
+class MultiplierOperator(PdoOperator):
+    """Fourier multiplier whose lattice profile is given rather than evaluated.
 
-    profile: np.ndarray
-    spec: GridSpec
-    label: str = "multiplier"
-    class_params: ClassParams = None
-    is_multiplier = True
+    It has no symbol expression, so it cannot be rebuilt on another grid.
+    """
 
-    def __post_init__(self):
-        self.lattice = self.spec.lattice()
-        self.profile, self._table = _fft_table(np.reshape(self.profile, self.lattice.sizes),
-                                               self.label)
+    def __init__(self, profile, spec: GridSpec, label: str = "multiplier",
+                 class_params: ClassParams = None):
+        self.expr, self.spec, self.params = None, spec, {}
+        self.class_params, self.label = class_params, label
+        self.lattice = spec.lattice()
+        self.is_multiplier = True
+        self._profile, self._table = _fft_table(np.reshape(profile, self.lattice.sizes), label)
 
-    def multiplier_profile(self) -> np.ndarray:
-        return self.profile
+    def on(self, spec: GridSpec):
+        raise ValidationError(f"{type(self).__name__} cannot be rebuilt: its table is given")
 
-    def _multiplier_table(self) -> np.ndarray:
-        return self._table
 
-    def apply(self, f: GridFunction) -> GridFunction:
-        return _multiply(self.spec, f, self._table)
-
-    def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return _multiply(self.spec, g, np.conj(self._table))
+def _bessel_potential(spec: GridSpec, s: float) -> MultiplierOperator:
+    """J^s with the given table <xi>^s = bracket_grid() ** s; Op(bessel(s))
+    would evaluate a complex power, which differs in the last bits."""
+    return MultiplierOperator(spec.lattice().bracket_grid() ** s, spec, label=f"J^{s:g}")
 
 
 def bessel_apply(s: float, f: GridFunction) -> GridFunction:
     """Apply the multiplier <xi>^s through the FFT path."""
-    return _multiply(f.spec, f, np.fft.ifftshift(f.spec.lattice().bracket_grid() ** s))
+    return _bessel_potential(f.spec, s).apply(f)
 
 
 def _shifted(cls: ClassParams, s: float) -> ClassParams:
@@ -365,14 +381,17 @@ class ComposedOperator:
         self.spec = self.inner.spec
         self.class_params = _shifted(self.inner.class_params, self.s)
         self.label = f"J^{self.s:g} o {self.inner.label}"
-        self._bessel = np.fft.ifftshift(self.spec.lattice().bracket_grid() ** self.s)
+        self._bessel = _bessel_potential(self.spec, self.s)
 
     def apply(self, f: GridFunction) -> GridFunction:
-        return _multiply(self.spec, self.inner.apply(f), self._bessel)
+        return self._bessel.apply(self.inner.apply(f))
 
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         # (J^s T)* = T* J^s, J^s being real
-        return self.inner.apply_adjoint(_multiply(self.spec, g, self._bessel))
+        return self.inner.apply_adjoint(self._bessel.apply(g))
+
+    def on(self, spec: GridSpec) -> "ComposedOperator":
+        return ComposedOperator(self.inner.on(spec), self.s)
 
 
 def compose_bessel(op, s: float, side: str = "left"):
@@ -386,7 +405,7 @@ def compose_bessel(op, s: float, side: str = "left"):
         return ComposedOperator(op, s)
     if side != "right":
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    if not isinstance(op, PdoOperator):
+    if not isinstance(op, PdoOperator) or op.expr is None:
         raise ValidationError(
             f"right composition folds into the symbol of a PdoOperator, got {type(op).__name__}"
         )
@@ -416,14 +435,6 @@ class AdjointOperator:
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         return self.inner.apply(g)
 
+    def on(self, spec: GridSpec) -> "AdjointOperator":
+        return AdjointOperator(self.inner.on(spec))
 
-def rebuild_on(op, spec: GridSpec):
-    """The same operator instantiated on another grid (per-truncation scans)."""
-    if isinstance(op, PdoOperator):
-        return PdoOperator(op.expr, spec, params=op.params,
-                           class_params=op.class_params, label=op.label)
-    if isinstance(op, ComposedOperator):
-        return ComposedOperator(rebuild_on(op.inner, spec), op.s)
-    if isinstance(op, AdjointOperator):
-        return AdjointOperator(rebuild_on(op.inner, spec))
-    raise ValidationError(f"cannot rebuild {type(op).__name__} on a new grid")

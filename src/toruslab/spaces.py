@@ -25,6 +25,8 @@ from scipy import ndimage
 from .errors import ValidationError
 from .grid import GridFunction, GridSpec, ball
 
+BMO_MIN_CELLS = 2  # smallest BMO ball radius, in grid cells
+
 # ---------------------------------------------------------------------------
 # Scalar norms
 # ---------------------------------------------------------------------------
@@ -99,16 +101,16 @@ def _gather_ball_values(values: np.ndarray, offsets: np.ndarray, spec: GridSpec)
     return flat[combined]
 
 
-def bmo_norm(f: GridFunction, min_cells: int = 2) -> NormValue:
+def bmo_norm(f: GridFunction) -> NormValue:
     """sup over balls of the median-centered mean oscillation.
 
     The family runs over every grid center and dyadic radii down to
-    ``min_cells`` cells; the centering constant minimizing the L^1
+    BMO_MIN_CELLS cells; the centering constant minimizing the L^1
     deviation is the median of the ball values.
     """
     spec = f.spec
     best = 0.0
-    for radius in dyadic_radii(spec, min_cells=min_cells):
+    for radius in dyadic_radii(spec, min_cells=BMO_MIN_CELLS):
         offsets = _origin_ball_offsets(spec, radius)
         vals = _gather_ball_values(f.values, offsets, spec)
         med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)

@@ -232,6 +232,29 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
+    def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
+        # a built-in family carries its own class; a config class beside it
+        # would contradict it, so neither silently wins
+        code, out, err = run(
+            [command, "--symbol", "wainger(0.5, 1)", "--grid", "64", "--out", str(tmp_path),
+             "--set", 'class={"m": 0, "rho": 1, "delta": 0}'],
+            capsys,
+        )
+        assert code == 1
+        assert "wainger(0.5, 1)" in err and "class" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_class_beside_a_raw_expression_is_the_nominal_class(self, tmp_path, capsys):
+        code, out, _ = run(
+            ["admissible", "--symbol", "bracket(xi)^(-1)", "--out", str(tmp_path),
+             "--set", 'class={"m": -1, "rho": 0.5, "delta": 0}', "--set", "admissible.p=4",
+             "--set", "admissible.q=4"],
+            capsys,
+        )
+        assert code == 0
+        assert load_report(tmp_path, "admissible")["payload"]["rho"] == 0.5
+
     def test_byte_identical_reports_modulo_timestamp(self, tmp_path, capsys):
         args = [
             "weak11",

@@ -12,7 +12,9 @@ from toruslab.operators import (
     compose_bessel,
     to_matrix,
 )
+from toruslab import experiments
 from toruslab.experiments import (
+    ASCENT_STEPS,
     admissible_order,
     effective_order,
     h1_l1_experiment,
@@ -149,6 +151,78 @@ class TestLowerBound:
             lp_lq_lower_bound(I, 0.5, 2.0)
 
 
+class Counting:
+    """Wraps an operator and counts its applies and adjoints."""
+
+    def __init__(self, op):
+        self.op, self.spec, self.label = op, op.spec, op.label
+        self.applies = self.adjoints = 0
+
+    def apply(self, f):
+        self.applies += 1
+        return self.op.apply(f)
+
+    def apply_adjoint(self, g):
+        self.adjoints += 1
+        return self.op.apply_adjoint(g)
+
+
+def twice_applied_lower_bound(op, p, q, trials, seed):
+    """Reference: the battery and ascent with every iterate applied twice,
+    once to score it and once more at the start of the next step."""
+    spec, G = op.spec, op.spec.npoints
+    norm, dual = experiments._norm, experiments._dual_map
+    rng = np.random.default_rng(seed)
+    pp = np.inf if p == 1 else (p / (p - 1.0) if not np.isinf(p) else 1.0)
+    best = [0.0, None]
+
+    def consider(values):
+        nv = norm(values, p, G)
+        if nv == 0:
+            return 0.0
+        f = GridFunction(spec, values)
+        ratio = norm(op.apply(f).values, q, G) / nv
+        if ratio > best[0]:
+            best[:] = ratio, f
+        return ratio
+
+    starts = experiments._witness_battery(spec, rng, trials)
+    ratios = [consider(values) for values in starts]
+    for values in [starts[i] for i in np.argsort(ratios)[::-1][:4]]:
+        f = np.array(values)
+        for _ in range(ASCENT_STEPS):
+            h = dual(op.apply(GridFunction(spec, f)).values, q)
+            if not np.any(h):
+                break
+            f = dual(op.apply_adjoint(GridFunction(spec, h)).values, pp)
+            scale = np.max(np.abs(f))
+            if scale == 0:
+                break
+            f = f / scale
+            consider(f)
+    return best[0], best[1].values
+
+
+class TestAscentAppliesOnce:
+    FAMILIES = [wainger(0.5, 0.25), exotic(-0.6875, 0.75, 1.0)]
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+    def test_one_apply_per_iterate(self, fam):
+        T = Counting(PdoOperator.from_family(fam, GridSpec((256,))))
+        lp_lq_lower_bound(T, 4.0, 4.0, trials=12, seed=7)
+        # 12 battery starts, then 4 ascents of ASCENT_STEPS (adjoint, apply) steps
+        assert (T.applies, T.adjoints) == (12 + 4 * ASCENT_STEPS, 4 * ASCENT_STEPS)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
+    def test_bit_identical_to_applying_twice(self, fam, p):
+        spec = GridSpec((256,))
+        est = lp_lq_lower_bound(PdoOperator.from_family(fam, spec), p, p, trials=12, seed=7)
+        value, witness = twice_applied_lower_bound(PdoOperator.from_family(fam, spec), p, p, 12, 7)
+        assert est.value == value
+        assert np.array_equal(est.witness.values, witness)
+
+
 class TestThresholdSweep:
     def test_diagonal_threshold_formulas(self):
         assert lp_threshold(ClassParams(0, 1.0, 0.0), 2.0, 1) == 0.0
@@ -269,6 +343,33 @@ class TestH1L1:
         vals = list(rep["per_radius"].values())
         assert max(vals) <= 3.0 * min(vals)
         assert rep["stability"] <= 0.25
+
+
+class TestTruncationScan:
+    """The endpoint experiments scan truncations in ascending order and
+    report the finest one's breakdown, whatever order they are given in."""
+
+    @staticmethod
+    def operator():
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32,)))
+        return AdjointOperator(compose_bessel(T, -0.625, "left"))
+
+    @pytest.mark.parametrize("experiment", [weak11_experiment, linf_bmo_experiment, h1_l1_experiment])
+    def test_order_of_truncations_does_not_matter(self, experiment):
+        op = self.operator()
+        ascending = experiment(op, trials=6, seed=2, truncations=[32, 64])
+        descending = experiment(op, trials=6, seed=2, truncations=[64, 32])
+        if experiment is weak11_experiment:
+            ascending, descending = ascending.to_dict(), descending.to_dict()
+        assert ascending == descending
+        assert list(descending["per_truncation"]) == ["32", "64"]
+
+    def test_weak11_breakdown_is_the_finest_truncations(self):
+        op = self.operator()
+        both = weak11_experiment(op, trials=6, seed=2, truncations=[32, 64])
+        finest = weak11_experiment(op, trials=6, seed=2, truncations=[64])
+        assert both.per_lam == finest.per_lam and both.input_norms == finest.input_norms
+        assert both.per_truncation["64"] == finest.per_truncation["64"]
 
 
 class TestAdmissibility:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from toruslab.operators import (
     inner_product,
     kernel_offset_rows,
     offsets_to_full,
-    rebuild_on,
     to_matrix,
 )
 from toruslab.symbols import bessel, eval_expr, exotic, parse, wainger
@@ -67,7 +67,7 @@ class TestApply:
         T = PdoOperator.from_family(fam, spec)
         f = random_function(spec, 42)
         got = T.apply(f)
-        general = T._apply_general(f)
+        general = operators._dense_apply(spec, f, T._matrix_blocks())
         assert np.max(np.abs(got.values - general.values)) <= 1e-12 * np.max(
             np.abs(general.values)
         )
@@ -273,7 +273,7 @@ class TestCompose:
         with pytest.raises(ValidationError, match="'up'"):
             compose_bessel(T, 0.5, "up")
         with pytest.raises(ValidationError, match="MultiplierOperator"):
-            rebuild_on(MultiplierOperator(np.ones(16), spec), GridSpec((32,)))
+            MultiplierOperator(np.ones(16), spec).on(GridSpec((32,)))
 
     def test_composed_class_order_shifts(self):
         spec = GridSpec((32,))
@@ -557,6 +557,81 @@ class TestGridMismatch:
             op.apply(f)
         with pytest.raises(ValidationError, match="grid mismatch"):
             op.apply_adjoint(f)
+
+
+class TestOn:
+    """op.on(spec) is the same operator on another grid; a given table cannot move."""
+
+    @staticmethod
+    def general(spec):
+        return PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: TestOn.general(spec),
+            lambda spec: PdoOperator.from_family(wainger(0.5, 1.0), spec),
+            lambda spec: ComposedOperator(AdjointOperator(TestOn.general(spec)), -0.5),
+            lambda spec: AdjointOperator(ComposedOperator(TestOn.general(spec), -0.5)),
+        ],
+        ids=["general", "multiplier", "composed-adjoint", "adjoint-composed"],
+    )
+    @pytest.mark.parametrize("sizes", [(32,), (8, 16)])
+    def test_equals_a_fresh_build(self, build, sizes):
+        spec = GridSpec(sizes)
+        rebuilt = build(GridSpec((16,) * len(sizes))).on(spec)
+        fresh = build(spec)
+        assert type(rebuilt) is type(fresh) and rebuilt.spec == spec
+        assert rebuilt.label == fresh.label and rebuilt.class_params == fresh.class_params
+        f, g = random_function(spec, 1), random_function(spec, 2)
+        assert np.array_equal(rebuilt.apply(f).values, fresh.apply(f).values)
+        assert np.array_equal(rebuilt.apply_adjoint(g).values, fresh.apply_adjoint(g).values)
+
+    def test_given_tables_cannot_be_rebuilt(self):
+        spec = GridSpec((16,))
+        cases = [
+            (MultiplierOperator(np.ones(16), spec), "MultiplierOperator"),
+            (to_matrix(self.general(spec)), "DenseOperatorMatrix"),
+            # a composition is rebuilt through its inner operator
+            (ComposedOperator(MultiplierOperator(np.ones(16), spec), 0.5), "MultiplierOperator"),
+        ]
+        for op, name in cases:
+            with pytest.raises(ValidationError, match=name):
+                op.on(GridSpec((32,)))
+
+    def test_multiplier_operator_is_a_given_table_pdo(self):
+        spec = GridSpec((16,))
+        M = MultiplierOperator(np.arange(16.0), spec, label="ramp")
+        assert isinstance(M, PdoOperator) and M.is_multiplier and M.lattice == spec.lattice()
+        methods = {name for name, value in vars(MultiplierOperator).items() if callable(value)}
+        assert methods == {"__init__", "on"}
+        # there is no symbol to fold J^s into or to differentiate
+        with pytest.raises(ValidationError, match="MultiplierOperator"):
+            compose_bessel(M, 0.5, "right")
+        with pytest.raises(ValidationError, match="expression-backed"):
+            derivative_kernel(M, (1,), (0,))
+
+    def test_different_profiles_are_different_operators(self):
+        spec = GridSpec((16,))
+        a = MultiplierOperator(np.ones(16), spec)
+        b = MultiplierOperator(2 * np.ones(16), spec)
+        assert a != b and a == a
+
+    def test_dense_adjoint_makes_no_matrix_copy(self):
+        spec = GridSpec((1024,))
+        rng = np.random.default_rng(0)
+        matrix = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+        D = operators.DenseOperatorMatrix(spec, matrix)
+        g = random_function(spec, 3)
+        tracemalloc.start()
+        try:
+            got = D.apply_adjoint(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a G x G copy would be 16 MiB
+        want = matrix.conj().T @ g.values
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_perfbench_tracer_hooks_resolve(monkeypatch):
