@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .grid import GridFunction, GridSpec
 from .kernels import decay_scan, log_bound_check, sigma_estimates, synthesize_kernel
-from .operators import AdjointOperator, PdoOperator, compose_bessel
+from .operators import AdjointOperator, PdoOperator, compose_bessel, resolve_family
 from .spaces import bmo_norm, cz_decompose, lp_norm, weak_lp
 from .symbols import eval_expr, family_from_text, parse
 
@@ -161,7 +161,20 @@ def resolve_config(args) -> dict:
     return config
 
 
+def _check_types(config: dict, defaults: dict, path=""):
+    """A field whose default is a bool must hold a bool, one whose default is a number a number."""
+    for key, value in config.items():
+        default, here = defaults.get(key), f"{path}.{key}" if path else key
+        if isinstance(default, dict) and isinstance(value, dict):
+            _check_types(value, default, here)
+        elif isinstance(default, bool) and not isinstance(value, bool):
+            raise ValidationError(f"must be true or false, got {value!r}", field=here)
+        elif type(default) in (int, float) and type(value) not in (int, float):
+            raise ValidationError(f"must be a number, got {value!r}", field=here)
+
+
 def validate_config(config: dict):
+    _check_types(config, DEFAULT_CONFIG)
     grid = config["grid"]
     if not isinstance(grid, list) or not grid:
         raise ValidationError("must be a non-empty list", field="grid")
@@ -173,13 +186,7 @@ def validate_config(config: dict):
         for key in ("m", "rho", "delta"):
             if key not in cls:
                 raise ValidationError(f"missing {key}", field="class")
-        family = family_from_text(config["symbol"])
-        if family is not None:
-            raise ValidationError(
-                f"the family {family.label()} carries its own class; class is for raw expressions",
-                field="class",
-            )
-        config_class(config)
+        resolve_family(config["symbol"], config_class(config))
     if config["compose"] is not None:
         comp = config["compose"]
         if "s" not in comp:

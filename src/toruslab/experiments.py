@@ -157,7 +157,7 @@ def _witness_battery(spec: GridSpec, rng, trials: int):
         out.append(rng.standard_normal(spec.sizes) + 1j * rng.standard_normal(spec.sizes))
     for _ in range(max(1, trials // 3)):
         out.append(rng.choice([-1.0, 1.0], size=spec.sizes).astype(complex))
-    radii = [r for r in dyadic_radii(spec, min_cells=2) if r < math.sqrt(spec.dim) / 2]
+    radii = [r for r in dyadic_radii(spec) if r < math.sqrt(spec.dim) / 2]
     for radius in radii[: max(1, trials - 2 * (trials // 3))]:
         profile = GridFunction(spec, rng.standard_normal(spec.sizes))
         center = tuple(rng.random(spec.dim))
@@ -561,6 +561,8 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     """
     if atom_radii is None:
         atom_radii = [2.0**-k for k in range(2, 7)]
+    if len(atom_radii) == 0:
+        raise ValidationError("needs at least one radius", field="atom_radii")
     rng = np.random.default_rng(seed)
     draws = {
         radius: [(rng.random(op.spec.dim), rng.standard_normal(33)) for _ in range(trials)]

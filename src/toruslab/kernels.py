@@ -18,7 +18,7 @@ probed empirically, always with finite-truncation stability diagnostics
     uniformly bounded over a sigma sweep.
 
 On the unit torus the classical "sigma >= 1" regime is empty (diameters top
-out at sqrt(n)/2), so a configurable unit scale s0 stands in for 1: all
+out at sqrt(n)/2), so a fixed unit scale s0 stands in for 1: all
 excluded-ball radii carry an s0 factor.  Without it the excluded ball at
 rho < 1/2 swallows the whole torus and every integral would be vacuously
 zero.
@@ -36,7 +36,7 @@ from .calculus import mi_abs, mi_validate
 from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, offset_distance_grid
 from .experiments import lp_threshold
-from .operators import PdoOperator, kernel_offset_rows, offsets_to_full
+from .operators import PdoOperator, kernel_offset_rows, offsets_to_full, to_matrix
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
@@ -335,7 +335,6 @@ def sigma_estimates(
     sigma_grid,
     sample_count: int = 64,
     seed: int = 0,
-    unit_scale: float = None,
 ) -> SigmaEstimateReport:
     """Excluded-ball integrals of kernel differences over a sigma sweep.
 
@@ -343,13 +342,13 @@ def sigma_estimates(
     sigma are drawn (seeded); the quadrature integral of the kernel
     difference runs over {x : d(x, z) > r} with
 
-        r = 2 * s0 * sigma        (variants a1, a2; s0 defaults to 1/8)
-        r = 2 * s0 * sigma^rho    (variants b, c;   s0 defaults to 1/32)
+        r = 2 * s0 * sigma        (variants a1, a2; s0 = 1/8)
+        r = 2 * s0 * sigma^rho    (variants b, c;   s0 = 1/32)
 
     The s0 factors are forced by the unit torus: with the literal radius
     2 sigma^rho the excluded ball swallows the whole torus whenever
     rho < 1/2, and with too large an s0 the integral sees only the far
-    Lipschitz tail where it scales linearly in sigma.  The b/c default puts
+    Lipschitz tail where it scales linearly in sigma.  The b/c scale puts
     the excluded ball at the kernel's spreading scale, where the
     uniform-in-sigma behavior is visible.
 
@@ -358,8 +357,7 @@ def sigma_estimates(
     """
     if variant not in _VARIANTS:
         raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if unit_scale is None:
-        unit_scale = DEFAULT_UNIT_SCALE if variant in ("a1", "a2") else DEFAULT_SUB_UNIT_SCALE
+    unit_scale = DEFAULT_UNIT_SCALE if variant in ("a1", "a2") else DEFAULT_SUB_UNIT_SCALE
     spec = op.spec
     spacing = 1.0 / min(spec.sizes)
     sigma_grid = sorted(float(s) for s in sigma_grid)
@@ -374,27 +372,18 @@ def sigma_estimates(
     rho = cls.rho
     n = spec.dim
     warnings = []
-    if variant == "b":
-        threshold = lp_threshold(cls, 1, n)
+    ok = True
+    if variant in ("b", "c"):
+        threshold = lp_threshold(cls, 1, n) if variant == "b" else -n * (1 - rho) / 2
         ok = cls.m <= threshold + 1e-12
         if not ok:
             warnings.append(
-                f"order {cls.m:g} above variant-b threshold {threshold:g}; "
+                f"order {cls.m:g} above variant-{variant} threshold {threshold:g}; "
                 "uniform bound not guaranteed"
             )
-    elif variant == "c":
-        threshold = -n * (1 - rho) / 2
-        ok = cls.m <= threshold + 1e-12
-        if not ok:
-            warnings.append(
-                f"order {cls.m:g} above variant-c threshold {threshold:g}; "
-                "uniform bound not guaranteed"
-            )
-    else:
-        ok = True
 
-    kernel = synthesize_kernel(op).full()
     G = spec.npoints
+    kernel = to_matrix(op).matrix * G  # k(x, y)
     dist0 = offset_distance_grid(spec).ravel()  # distance from index 0, by offset
     sizes = spec.sizes
     idx = np.unravel_index(np.arange(G), sizes)

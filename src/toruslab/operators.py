@@ -104,6 +104,15 @@ def _dense_adjoint(spec: GridSpec, g: GridFunction, blocks) -> GridFunction:
     return GridFunction(spec, np.conj(acc).reshape(spec.sizes))
 
 
+def resolve_family(text: str, class_params=None):
+    """The built-in family ``text`` names, or None; a family takes no second class."""
+    family = family_from_text(text)
+    if family is not None and class_params is not None:
+        raise ValidationError(f"the family {family.label()} carries its own class; "
+                              "class is for raw expressions", field="class")
+    return family
+
+
 @dataclass(eq=False)
 class PdoOperator:
     """Operator Op(p) for a symbol given as an expression tree.
@@ -139,7 +148,8 @@ class PdoOperator:
 
     @classmethod
     def from_text(cls, text: str, spec: GridSpec, class_params=None) -> "PdoOperator":
-        family = family_from_text(text)
+        """Op of a built-in family, or of a raw expression with the nominal ``class_params``."""
+        family = resolve_family(text, class_params)
         if family is not None:
             return cls.from_family(family, spec)
         return cls(expr=parse(text), spec=spec, class_params=class_params, label=text)

@@ -11,7 +11,9 @@ atoms/BMO and cubes for the stopping-time argument).
 The BMO inner infimum over the centering constant is attained at the median
 for real data; complex data uses the coordinatewise median (real and
 imaginary parts separately), which is within a fixed factor of the true
-minimizer and keeps the norm computable in closed form.
+minimizer and keeps the norm computable in closed form.  BMO reads ball
+values through one periodic window view of f, a slab of centers at a time,
+so its memory is bounded by one slab of balls, not by all G x |B| values.
 """
 
 from __future__ import annotations
@@ -20,12 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .errors import ValidationError
 from .grid import GridFunction, GridSpec, ball
 
-BMO_MIN_CELLS = 2  # smallest BMO ball radius, in grid cells
+MIN_BALL_CELLS = 2  # smallest dyadic ball radius, in grid cells
+_SLAB_CENTERS = 256  # BMO ball centers gathered at once
 
 # ---------------------------------------------------------------------------
 # Scalar norms
@@ -70,52 +74,38 @@ def weak_lp(f: GridFunction, p: float) -> NormValue:
 # ---------------------------------------------------------------------------
 
 
-def dyadic_radii(spec: GridSpec, min_cells: int = 2):
-    """Radii 2^-k from 1/2 down to min_cells grid cells."""
+def dyadic_radii(spec: GridSpec):
+    """Radii 2^-k from 1/2 down to MIN_BALL_CELLS grid cells."""
     out = []
     k = 1
-    while 2.0**-k * min(spec.sizes) >= min_cells - 1e-12:
+    while 2.0**-k * min(spec.sizes) >= MIN_BALL_CELLS - 1e-12:
         out.append(2.0**-k)
         k += 1
     return out
-
-
-def _origin_ball_offsets(spec: GridSpec, radius: float) -> np.ndarray:
-    """Flat offsets of grid points within geodesic distance ``radius`` of 0."""
-    return ball(np.zeros(spec.dim), radius, spec)
-
-
-def _gather_ball_values(values: np.ndarray, offsets: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Matrix V[c, j] = values[(c + offset_j) mod N] over all grid centers c."""
-    G = spec.npoints
-    sizes = spec.sizes
-    c_idx = np.unravel_index(np.arange(G), sizes)
-    o_idx = np.unravel_index(offsets, sizes)
-    flat = values.ravel()
-    combined = np.zeros((G, offsets.size), dtype=np.int64)
-    stride = 1
-    for ax in range(spec.dim - 1, -1, -1):
-        combined += ((c_idx[ax][:, None] + o_idx[ax][None, :]) % sizes[ax]) * stride
-        stride *= sizes[ax]
-    # strides above accumulate right-to-left in C order
-    return flat[combined]
 
 
 def bmo_norm(f: GridFunction) -> NormValue:
     """sup over balls of the median-centered mean oscillation.
 
     The family runs over every grid center and dyadic radii down to
-    BMO_MIN_CELLS cells; the centering constant minimizing the L^1
-    deviation is the median of the ball values.
+    MIN_BALL_CELLS cells; the centering constant minimizing the L^1
+    deviation is the median of the ball values, read _SLAB_CENTERS centers
+    at a time through one periodic window view, windows[c][o] = f[(c + o) mod N].
     """
     spec = f.spec
+    sizes = spec.sizes
+    windows = sliding_window_view(np.pad(f.values, [(0, n - 1) for n in sizes], mode="wrap"), sizes)
+    width = max(1, _SLAB_CENTERS * sizes[0] // spec.npoints)
     best = 0.0
-    for radius in dyadic_radii(spec, min_cells=BMO_MIN_CELLS):
-        offsets = _origin_ball_offsets(spec, radius)
-        vals = _gather_ball_values(f.values, offsets, spec)
-        med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
-        osc = np.mean(np.abs(vals - med[:, None]), axis=1)
-        best = max(best, float(osc.max()))
+    for radius in dyadic_radii(spec):
+        offsets = np.unravel_index(ball(np.zeros(spec.dim), radius, spec), sizes)
+        for start in range(0, sizes[0], width):
+            # contiguous rows keep np.mean's summation order that of the full gather
+            vals = np.ascontiguousarray(windows[start:start + width][(..., *offsets)])
+            vals = vals.reshape(-1, offsets[0].size)
+            med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
+            osc = np.mean(np.abs(vals - med[:, None]), axis=1)
+            best = max(best, float(osc.max()))
     return NormValue("BMO", None, best, "grid centers x dyadic radii, median centering")
 
 
@@ -128,10 +118,10 @@ def maximal_function(f: GridFunction) -> GridFunction:
     spec = f.spec
     a = np.abs(f.values)
     out = np.array(a)  # the single-cell ball contributes |f| itself
-    for radius in dyadic_radii(spec, min_cells=2):
-        offsets = _origin_ball_offsets(spec, radius)
+    for radius in dyadic_radii(spec):
+        count = ball(np.zeros(spec.dim), radius, spec).size
         footprint = _centered_footprint(spec, radius)
-        means = ndimage.correlate(a, footprint / offsets.size, mode="wrap")
+        means = ndimage.correlate(a, footprint / count, mode="wrap")
         dilated = ndimage.maximum_filter(means, footprint=footprint, mode="wrap")
         out = np.maximum(out, dilated)
     return GridFunction(spec, out)

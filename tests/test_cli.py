@@ -222,15 +222,24 @@ class TestErrorsAndDeterminism:
             ("symbol-class", "exotic(0, 0.75, 1)", "symbol_class.x_resolution=0"),
             ("kernel", "bessel(-2)", "kernel.truncations=[0,32,64]"),
             ("kernel", "bessel(-2)", "kernel.truncations=[-8,32,64]"),
+            ("weak11", "bessel(-2)", "weak11.trials=abc"),
+            pytest.param("kernel", "bessel(-2)", ('kernel.samples="x"', 'kernel.checks=["sigma"]'),
+                         id="kernel-bessel(-2)-kernel.samples=x-kernel.checks=sigma"),
+            ("sweep", "bessel(-2)", 'sweep.p="four"'),
+            ("h1l1", "bessel(-2)", "h1l1.radii=[]"),
+            ("weak11", "bessel(-2)", "adjoint=yes"),
         ],
     )
     def test_unusable_settings_exit_1(self, tmp_path, capsys, command, symbol, setting):
+        settings = [setting] if isinstance(setting, str) else list(setting)
         code, out, err = run(
-            [command, "--symbol", symbol, "--grid", "64", "--out", str(tmp_path), "--set", setting],
+            [command, "--symbol", symbol, "--grid", "64", "--out", str(tmp_path)]
+            + [arg for item in settings for arg in ("--set", item)],
             capsys,
         )
         assert code == 1
         assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
@@ -243,6 +252,18 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1
         assert "wainger(0.5, 1)" in err and "class" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "setting, field",
+        [("weak11.trials=abc", "weak11.trials"), ("adjoint=1", "adjoint"),
+         ("cz.level=true", "cz.level"), ('sweep.family_params={"a": "x"}', "sweep.family_params.a")],
+    )
+    def test_mistyped_setting_names_its_field(self, tmp_path, capsys, setting, field):
+        # a field whose default is a number must hold a number, a bool field a bool
+        code, out, err = run(["norms", "--out", str(tmp_path), "--set", setting], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {field}: must be ")
         assert not list(tmp_path.iterdir())
 
     def test_class_beside_a_raw_expression_is_the_nominal_class(self, tmp_path, capsys):

@@ -336,6 +336,11 @@ class TestH1L1:
         with pytest.raises(ValidationError):
             make_atom((0.5,), 0.9, constant_function(spec, 1.0))
 
+    def test_no_radii_rejected(self):
+        I = PdoOperator.from_family(bessel(0.0), GridSpec((32,)))
+        with pytest.raises(ValidationError, match="atom_radii"):
+            h1_l1_experiment(I, atom_radii=[], trials=2, truncations=[32])
+
     def test_radius_uniformity_at_critical_order(self):
         fam = exotic(0.0, 0.75, 1.0)
         T = compose_bessel(PdoOperator.from_family(fam, GridSpec((128,))), -0.625, "left")

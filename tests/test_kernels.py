@@ -35,6 +35,14 @@ class TestSynthesize:
         got = k.offset_rows[0][np.isin(np.round(np.arange(64) / 64, 12), np.round(z16, 12))]
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("family", [bessel(-1.0), exotic(0.0, 0.75, 1.0)],
+                             ids=["multiplier", "general"])
+    def test_dense_kernel_is_the_scaled_matrix(self, family):
+        # k(x, y) = G M[x, y] exactly: the offset rows are a regathering of G M
+        spec = GridSpec((16, 8))
+        op = PdoOperator.from_family(family, spec)
+        assert np.array_equal(synthesize_kernel(op).full(), to_matrix(op).matrix * spec.npoints)
+
     def test_multiplier_kernel_is_translation_invariant(self):
         spec = GridSpec((32,))
         k = synthesize_kernel(PdoOperator.from_family(bessel(-1.0), spec))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from toruslab import operators
+from toruslab.calculus import ClassParams
 from toruslab.errors import SizeGuardError, ValidationError
 from toruslab.grid import GridFunction, GridSpec, pure_wave
 from toruslab.kernels import derivative_kernel, synthesize_kernel
@@ -557,6 +558,20 @@ class TestGridMismatch:
             op.apply(f)
         with pytest.raises(ValidationError, match="grid mismatch"):
             op.apply_adjoint(f)
+
+
+class TestFromText:
+    def test_family_with_a_second_class_raises(self):
+        # a built-in family carries its own class; a nominal class beside it
+        # would contradict it, so neither silently wins
+        with pytest.raises(ValidationError, match=r"bessel\(-1\) carries its own class"):
+            PdoOperator.from_text("bessel(-1)", GridSpec((16,)), class_params=ClassParams(5, 1, 0))
+
+    def test_raw_expression_takes_the_nominal_class(self):
+        cls = ClassParams(-1, 1, 0)
+        op = PdoOperator.from_text("bracket(xi)^(-1)", GridSpec((16,)), class_params=cls)
+        assert op.class_params == cls
+        assert PdoOperator.from_text("bessel(-1)", GridSpec((16,))).class_params == ClassParams(-1, 1, 0)
 
 
 class TestOn:

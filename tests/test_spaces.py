@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,13 +24,13 @@ def random_function(spec, seed, real=False):
     return GridFunction(spec, v)
 
 
-def bmo_oracle(f: GridFunction, min_cells=2):
+def bmo_oracle(f: GridFunction):
     """Exhaustive search over the ball family and all candidate centerings."""
     spec = f.spec
     flat = f.values.ravel()
     best = 0.0
     centers = spec.points()
-    for radius in dyadic_radii(spec, min_cells=min_cells):
+    for radius in dyadic_radii(spec):
         for c in centers:
             idx = ball(c, radius, spec)
             vals = flat[idx]
@@ -125,6 +127,48 @@ class TestBmo:
         c = 2.5j
         g = GridFunction(f.spec, c * f.values)
         assert bmo_norm(g).value == pytest.approx(abs(c) * bmo_norm(f).value, rel=1e-12)
+
+
+def full_gather_bmo(f: GridFunction):
+    """BMO through one G x |B| index matrix per radius, every ball at once."""
+    spec, sizes = f.spec, f.spec.sizes
+    best = 0.0
+    for radius in dyadic_radii(spec):
+        offsets = ball(np.zeros(spec.dim), radius, spec)
+        c_idx = np.unravel_index(np.arange(spec.npoints), sizes)
+        o_idx = np.unravel_index(offsets, sizes)
+        combined = np.zeros((spec.npoints, offsets.size), dtype=np.int64)
+        stride = 1
+        for ax in range(spec.dim - 1, -1, -1):
+            combined += ((c_idx[ax][:, None] + o_idx[ax][None, :]) % sizes[ax]) * stride
+            stride *= sizes[ax]
+        vals = f.values.ravel()[combined]
+        med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
+        osc = np.mean(np.abs(vals - med[:, None]), axis=1)
+        best = max(best, float(osc.max()))
+    return best
+
+
+class TestBmoSlabs:
+    """bmo_norm reads balls through one periodic window, a slab of centers at a time."""
+
+    # (32, 32) runs four slabs; on (8, 8, 8) a strided slab changes np.mean's
+    # summation order, so only contiguous rows give the same bits
+    @pytest.mark.parametrize("sizes", [(128,), (8, 32), (32, 32), (8, 8, 8)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_equals_the_full_gather(self, sizes):
+        f = random_function(GridSpec(sizes), 31)
+        assert bmo_norm(f).value == full_gather_bmo(f)
+
+    def test_memory_bounded_by_a_slab(self):
+        f = random_function(GridSpec((64, 64)), 32)
+        tracemalloc.start()
+        try:
+            bmo_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20  # the full gather peaks near 500 MiB here
 
 
 class TestBmo2D:
