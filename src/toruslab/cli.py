@@ -161,16 +161,49 @@ def resolve_config(args) -> dict:
     return config
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+_TYPE_CHECKS = {
+    "true or false": lambda value: isinstance(value, bool),
+    "a number": _is_number,
+    "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "a string": lambda value: isinstance(value, str),
+    "an object": lambda value: isinstance(value, dict),
+}
+# the type a field whose default is null must have when it is set
+_NULLABLE_TYPES = {
+    "class": "an object",
+    "compose": "an object",
+    "symbol_class.max_order": "a number",
+    "quantize.input": "a string",
+    "kernel.cutoff": "a number",
+    "norms.input": "a string",
+    "cz.input": "a string",
+    **{f"{section}.truncations": "a list of numbers" for section in ("kernel", "weak11", "bmo", "h1l1")},
+}
+
+
 def _check_types(config: dict, defaults: dict, path=""):
-    """A field whose default is a bool must hold a bool, one whose default is a number a number."""
+    """A field whose default is a bool must hold a bool, one whose default is
+    a number a number, and a set field whose default is null the type
+    _NULLABLE_TYPES names."""
     for key, value in config.items():
         default, here = defaults.get(key), f"{path}.{key}" if path else key
         if isinstance(default, dict) and isinstance(value, dict):
             _check_types(value, default, here)
-        elif isinstance(default, bool) and not isinstance(value, bool):
-            raise ValidationError(f"must be true or false, got {value!r}", field=here)
-        elif type(default) in (int, float) and type(value) not in (int, float):
-            raise ValidationError(f"must be a number, got {value!r}", field=here)
+            continue
+        if isinstance(default, bool):
+            kind = "true or false"
+        elif _is_number(default):
+            kind = "a number"
+        elif default is None and value is not None:
+            kind = _NULLABLE_TYPES.get(here)
+        else:
+            kind = None
+        if kind is not None and not _TYPE_CHECKS[kind](value):
+            raise ValidationError(f"must be {kind}, got {value!r}", field=here)
 
 
 def validate_config(config: dict):
@@ -467,6 +500,10 @@ def cmd_sweep(config):
     return payload, [record.calibration_note]
 
 
+# the config field, in the command's section, behind each experiment parameter
+_ENDPOINT_FIELDS = {"truncations": "truncations", "atom_radii": "radii"}
+
+
 def cmd_endpoint(config, command):
     """weak11, bmo and h1l1: one endpoint experiment on the configured operator."""
     sub = config[command]
@@ -480,7 +517,13 @@ def cmd_endpoint(config, command):
         kwargs["atom_radii"] = [float(r) for r in sub["radii"]]
     experiment = {"weak11": weak11_experiment, "bmo": linf_bmo_experiment,
                   "h1l1": h1_l1_experiment}[command]
-    rep = experiment(build_operator(config), **kwargs)
+    op = build_operator(config)
+    try:
+        rep = experiment(op, **kwargs)
+    except ValidationError as err:
+        if err.field not in _ENDPOINT_FIELDS:
+            raise
+        raise ValidationError(err.reason, field=f"{command}.{_ENDPOINT_FIELDS[err.field]}") from None
     if command == "weak11":
         rep = rep.to_dict()
     print(f"max ratio={rep['max_ratio']:.6g} stability={rep['stability']:.4f}")

@@ -15,7 +15,7 @@ class ValidationError(ToruslabError):
     """Invalid input: bad config value, malformed expression, exponent out of range."""
 
     def __init__(self, message, field=None):
-        self.field = field
+        self.field, self.reason = field, message
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)

@@ -373,14 +373,25 @@ class WeakTypeReport:
         return asdict(self)
 
 
-def _rebuilt(op, truncations=None):
-    """(N, op rebuilt on the N^n grid) in ascending N; N and 2N by default,
-    N the smallest axis of op's grid.  Each operator is built when the
-    previous one is done with, so one rebuilt table is alive at a time."""
+def _truncations(op, truncations=None) -> list:
+    """The truncations to scan, ascending: N and 2N by default, N the smallest
+    axis of op's grid.  Checked before any work, like a grid axis size."""
     if truncations is None:
         base = min(op.spec.sizes)
-        truncations = [base, 2 * base]
-    for N in sorted(truncations):
+        return [base, 2 * base]
+    if not isinstance(truncations, (list, tuple)) or len(truncations) == 0:
+        raise ValidationError("needs at least one truncation", field="truncations")
+    for N in truncations:
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 4 or N & (N - 1):
+            raise ValidationError(f"{N!r} must be a power of two >= 4", field="truncations")
+    return sorted(truncations)
+
+
+def _rebuilt(op, truncations: list):
+    """(N, op rebuilt on the N^n grid) for each N of ``_truncations``.  Each
+    operator is built when the previous one is done with, so one rebuilt
+    table is alive at a time."""
+    for N in truncations:
         yield N, op.on(GridSpec((N,) * op.spec.dim))
 
 
@@ -482,6 +493,7 @@ def weak11_experiment(
     Trial functions have unit L^1 mass; the experiment repeats at two
     truncations (N and 2N by default) and reports the relative change.
     """
+    truncations = _truncations(op, truncations)
     if lam_grid is None:
         lam_grid = list(np.geomspace(1e-3, 1e3, 61))
     params = _weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
@@ -516,7 +528,8 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
     the sup norm.
     """
     dim = op.spec.dim
-    coarse = min([*op.spec.sizes, *(truncations or [])])
+    truncations = _truncations(op, truncations)
+    coarse = min([*op.spec.sizes, *truncations])
     # trial draws are grid-independent: sign patterns live on the coarse
     # cells and get replicated, lacunary frequencies stop at a fixed depth
     rng = np.random.default_rng(seed)
@@ -559,6 +572,7 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     H1_UNIT_SCALE (the desk-scale stand-in for the sigma < 1 / sigma >= 1
     dichotomy).
     """
+    truncations = _truncations(op, truncations)
     if atom_radii is None:
         atom_radii = [2.0**-k for k in range(2, 7)]
     if len(atom_radii) == 0:

@@ -228,6 +228,9 @@ class TestErrorsAndDeterminism:
             ("sweep", "bessel(-2)", 'sweep.p="four"'),
             ("h1l1", "bessel(-2)", "h1l1.radii=[]"),
             ("weak11", "bessel(-2)", "adjoint=yes"),
+            ("bmo", "bessel(-2)", "bmo.truncations=[0]"),
+            ("bmo", "bessel(-2)", "bmo.truncations=[-32]"),
+            ("bmo", "bessel(-2)", "bmo.truncations=[]"),
         ],
     )
     def test_unusable_settings_exit_1(self, tmp_path, capsys, command, symbol, setting):
@@ -240,6 +243,23 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, setting, field",
+        [("h1l1", "h1l1.radii=[]", "h1l1.radii"),
+         ("bmo", "bmo.truncations=[0]", "bmo.truncations"),
+         ("weak11", "weak11.truncations=[]", "weak11.truncations"),
+         ("h1l1", "h1l1.truncations=[48]", "h1l1.truncations")],
+    )
+    def test_endpoint_setting_errors_name_the_config_field(self, tmp_path, capsys, command,
+                                                            setting, field):
+        code, out, err = run(
+            [command, "--symbol", "bessel(-2)", "--grid", "32", "--out", str(tmp_path),
+             "--set", setting],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
 
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
@@ -257,7 +277,10 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize(
         "setting, field",
         [("weak11.trials=abc", "weak11.trials"), ("adjoint=1", "adjoint"),
-         ("cz.level=true", "cz.level"), ('sweep.family_params={"a": "x"}', "sweep.family_params.a")],
+         ("cz.level=true", "cz.level"), ('sweep.family_params={"a": "x"}', "sweep.family_params.a"),
+         ("symbol_class.max_order=abc", "symbol_class.max_order"),
+         ("kernel.cutoff=abc", "kernel.cutoff"), ("weak11.truncations=abc", "weak11.truncations"),
+         ("compose=5", "compose"), ("norms.input=5", "norms.input")],
     )
     def test_mistyped_setting_names_its_field(self, tmp_path, capsys, setting, field):
         # a field whose default is a number must hold a number, a bool field a bool

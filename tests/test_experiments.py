@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -320,6 +322,16 @@ class TestLinfBmo:
         rep = linf_bmo_experiment(T, trials=20, seed=3, truncations=[64, 128])
         assert rep["stability"] <= 0.25
 
+    def test_2d_balls_at_128_within_budget(self):
+        # every ball of the 128^2 family would take ~20 s; the bounded sup
+        # reads the few that can hold the maximum
+        T = PdoOperator.from_family(bessel(-1.0), GridSpec((64, 64)))
+        start = time.perf_counter()
+        rep = linf_bmo_experiment(T, trials=1, seed=0, truncations=[64, 128])
+        assert time.perf_counter() - start < 5.0
+        assert rep["hypothesis_satisfied"]
+        assert rep["stability"] <= 0.25
+
 
 class TestH1L1:
     def test_identity_atoms_bounded_by_one(self):
@@ -368,6 +380,12 @@ class TestTruncationScan:
             ascending, descending = ascending.to_dict(), descending.to_dict()
         assert ascending == descending
         assert list(descending["per_truncation"]) == ["32", "64"]
+
+    @pytest.mark.parametrize("truncations", [[], [0], [-32], [48], [32, True]], ids=str)
+    @pytest.mark.parametrize("experiment", [weak11_experiment, linf_bmo_experiment, h1_l1_experiment])
+    def test_unusable_truncations_rejected(self, experiment, truncations):
+        with pytest.raises(ValidationError, match="^truncations: "):
+            experiment(self.operator(), trials=2, seed=0, truncations=truncations)
 
     def test_weak11_breakdown_is_the_finest_truncations(self):
         op = self.operator()

@@ -5,7 +5,9 @@ import pytest
 
 from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec, ball, constant_function, forward_dft
+from toruslab.operators import PdoOperator
 from toruslab.spaces import (
+    _oscillation_bounds,
     bmo_norm,
     cz_decompose,
     dyadic_radii,
@@ -129,36 +131,97 @@ class TestBmo:
         assert bmo_norm(g).value == pytest.approx(abs(c) * bmo_norm(f).value, rel=1e-12)
 
 
-def full_gather_bmo(f: GridFunction):
-    """BMO through one G x |B| index matrix per radius, every ball at once."""
+def full_gather_oscillations(f: GridFunction, rows=512):
+    """Per radius, every center's oscillation through a (center, offset) index
+    matrix over the flat samples, ``rows`` centers at a time."""
     spec, sizes = f.spec, f.spec.sizes
-    best = 0.0
+    out = []
     for radius in dyadic_radii(spec):
         offsets = ball(np.zeros(spec.dim), radius, spec)
-        c_idx = np.unravel_index(np.arange(spec.npoints), sizes)
         o_idx = np.unravel_index(offsets, sizes)
-        combined = np.zeros((spec.npoints, offsets.size), dtype=np.int64)
-        stride = 1
-        for ax in range(spec.dim - 1, -1, -1):
-            combined += ((c_idx[ax][:, None] + o_idx[ax][None, :]) % sizes[ax]) * stride
-            stride *= sizes[ax]
-        vals = f.values.ravel()[combined]
-        med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
-        osc = np.mean(np.abs(vals - med[:, None]), axis=1)
+        osc = []
+        for start in range(0, spec.npoints, rows):
+            c_idx = np.unravel_index(np.arange(start, min(start + rows, spec.npoints)), sizes)
+            combined = np.zeros((c_idx[0].size, offsets.size), dtype=np.int64)
+            stride = 1
+            for ax in range(spec.dim - 1, -1, -1):
+                combined += ((c_idx[ax][:, None] + o_idx[ax][None, :]) % sizes[ax]) * stride
+                stride *= sizes[ax]
+            vals = f.values.ravel()[combined]
+            med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
+            osc.append(np.mean(np.abs(vals - med[:, None]), axis=1))
+        out.append(np.concatenate(osc))
+    return out
+
+
+def full_gather_bmo(f: GridFunction):
+    """BMO with every ball of the family evaluated."""
+    best = 0.0
+    for osc in full_gather_oscillations(f):
         best = max(best, float(osc.max()))
     return best
+
+
+def bessel_of_signs(N):
+    """Op(bessel(-1)) of a sign pattern: a sup held by few balls."""
+    spec = GridSpec((N, N))
+    signs = np.random.default_rng(33).choice([-1.0, 1.0], size=spec.sizes)
+    return PdoOperator.from_text("bessel(-1)", spec).apply(GridFunction(spec, signs))
+
+
+def sample_function(kind, sizes):
+    spec = GridSpec(sizes)
+    rng = np.random.default_rng(34)
+    if kind == "complex":
+        return random_function(spec, 35)
+    if kind == "real":
+        return random_function(spec, 36, real=True)
+    if kind == "signs":  # half-and-half balls attain the bound exactly
+        return GridFunction(spec, rng.choice([-1.0, 1.0], size=sizes))
+    if kind == "plane-wave":
+        phase = sum((ax + 1) * m for ax, m in enumerate(spec.mesh()))
+        return GridFunction(spec, 1.3 * np.exp(2j * np.pi * phase))
+    if kind == "spike":
+        v = np.zeros(sizes)
+        v[(1,) * len(sizes)] = 2.0
+        return GridFunction(spec, v)
+    if kind == "constant":
+        return constant_function(spec, 4.2 - 1.5j)
+    return constant_function(spec, 0.0)
 
 
 class TestBmoSlabs:
     """bmo_norm reads balls through one periodic window, a slab of centers at a time."""
 
-    # (32, 32) runs four slabs; on (8, 8, 8) a strided slab changes np.mean's
-    # summation order, so only contiguous rows give the same bits
-    @pytest.mark.parametrize("sizes", [(128,), (8, 32), (32, 32), (8, 8, 8)],
-                             ids=lambda sizes: "x".join(map(str, sizes)))
-    def test_equals_the_full_gather(self, sizes):
-        f = random_function(GridSpec(sizes), 31)
+    # (32, 32) spans four slabs per radius; on (8, 8, 8) a strided slab changes np.mean's
+    # summation order, so only contiguous rows give the same bits; the
+    # bessel-of-signs inputs evaluate a few percent of the balls
+    INPUTS = {
+        "128": lambda: random_function(GridSpec((128,)), 31),
+        "8x32": lambda: random_function(GridSpec((8, 32)), 31),
+        "32x32": lambda: random_function(GridSpec((32, 32)), 31),
+        "8x8x8": lambda: random_function(GridSpec((8, 8, 8)), 31),
+        "bessel-signs-32x32": lambda: bessel_of_signs(32),
+        "bessel-signs-64x64": lambda: bessel_of_signs(64),
+        "constant": lambda: sample_function("constant", (16, 16)),
+        "zero": lambda: sample_function("zero", (16, 16)),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_equals_the_full_gather(self, name):
+        f = self.INPUTS[name]()
         assert bmo_norm(f).value == full_gather_bmo(f)
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 16), (8, 8, 8)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    @pytest.mark.parametrize(
+        "kind", ["real", "complex", "signs", "plane-wave", "spike", "constant", "zero"])
+    def test_bound_dominates_every_ball(self, kind, sizes):
+        f = sample_function(kind, sizes)
+        balls = [np.unravel_index(ball(np.zeros(len(sizes)), radius, f.spec), sizes)
+                 for radius in dyadic_radii(f.spec)]
+        for bound, osc in zip(_oscillation_bounds(f, balls), full_gather_oscillations(f)):
+            assert np.all(bound >= osc)
 
     def test_memory_bounded_by_a_slab(self):
         f = random_function(GridSpec((64, 64)), 32)
