@@ -42,19 +42,6 @@ from .operators import AdjointOperator, PdoOperator, compose_bessel, resolve_fam
 from .spaces import bmo_norm, cz_decompose, lp_norm, weak_lp
 from .symbols import eval_expr, family_from_text, parse
 
-COMMANDS = (
-    "symbol-class",
-    "quantize",
-    "kernel",
-    "norms",
-    "cz",
-    "sweep",
-    "weak11",
-    "bmo",
-    "h1l1",
-    "admissible",
-)
-
 DEFAULT_CONFIG = {
     "grid": [128],
     "symbol": "bessel(-1)",
@@ -564,7 +551,7 @@ HANDLERS = {
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="toruslab", description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
     parser.add_argument("--out", help="output directory")

@@ -525,11 +525,15 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
     """max over sup-normalized trial f of ||Tf||_BMO, with truncation stability.
 
     Trials are random sign patterns and lacunary cosine sums normalized in
-    the sup norm.
+    the sup norm.  The coarsest of the grid and the truncations must be at
+    least 8.
     """
     dim = op.spec.dim
     truncations = _truncations(op, truncations)
     coarse = min([*op.spec.sizes, *truncations])
+    if coarse < 8:  # a lacunary trial has log2(coarse) - 2 terms
+        raise ValidationError(f"coarsest size {coarse} is below 8, where a lacunary trial "
+                              "has no term", field="truncations")
     # trial draws are grid-independent: sign patterns live on the coarse
     # cells and get replicated, lacunary frequencies stop at a fixed depth
     rng = np.random.default_rng(seed)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .calculus import mi_abs, mi_validate
 from .errors import EmptyDomainError, ValidationError
-from .grid import GridSpec, offset_distance_grid
+from .grid import GridSpec, _center_distance_grid, offset_distance_grid
 from .experiments import lp_threshold
 from .operators import PdoOperator, kernel_offset_rows, offsets_to_full, to_matrix
 from .symbols import BinOp, Const, XiVar, diff_x_multi
@@ -384,15 +384,8 @@ def sigma_estimates(
 
     G = spec.npoints
     kernel = to_matrix(op).matrix * G  # k(x, y)
-    dist0 = offset_distance_grid(spec).ravel()  # distance from index 0, by offset
-    sizes = spec.sizes
-    idx = np.unravel_index(np.arange(G), sizes)
+    points = spec.points()
     rng = np.random.default_rng(seed)
-
-    def dist_from(flat_point):
-        point = tuple(ax[flat_point] for ax in idx)
-        shifted = tuple((idx[ax_i] - point[ax_i]) % sizes[ax_i] for ax_i in range(n))
-        return dist0.reshape(sizes)[shifted]
 
     per_sigma = []
     for s in sigma_grid:
@@ -400,7 +393,7 @@ def sigma_estimates(
         best = 0.0
         for _ in range(sample_count):
             z = int(rng.integers(0, G))
-            dz = dist_from(z)
+            dz = _center_distance_grid(points[z], spec).ravel()
             near = np.flatnonzero(dz <= s)
             y = int(near[rng.integers(0, near.size)])
             outside = dz > r

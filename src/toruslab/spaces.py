@@ -14,10 +14,11 @@ imaginary parts separately), which is within a fixed factor of the true
 minimizer and keeps the norm computable in closed form.  BMO is the exact
 sup over the whole family, found by branch and bound: two FFT correlations
 per radius bound every ball's oscillation by the standard deviations of its
-real and imaginary parts, and only the balls whose bound reaches the best
+real and imaginary parts, and only the balls whose bound exceeds the best
 oscillation found so far are read, through one periodic window view of f
 a slab of centers at a time.  Its memory is bounded by one slab of balls,
-not by all G x |B| values.
+not by all G x |B| values.  The maximal function reads its ball means of |f|
+through the same FFT correlation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .errors import ValidationError
 from .grid import GridFunction, GridSpec, ball
@@ -99,17 +99,20 @@ def bmo_norm(f: GridFunction) -> NormValue:
     still hold the maximum: ``_oscillation_bounds`` bounds every ball's
     oscillation from above, radii are visited by their largest bound and
     centers in descending bound order, and a radius stops at the first
-    slab whose bounds all fall below the best oscillation found.  The
-    balls skipped cannot reach it, and every ball evaluated goes through
+    slab whose bounds are all at most the best oscillation found.  The
+    balls skipped cannot exceed it, and every ball evaluated goes through
     the same contiguous median and mean, so the result is the exact sup,
-    to the last bit, of the full family.
+    to the last bit, of the full family.  A constant f reads no ball.
     """
+    method = "grid centers x dyadic radii, median centering"
+    values = f.values
+    if np.all(values == values.flat[0]):
+        return NormValue("BMO", None, 0.0, method)
     spec = f.spec
     sizes = spec.sizes
-    windows = sliding_window_view(np.pad(f.values, [(0, n - 1) for n in sizes], mode="wrap"), sizes)
+    windows = sliding_window_view(np.pad(values, [(0, n - 1) for n in sizes], mode="wrap"), sizes)
     centers = np.unravel_index(np.arange(spec.npoints), sizes)
-    balls = [np.unravel_index(ball(np.zeros(spec.dim), radius, spec), sizes)
-             for radius in dyadic_radii(spec)]
+    balls = _ball_offsets(spec)
     bounds = _oscillation_bounds(f, balls)
     best = 0.0
     for k in np.argsort([-b.max() for b in bounds], kind="stable"):
@@ -117,15 +120,32 @@ def bmo_norm(f: GridFunction) -> NormValue:
         order = np.argsort(-bound, kind="stable")
         for start in range(0, order.size, _SLAB_CENTERS):
             slab = order[start:start + _SLAB_CENTERS]
-            if bound[slab[0]] < best:
-                break  # the rest of this radius is bounded below the best
+            if bound[slab[0]] <= best:
+                break  # the rest of this radius cannot exceed the best
             # broadcast indices give contiguous (center, offset) rows, so
             # np.mean sums each row in the order the full gather does
             vals = windows[(*(c[slab, None] for c in centers), *(o[None, :] for o in offsets))]
             med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
             osc = np.mean(np.abs(vals - med[:, None]), axis=1)
             best = max(best, float(osc.max()))
-    return NormValue("BMO", None, best, "grid centers x dyadic radii, median centering")
+    return NormValue("BMO", None, best, method)
+
+
+def _ball_offsets(spec: GridSpec) -> list:
+    """Per dyadic radius, the offsets o of the origin ball, one index array per
+    axis; the ball of that radius at flat center c is {c + o mod N}."""
+    return [np.unravel_index(ball(np.zeros(spec.dim), radius, spec), spec.sizes)
+            for radius in dyadic_radii(spec)]
+
+
+def _ball_means(spectra, offsets) -> list:
+    """For each fftn spectrum of a grid function g in ``spectra``, the mean of g
+    over the ball {c + o : o in offsets} at every center c, by one FFT
+    correlation with the ball mask."""
+    mask = np.zeros(spectra[0].shape)
+    mask[offsets] = 1.0
+    kernel = np.conj(np.fft.fftn(mask)) / offsets[0].size
+    return [np.fft.ifftn(spectrum * kernel) for spectrum in spectra]
 
 
 def _oscillation_bounds(f: GridFunction, balls) -> list:
@@ -149,10 +169,7 @@ def _oscillation_bounds(f: GridFunction, balls) -> list:
     slack = 1e-8 * float(np.max(np.abs(values))) ** 2
     out = []
     for offsets in balls:
-        mask = np.zeros(values.shape)
-        mask[offsets] = 1.0
-        kernel = np.conj(np.fft.fftn(mask)) / offsets[0].size
-        mean, square = (np.fft.ifftn(spectrum * kernel) for spectrum in spectra)
+        mean, square = _ball_means(spectra, offsets)
         bound = (np.sqrt(square.real - mean.real**2 + slack)
                  + np.sqrt(square.imag - mean.imag**2 + slack))
         out.append(bound.ravel())
@@ -163,27 +180,20 @@ def maximal_function(f: GridFunction) -> GridFunction:
     """Hardy-Littlewood maximal function over the dyadic-radius ball family.
 
     Mf(x) is the largest ball average of |f| over family balls containing x.
-    Radii go all the way down to a single cell, so Mf >= |f| pointwise.
+    Radii go all the way down to a single cell, so Mf >= |f| pointwise.  The
+    ball means come from the FFT correlation the BMO bounds use; the balls
+    of one radius that contain x are centered at x - o for its offsets o, so
+    their largest mean is the maximum of the means rolled by each offset.
     """
-    spec = f.spec
     a = np.abs(f.values)
     out = np.array(a)  # the single-cell ball contributes |f| itself
-    for radius in dyadic_radii(spec):
-        count = ball(np.zeros(spec.dim), radius, spec).size
-        footprint = _centered_footprint(spec, radius)
-        means = ndimage.correlate(a, footprint / count, mode="wrap")
-        dilated = ndimage.maximum_filter(means, footprint=footprint, mode="wrap")
-        out = np.maximum(out, dilated)
-    return GridFunction(spec, out)
-
-
-def _centered_footprint(spec: GridSpec, radius: float) -> np.ndarray:
-    """Odd-sized window marking grid offsets within ``radius`` of the center."""
-    half = [min(int(math.floor(radius * n)), n // 2 - 1) for n in spec.sizes]
-    axes = [np.arange(-h, h + 1) / n for h, n in zip(half, spec.sizes)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    dist = np.sqrt(sum(m * m for m in mesh))
-    return (dist < radius).astype(float)
+    spectrum = np.fft.fftn(a)
+    axes = tuple(range(a.ndim))
+    for offsets in _ball_offsets(f.spec):
+        means = _ball_means([spectrum], offsets)[0].real
+        for shift in zip(*offsets):
+            np.maximum(out, np.roll(means, shift, axis=axes), out=out)
+    return GridFunction(f.spec, out)
 
 
 # ---------------------------------------------------------------------------

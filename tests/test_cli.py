@@ -193,6 +193,9 @@ class TestErrorsAndDeterminism:
     def test_unknown_command(self, capsys):
         code, out, err = run(["frobnicate"], capsys)
         assert code == 1
+        assert err.strip().endswith(
+            "invalid choice: 'frobnicate' (choose from 'symbol-class', 'quantize', 'kernel', "
+            "'norms', 'cz', 'sweep', 'weak11', 'bmo', 'h1l1', 'admissible')")
 
     def test_invalid_config_field_path(self, tmp_path, capsys):
         code, out, err = run(
@@ -231,8 +234,11 @@ class TestErrorsAndDeterminism:
             ("bmo", "bessel(-2)", "bmo.truncations=[0]"),
             ("bmo", "bessel(-2)", "bmo.truncations=[-32]"),
             ("bmo", "bessel(-2)", "bmo.truncations=[]"),
+            ("bmo", "bessel(-2)", "grid=[4]"),
+            ("bmo", "bessel(-2)", "bmo.truncations=[4,8]"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_unusable_settings_exit_1(self, tmp_path, capsys, command, symbol, setting):
         settings = [setting] if isinstance(setting, str) else list(setting)
         code, out, err = run(
@@ -249,7 +255,9 @@ class TestErrorsAndDeterminism:
         [("h1l1", "h1l1.radii=[]", "h1l1.radii"),
          ("bmo", "bmo.truncations=[0]", "bmo.truncations"),
          ("weak11", "weak11.truncations=[]", "weak11.truncations"),
-         ("h1l1", "h1l1.truncations=[48]", "h1l1.truncations")],
+         ("h1l1", "h1l1.truncations=[48]", "h1l1.truncations"),
+         ("bmo", "grid=[4]", "bmo.truncations"),
+         ("bmo", "bmo.truncations=[4,8]", "bmo.truncations")],
     )
     def test_endpoint_setting_errors_name_the_config_field(self, tmp_path, capsys, command,
                                                             setting, field):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toruslab.errors import EmptyDomainError, SizeGuardError, ValidationError
-from toruslab.grid import GridSpec, constant_function
+from toruslab.grid import GridSpec, constant_function, torus_distance
 from toruslab.kernels import (
     decay_scan,
     derivative_kernel,
@@ -228,6 +228,27 @@ class TestSigmaEstimates:
         T = PdoOperator.from_family(bessel(0.5), GridSpec((64,)))
         rep = sigma_estimates(T, "b", [1 / 8], sample_count=4, seed=0)
         assert not rep.hypothesis_satisfied and rep.warnings
+
+    @pytest.mark.parametrize("variant", ["a1", "c"])
+    def test_matches_direct_distances(self, variant):
+        # replays the seeded draws with distances from torus_distance
+        spec = GridSpec((16, 8))
+        T = PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), spec)
+        rep = sigma_estimates(T, variant, [0.2, 0.25], sample_count=8, seed=3)
+        k = to_matrix(T).matrix * spec.npoints
+        points = spec.points()
+        rng = np.random.default_rng(3)
+        for s, got in zip(rep.sigma_grid, rep.per_sigma):
+            r = 2.0 * rep.unit_scale * (s if variant == "a1" else s**rep.rho)
+            best = 0.0
+            for _ in range(8):
+                z = int(rng.integers(0, spec.npoints))
+                d = torus_distance(points, points[z])
+                near = np.flatnonzero(d <= s)
+                y = int(near[rng.integers(0, near.size)])
+                diff = np.abs(k[:, y] - k[:, z]) if variant == "a1" else np.abs(k[y] - k[z])
+                best = max(best, float(np.sum(diff[d > r]) / spec.npoints))
+            assert got == pytest.approx(best, rel=1e-12)
 
     def test_sigma_grid_validation(self):
         J = PdoOperator.from_family(bessel(-2.0), GridSpec((64,)))

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import toruslab
 from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec, ball, constant_function, forward_dft
 from toruslab.operators import PdoOperator
@@ -223,6 +228,14 @@ class TestBmoSlabs:
         for bound, osc in zip(_oscillation_bounds(f, balls), full_gather_oscillations(f)):
             assert np.all(bound >= osc)
 
+    @pytest.mark.parametrize("kind", ["constant", "zero"])
+    def test_constant_reads_no_ball(self, kind, monkeypatch):
+        calls = []
+        median = np.median
+        monkeypatch.setattr(np, "median", lambda *a, **k: calls.append(1) or median(*a, **k))
+        assert bmo_norm(sample_function(kind, (64, 64))).value == 0.0
+        assert calls == []
+
     def test_memory_bounded_by_a_slab(self):
         f = random_function(GridSpec((64, 64)), 32)
         tracemalloc.start()
@@ -277,7 +290,29 @@ class TestAtoms:
             make_atom((0.5,), 0.8, profile)
 
 
+def maximal_oracle(f: GridFunction):
+    """Mf by direct summation: max of |f| and every family ball's mean of |f|
+    over the points of that ball."""
+    spec = f.spec
+    a = np.abs(f.values).ravel()
+    out = np.array(a)
+    for radius in dyadic_radii(spec):
+        for c in spec.points():
+            idx = ball(c, radius, spec)
+            out[idx] = np.maximum(out[idx], a[idx].sum() / idx.size)
+    return out.reshape(spec.sizes)
+
+
 class TestMaximal:
+    @pytest.mark.parametrize("sizes", [(256,), (64,), (16, 16), (8, 32), (8, 8, 4)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    @pytest.mark.parametrize("kind", ["complex", "spike", "signs"])
+    def test_matches_direct_sum(self, kind, sizes):
+        f = sample_function(kind, sizes)
+        want = maximal_oracle(f)
+        got = maximal_function(f).values.real
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
     def test_constant(self):
         f = constant_function(GridSpec((32,)), -2.0)
         assert np.allclose(maximal_function(f).values, 2.0, atol=1e-12)
@@ -391,3 +426,11 @@ class TestCZ:
             np.abs(f.values)
         )
         assert np.max(np.abs(dec.good.values)) <= 4 * lam + 1e-12
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, toruslab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(toruslab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
