@@ -44,14 +44,20 @@ SLOPE_BOUNDED = 0.05
 SLOPE_GROWTH = 0.15
 ASCENT_STEPS = 50
 H1_UNIT_SCALE = 0.125  # h1_l1_experiment: atom radii below it count as small scale
+WEAK11_FINEST_BUMP = 5  # weak11 bump radii are 2^-2 ... 2^-WEAK11_FINEST_BUMP
 EFFECTIVE_ORDER_SHELL_LO = 2.0  # effective_order: lower edge of the first dyadic shell
 
 
-def _norm(values: np.ndarray, p: float, G: int) -> float:
-    a = np.abs(values)
+def _norms(stack: np.ndarray, p: float, G: int) -> list:
+    """The L^p norm of each row of a stack, each summed and powered on its own."""
+    a = np.abs(stack)
     if math.isinf(p):
-        return float(a.max())
-    return float((np.sum(a**p) / G) ** (1.0 / p))
+        return [float(row.max()) for row in a]
+    return [float((np.sum(row) / G) ** (1.0 / p)) for row in a**p]
+
+
+def _norm(values: np.ndarray, p: float, G: int) -> float:
+    return _norms(values[None], p, G)[0]
 
 
 @dataclass
@@ -138,15 +144,16 @@ def l2_norm(op, seed: int = 0, tol: float = 1e-9, max_iter: int = 500) -> NormEs
 # ---------------------------------------------------------------------------
 
 
-def _dual_map(values: np.ndarray, q: float) -> np.ndarray:
-    """Holder-extremal pairing element for the L^q norm of ``values``."""
-    a = np.abs(values)
+def _dual_map(stack: np.ndarray, q: float) -> np.ndarray:
+    """Holder-extremal pairing element for the L^q norm of each row of ``stack``."""
     if math.isinf(q):
-        out = np.zeros_like(values)
-        pos = np.unravel_index(int(np.argmax(a)), values.shape)
-        out[pos] = values[pos] / max(a[pos], 1e-300)
-        return out
-    sign = np.where(a > 0, values / np.where(a == 0, 1.0, a), 0.0)
+        flat = stack.reshape(len(stack), -1)
+        at = (np.arange(len(stack)), np.abs(flat).argmax(axis=1))
+        out = np.zeros(flat.shape, dtype=stack.dtype)
+        out[at] = flat[at] / np.maximum(np.abs(flat[at]), 1e-300)
+        return out.reshape(stack.shape)
+    a = np.abs(stack)
+    sign = np.where(a > 0, stack / np.where(a == 0, 1.0, a), 0.0)
     return a ** (q - 1.0) * sign
 
 
@@ -173,9 +180,10 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
 
     The ascent reweights by the dual exponents: h is the L^q-pairing
     extremizer of Tf, and the next iterate is the L^p-pairing extremizer of
-    T*h.  Fifty steps, best iterate kept; the result is always a certified
-    lower bound with a stored witness.  Each iterate is applied once: the
-    image that scores it is the Tf of the next step.
+    T*h.  The battery is one stacked apply; its four best start four chains
+    of fifty steps in lockstep, one adjoint and one apply per step serving
+    every live chain.  A chain stops when its iterate vanishes.  The witness
+    is the first best ratio in battery order, then chain by chain, step by step.
     """
     if not (1 <= p) or not (1 <= q):
         raise ValidationError(f"exponents ({p:g}, {q:g}) must be >= 1")
@@ -184,38 +192,40 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     rng = np.random.default_rng(seed)
     pp = math.inf if p == 1 else (p / (p - 1.0) if not math.isinf(p) else 1.0)
 
-    best_ratio, best_witness = 0.0, None
+    def scored(stack):
+        """(ratios, images) of a value stack; a row of norm 0 scores 0, with image 0."""
+        norms = _norms(stack, p, G)
+        images = op.apply(stack)
+        images[np.array(norms) == 0] = 0
+        return [r / nv if nv else 0.0 for r, nv in zip(_norms(images, q, G), norms)], images
 
-    def consider(values):
-        """(ratio, Tf) of ``values``; T0 = 0 is not applied."""
-        nonlocal best_ratio, best_witness
-        nv = _norm(values, p, G)
-        if nv == 0:
-            return 0.0, np.zeros_like(values)
-        f = GridFunction(spec, values)
-        Tf = op.apply(f).values
-        ratio = _norm(Tf, q, G) / nv
-        if ratio > best_ratio:
-            best_ratio, best_witness = ratio, f
-        return ratio, Tf
+    best = [(0.0, None)] * 5  # (ratio, witness): the battery's best, then each chain's
 
-    scored = [consider(values) for values in _witness_battery(spec, rng, trials)]
-    order = np.argsort([ratio for ratio, _ in scored])[::-1]
-    for _, g in [scored[i] for i in order[:4]]:
-        for _ in range(ASCENT_STEPS):
-            h = _dual_map(g, q)
-            if not np.any(h):
-                break
-            u = op.apply_adjoint(GridFunction(spec, h)).values
-            f = _dual_map(u, pp)
-            scale = np.max(np.abs(f))
-            if scale == 0:
-                break
-            _, g = consider(f / scale)
+    def keep(slots, ratios, stack):
+        for slot, ratio, row in zip(slots, ratios, stack):
+            if ratio > best[slot][0]:
+                best[slot] = ratio, row.copy()
+
+    battery = np.array(_witness_battery(spec, rng, trials))
+    ratios, g = scored(battery)
+    keep([0] * len(battery), ratios, battery)
+    starts = np.argsort(ratios)[::-1][:4]
+    g, chains = g[starts], 1 + np.arange(len(starts))  # the live chains: images, best slots
+    for _ in range(ASCENT_STEPS):
+        # h = _dual_map(g, q); a chain whose h is 0 gets an iterate of 0 and stops
+        f = _dual_map(op.apply_adjoint(_dual_map(g, q)), pp)
+        scale = np.abs(f).reshape(len(f), -1).max(axis=1)
+        f, scale, chains = f[scale != 0], scale[scale != 0], chains[scale != 0]
+        if len(chains) == 0:
+            break
+        f /= scale.reshape((-1,) + (1,) * spec.dim)
+        ratios, g = scored(f)
+        keep(chains, ratios, f)
+    best_ratio, best_witness = max(best, key=lambda b: b[0])  # the first of the best
 
     if best_witness is None:
-        best_witness = GridFunction(spec, np.ones(spec.sizes, dtype=complex))
-        best_ratio = consider(best_witness.values)[0]
+        best_witness = np.ones(spec.sizes, dtype=complex)
+        best_ratio = scored(best_witness[None])[0][0]
     return NormEstimate(
         p=float(p),
         q=float(q),
@@ -224,7 +234,7 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
         trials=trials,
         seed=seed,
         truncation=spec.sizes,
-        witness=best_witness,
+        witness=GridFunction(spec, best_witness),
         label=op.label,
     )
 
@@ -387,6 +397,15 @@ def _truncations(op, truncations=None) -> list:
     return sorted(truncations)
 
 
+def _check_radius(radius: float, truncations: list, dim: int, field: str):
+    """Raise before any work if a ball of ``radius`` can miss every point of the
+    coarsest grid: below half its spacing times sqrt(n)."""
+    N, reach = truncations[0], math.sqrt(dim) / (2 * truncations[0])
+    if radius < reach:
+        raise ValidationError(f"a ball of radius {radius:g} can miss every point of the {N}^{dim} "
+                              f"grid (half its spacing x sqrt({dim}) is {reach:g})", field=field)
+
+
 def _rebuilt(op, truncations: list):
     """(N, op rebuilt on the N^n grid) for each N of ``_truncations``.  Each
     operator is built when the previous one is done with, so one rebuilt
@@ -445,7 +464,7 @@ def _weak11_trial_params(rng, trials: int, dim: int):
         if kind == 0:
             params.append(("spike", rng.random(dim)))
         elif kind == 1:
-            radius = 2.0 ** -int(rng.integers(2, 6))
+            radius = 2.0 ** -int(rng.integers(2, WEAK11_FINEST_BUMP + 1))
             center = rng.random(dim)
             coeffs = rng.standard_normal(17)
             params.append(("bump", (center, radius, coeffs)))
@@ -494,6 +513,7 @@ def weak11_experiment(
     truncations (N and 2N by default) and reports the relative change.
     """
     truncations = _truncations(op, truncations)
+    _check_radius(2.0**-WEAK11_FINEST_BUMP, truncations, op.spec.dim, "truncations")
     if lam_grid is None:
         lam_grid = list(np.geomspace(1e-3, 1e3, 61))
     params = _weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
@@ -581,6 +601,7 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
         atom_radii = [2.0**-k for k in range(2, 7)]
     if len(atom_radii) == 0:
         raise ValidationError("needs at least one radius", field="atom_radii")
+    _check_radius(min(atom_radii), truncations, op.spec.dim, "atom_radii")
     rng = np.random.default_rng(seed)
     draws = {
         radius: [(rng.random(op.spec.dim), rng.standard_normal(33)) for _ in range(trials)]

@@ -114,6 +114,13 @@ class FrequencyLattice:
         return np.sqrt(1.0 + sq)
 
 
+def finite_values(values: np.ndarray) -> np.ndarray:
+    """``values``, unless some are non-finite."""
+    if not np.isfinite(values).all():
+        raise ValidationError("grid function contains non-finite values")
+    return values
+
+
 @dataclass
 class GridFunction:
     """Complex samples of a function on a GridSpec."""
@@ -130,9 +137,7 @@ class GridFunction:
                 raise ValidationError(
                     f"value count {v.size} != grid size {self.spec.npoints}"
                 )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("grid function contains non-finite values")
-        self.values = v
+        self.values = finite_values(v)
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.spec, self.values.copy())

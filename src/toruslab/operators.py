@@ -24,8 +24,11 @@ M and the kernel rows (any lattice sub-box included) are G M regathered by
 offset.  Above MATRIX_GUARD grid points nothing is stored; apply and
 adjoint recompute the row blocks on every call.
 
-Every operator carries ``spec``, ``label``, ``class_params``, ``apply``,
-``apply_adjoint`` and ``on(spec)``, the same operator on another grid.  The
+``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
+shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
+function, a streamed block built once), each function bit for bit as alone.
+Every operator also carries ``spec``, ``label``, ``class_params`` and
+``on(spec)``, the same operator on another grid.  The
 types are PdoOperator (Op(p) for a symbol expression), MultiplierOperator
 (a PdoOperator with a given profile), ComposedOperator (J^s o T),
 AdjointOperator (T*) and DenseOperatorMatrix; a given table cannot be
@@ -49,7 +52,7 @@ import numpy as np
 
 from .calculus import ClassParams
 from .errors import SizeGuardError, ValidationError
-from .grid import GridFunction, GridSpec
+from .grid import GridFunction, GridSpec, finite_values
 from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
 MATRIX_GUARD = 4096  # largest G for dense constructions and stored grid-basis matrices
@@ -64,16 +67,27 @@ def inner_product(f: GridFunction, g: GridFunction) -> complex:
     return complex(np.sum(f.values * np.conj(g.values)) / f.spec.npoints)
 
 
-def _grid_values(spec: GridSpec, f: GridFunction) -> np.ndarray:
-    """The values of ``f``, which must live on the operator's grid ``spec``."""
-    if f.spec == spec:
-        return f.values
-    raise ValidationError(f"grid mismatch: function on {f.spec.sizes}, operator on {spec.sizes}")
+def _stacked(act):
+    """Lift ``act(spec, F, table)`` on a value stack F, shape (B,) + spec.sizes,
+    to a GridFunction (the stack of one) or to a stack, checked on both ends."""
+
+    def lifted(spec: GridSpec, f, table):
+        one = isinstance(f, GridFunction)  # a GridFunction's values are checked when built
+        stack = f.values[None] if one else np.asarray(f, dtype=np.complex128)
+        if stack.shape[1:] != spec.sizes:
+            sizes = stack.shape[1:]
+            raise ValidationError(f"grid mismatch: function on {sizes}, operator on {spec.sizes}")
+        out = act(spec, stack if one else finite_values(stack), table)
+        return GridFunction(spec, out[0]) if one else finite_values(out)
+
+    return lifted
 
 
-def _multiply(spec: GridSpec, f: GridFunction, table: np.ndarray) -> GridFunction:
+@_stacked
+def _multiply(spec: GridSpec, F: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Fourier multiplier, table in FFT order: ifftn(fftn(f) * table), as 1/G and G cancel."""
-    return GridFunction(spec, np.fft.ifftn(np.fft.fftn(_grid_values(spec, f)) * table))
+    axes = tuple(range(1, 1 + spec.dim))  # with the sizes given, numpy skips a shape lookup
+    return np.fft.ifftn(np.fft.fftn(F, spec.sizes, axes) * table, spec.sizes, axes)
 
 
 def _fft_table(profile, label: str):
@@ -86,22 +100,24 @@ def _fft_table(profile, label: str):
     return profile, table
 
 
-def _dense_apply(spec: GridSpec, f: GridFunction, blocks) -> GridFunction:
-    """M @ f, M given as (rows, M[rows]) pairs."""
-    fvals = _grid_values(spec, f).ravel()
-    out = np.empty(spec.npoints, dtype=np.complex128)
+@_stacked
+def _dense_apply(spec: GridSpec, F: np.ndarray, blocks) -> np.ndarray:
+    """M @ f, M given as (rows, M[rows]) pairs; one gemv per function of the stack."""
+    fvals = F.reshape(len(F), spec.npoints, 1)
+    out = np.empty(fvals.shape, dtype=np.complex128)
     for rows, block in blocks:
-        out[rows] = block @ fvals
-    return GridFunction(spec, out.reshape(spec.sizes))
+        out[:, rows] = block @ fvals
+    return out.reshape(F.shape)
 
 
-def _dense_adjoint(spec: GridSpec, g: GridFunction, blocks) -> GridFunction:
+@_stacked
+def _dense_adjoint(spec: GridSpec, F: np.ndarray, blocks) -> np.ndarray:
     """conj(conj(g) @ M), M given as (rows, M[rows]) pairs; no transposed copy."""
-    gbar = np.conj(_grid_values(spec, g).ravel())
-    acc = np.zeros(spec.npoints, dtype=np.complex128)
+    gbar = np.conj(F.reshape(len(F), 1, spec.npoints))
+    acc = np.zeros(gbar.shape, dtype=np.complex128)
     for rows, block in blocks:
-        acc += gbar[rows] @ block
-    return GridFunction(spec, np.conj(acc).reshape(spec.sizes))
+        acc += gbar[..., rows] @ block
+    return np.conj(acc).reshape(F.shape)
 
 
 def resolve_family(text: str, class_params=None):
@@ -274,14 +290,11 @@ def to_matrix(op) -> DenseOperatorMatrix:
     elif isinstance(op, PdoOperator):
         matrix = op._grid_matrix()
     else:
-        # generic fallback: columns by application to basis vectors
+        # generic fallback: column y is the image of the y-th basis vector
         matrix = np.empty((G, G), dtype=np.complex128)
-        basis = np.zeros(spec.sizes, dtype=np.complex128)
-        flat = basis.ravel()
-        for y in range(G):
-            flat[y] = 1.0
-            matrix[:, y] = op.apply(GridFunction(spec, basis.copy())).values.ravel()
-            flat[y] = 0.0
+        for start in range(0, G, _CHUNK):
+            basis = np.eye(min(_CHUNK, G - start), G, start).reshape((-1,) + spec.sizes)
+            matrix[:, start:start + _CHUNK] = op.apply(basis).reshape(-1, G).T
     return DenseOperatorMatrix(spec, matrix, label=op.label, class_params=op.class_params)
 
 

@@ -257,7 +257,14 @@ class TestErrorsAndDeterminism:
          ("weak11", "weak11.truncations=[]", "weak11.truncations"),
          ("h1l1", "h1l1.truncations=[48]", "h1l1.truncations"),
          ("bmo", "grid=[4]", "bmo.truncations"),
-         ("bmo", "bmo.truncations=[4,8]", "bmo.truncations")],
+         ("bmo", "bmo.truncations=[4,8]", "bmo.truncations"),
+         # a ball smaller than half the coarsest spacing x sqrt(n) can miss every point
+         ("weak11", "grid=[4]", "weak11.truncations"),
+         ("weak11", "grid=[8]", "weak11.truncations"),
+         ("weak11", "weak11.truncations=[8,64]", "weak11.truncations"),
+         ("h1l1", "grid=[4]", "h1l1.radii"),
+         ("h1l1", "grid=[8]", "h1l1.radii"),
+         ("h1l1", "h1l1.radii=[0.25,0.01]", "h1l1.radii")],
     )
     def test_endpoint_setting_errors_name_the_config_field(self, tmp_path, capsys, command,
                                                             setting, field):
@@ -268,6 +275,7 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1
         assert err.startswith(f"error: {field}: ")
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):

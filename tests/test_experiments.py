@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import numpy.linalg as la
@@ -154,26 +155,91 @@ class TestLowerBound:
 
 
 class Counting:
-    """Wraps an operator and counts its applies and adjoints."""
+    """Wraps an operator and counts its apply and adjoint calls, and the
+    functions they act on: one for a GridFunction, B for a value stack."""
 
     def __init__(self, op):
         self.op, self.spec, self.label = op, op.spec, op.label
-        self.applies = self.adjoints = 0
+        self.applies = self.adjoints = self.apply_calls = self.adjoint_calls = 0
+
+    @staticmethod
+    def functions(f):
+        return 1 if isinstance(f, GridFunction) else len(f)
 
     def apply(self, f):
-        self.applies += 1
+        self.applies += self.functions(f)
+        self.apply_calls += 1
         return self.op.apply(f)
 
     def apply_adjoint(self, g):
-        self.adjoints += 1
+        self.adjoints += self.functions(g)
+        self.adjoint_calls += 1
         return self.op.apply_adjoint(g)
+
+
+def sequential_dual_map(values, q):
+    """The Holder dual map of one grid function, as the sequential ascent had it."""
+    a = np.abs(values)
+    if np.isinf(q):
+        out = np.zeros_like(values)
+        pos = np.unravel_index(int(np.argmax(a)), values.shape)
+        out[pos] = values[pos] / max(a[pos], 1e-300)
+        return out
+    sign = np.where(a > 0, values / np.where(a == 0, 1.0, a), 0.0)
+    return a ** (q - 1.0) * sign
+
+
+def sequential_norm(values, p, G):
+    a = np.abs(values)
+    if np.isinf(p):
+        return float(a.max())
+    return float((np.sum(a**p) / G) ** (1.0 / p))
+
+
+def sequential_lower_bound(op, p, q, trials, seed):
+    """Reference: the battery scored one function at a time, then the four
+    ascents run one after the other, each iterate applied once."""
+    spec, G = op.spec, op.spec.npoints
+    rng = np.random.default_rng(seed)
+    pp = np.inf if p == 1 else (p / (p - 1.0) if not np.isinf(p) else 1.0)
+    best_ratio, best_witness = 0.0, None
+
+    def consider(values):
+        nonlocal best_ratio, best_witness
+        nv = sequential_norm(values, p, G)
+        if nv == 0:
+            return 0.0, np.zeros_like(values)
+        f = GridFunction(spec, values)
+        Tf = op.apply(f).values
+        ratio = sequential_norm(Tf, q, G) / nv
+        if ratio > best_ratio:
+            best_ratio, best_witness = ratio, f
+        return ratio, Tf
+
+    scored = [consider(values) for values in experiments._witness_battery(spec, rng, trials)]
+    order = np.argsort([ratio for ratio, _ in scored])[::-1]
+    for _, g in [scored[i] for i in order[:4]]:
+        for _ in range(ASCENT_STEPS):
+            h = sequential_dual_map(g, q)
+            if not np.any(h):
+                break
+            u = op.apply_adjoint(GridFunction(spec, h)).values
+            f = sequential_dual_map(u, pp)
+            scale = np.max(np.abs(f))
+            if scale == 0:
+                break
+            _, g = consider(f / scale)
+    if best_witness is None:
+        best_witness = GridFunction(spec, np.ones(spec.sizes, dtype=complex))
+        best_ratio = consider(best_witness.values)[0]
+    return best_ratio, best_witness.values
 
 
 def twice_applied_lower_bound(op, p, q, trials, seed):
     """Reference: the battery and ascent with every iterate applied twice,
     once to score it and once more at the start of the next step."""
     spec, G = op.spec, op.spec.npoints
-    norm, dual = experiments._norm, experiments._dual_map
+    norm, dual = sequential_norm, sequential_dual_map
     rng = np.random.default_rng(seed)
     pp = np.inf if p == 1 else (p / (p - 1.0) if not np.isinf(p) else 1.0)
     best = [0.0, None]
@@ -214,6 +280,8 @@ class TestAscentAppliesOnce:
         lp_lq_lower_bound(T, 4.0, 4.0, trials=12, seed=7)
         # 12 battery starts, then 4 ascents of ASCENT_STEPS (adjoint, apply) steps
         assert (T.applies, T.adjoints) == (12 + 4 * ASCENT_STEPS, 4 * ASCENT_STEPS)
+        # the battery is one stack, and each lockstep step one adjoint and one apply
+        assert (T.apply_calls, T.adjoint_calls) == (1 + ASCENT_STEPS, ASCENT_STEPS)
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.name)
@@ -223,6 +291,55 @@ class TestAscentAppliesOnce:
         value, witness = twice_applied_lower_bound(PdoOperator.from_family(fam, spec), p, p, 12, 7)
         assert est.value == value
         assert np.array_equal(est.witness.values, witness)
+
+
+EXPONENTS = [1.0, 1.5, 2.0, 4.0, np.inf]
+
+
+class TestLockstepAscent:
+    """The stacked battery and lockstep chains are the sequential loop, bit for bit."""
+
+    OPERATORS = {
+        "multiplier-1d": lambda: PdoOperator.from_family(wainger(0.5, 0.25), GridSpec((64,))),
+        "general-1d": lambda: PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec((64,))),
+        "multiplier-2d": lambda: PdoOperator.from_family(bessel(-1.0), GridSpec((8, 16))),
+        "general-2d": lambda: PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), GridSpec((8, 8))),
+    }
+
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("p", EXPONENTS)
+    @pytest.mark.parametrize("kind", list(OPERATORS))
+    def test_equals_the_sequential_loop(self, kind, p, q):
+        op = self.OPERATORS[kind]()
+        est = lp_lq_lower_bound(op, p, q, trials=12, seed=11)
+        value, witness = sequential_lower_bound(op, p, q, 12, 11)
+        assert est.value == value
+        assert np.array_equal(est.witness.values, witness)
+
+    @pytest.mark.parametrize("sizes", [(32,), (8, 8)])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_zero_operator_chains_stop_at_step_one(self, sizes, p):
+        T = Counting(PdoOperator.from_text("0", GridSpec(sizes)))
+        est = lp_lq_lower_bound(T, p, p, trials=12, seed=2)
+        value, witness = sequential_lower_bound(T.op, p, p, 12, 2)
+        assert est.value == value == 0.0
+        assert np.array_equal(est.witness.values, witness)
+        # every h is 0, so every iterate is 0 and all four chains stop at their
+        # first adjoint; the battery and then the fallback, ones, are applied
+        assert (T.apply_calls, T.adjoint_calls, T.adjoints) == (2, 1, 4)
+
+    def test_one_lower_bound_stays_small(self):
+        # a per-step witness history would take >= 6.5 MiB here
+        op = PdoOperator.from_family(wainger(0.5, 0.25), GridSpec((2048,)))
+        # a first call also pays one-off costs (the table, numpy's first draws)
+        lp_lq_lower_bound(op, 4.0, 4.0, trials=12, seed=6)
+        tracemalloc.start()
+        try:
+            lp_lq_lower_bound(op, 4.0, 4.0, trials=12, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestThresholdSweep:

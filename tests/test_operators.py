@@ -533,14 +533,14 @@ class TestMultiplierTable:
             MultiplierOperator(profile, GridSpec((16,)), label="stored")
 
 
-def grid_mismatch_cases():
-    spec = GridSpec((16,))
+def operator_cases(spec=GridSpec((16,))):
+    """One operator of every type on ``spec``."""
     general = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
     multiplier = PdoOperator.from_family(bessel(-1.0), spec)
     return {
         "general": general,
         "multiplier": multiplier,
-        "stored": MultiplierOperator(np.ones(16), spec),
+        "stored": MultiplierOperator(np.random.default_rng(4).standard_normal(spec.sizes), spec),
         "composed": compose_bessel(general, -0.5, "left"),
         "composed-multiplier": ComposedOperator(multiplier, 0.5),
         "adjoint": AdjointOperator(multiplier),
@@ -549,15 +549,93 @@ def grid_mismatch_cases():
 
 
 class TestGridMismatch:
-    @pytest.mark.parametrize("kind", list(grid_mismatch_cases()))
+    @pytest.mark.parametrize("kind", list(operator_cases()))
     @pytest.mark.parametrize("sizes", [(16, 16), (32,)])
     def test_every_operator_checks_the_grid(self, kind, sizes):
-        op = grid_mismatch_cases()[kind]
+        op = operator_cases()[kind]
         f = random_function(GridSpec(sizes), 0)
         with pytest.raises(ValidationError, match="grid mismatch"):
             op.apply(f)
         with pytest.raises(ValidationError, match="grid mismatch"):
             op.apply_adjoint(f)
+
+
+def random_stack(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count,) + spec.sizes
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestStacks:
+    """A value stack of shape (B,) + sizes is applied in one call; each of its
+    functions comes out as the single-function apply gives it, bit for bit."""
+
+    SIZES = [(64,), (8, 16), (4, 8, 4)]
+
+    @staticmethod
+    def assert_stack_equals_single(op, spec):
+        F, H = random_stack(spec, 5, 1), random_stack(spec, 5, 2)
+        TF, TH = op.apply(F), op.apply_adjoint(H)
+        assert TF.shape == TH.shape == F.shape
+        for b in range(len(F)):
+            assert np.array_equal(TF[b], op.apply(GridFunction(spec, F[b])).values)
+            assert np.array_equal(TH[b], op.apply_adjoint(GridFunction(spec, H[b])).values)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_stack_equals_single(self, sizes):
+        spec = GridSpec(sizes)
+        for op in operator_cases(spec).values():
+            self.assert_stack_equals_single(op, spec)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_streamed_stack_equals_single(self, monkeypatch, sizes):
+        # as in test_streamed_blocks_match_table: nothing stored, a partial last block
+        monkeypatch.setattr(operators, "MATRIX_GUARD", 16)
+        monkeypatch.setattr(operators, "_CHUNK", 24)
+        spec = GridSpec(sizes)
+        general = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+        for op in (general, ComposedOperator(general, -0.5), AdjointOperator(general)):
+            self.assert_stack_equals_single(op, spec)
+        assert general._matrix is None
+
+    def test_streamed_blocks_are_built_once_per_stack(self, monkeypatch):
+        monkeypatch.setattr(operators, "MATRIX_GUARD", 16)
+        spec = GridSpec((64,))
+        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+        calls = []
+        rows = T.symbol_rows
+        monkeypatch.setattr(T, "symbol_rows", lambda flat: calls.append(flat.size) or rows(flat))
+        T.apply(random_stack(spec, 6, 0))
+        T.apply_adjoint(random_stack(spec, 6, 1))
+        assert sum(calls) == 2 * spec.npoints
+
+    @pytest.mark.parametrize("kind", list(operator_cases()))
+    def test_stack_on_another_grid_raises(self, kind):
+        op = operator_cases()[kind]
+        for stack in (random_stack(GridSpec((32,)), 3, 0), random_stack(GridSpec((16,)), 1, 0)[0]):
+            with pytest.raises(ValidationError, match="grid mismatch: function on"):
+                op.apply(stack)
+            with pytest.raises(ValidationError, match="grid mismatch: function on"):
+                op.apply_adjoint(stack)
+
+    @pytest.mark.filterwarnings("error")  # rejected before any arithmetic on it
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", list(operator_cases()))
+    def test_non_finite_stack_raises(self, kind, bad):
+        op = operator_cases()[kind]
+        stack = random_stack(op.spec, 3, 0)
+        stack[1, 5] = bad
+        with pytest.raises(ValidationError, match="grid function contains non-finite values"):
+            op.apply(stack)
+        with pytest.raises(ValidationError, match="grid function contains non-finite values"):
+            op.apply_adjoint(stack)
+
+    def test_non_finite_output_raises(self):
+        spec = GridSpec((16,))
+        huge = MultiplierOperator(np.full(16, 1e300), spec)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValidationError, match="non-finite"):
+            huge.apply(np.full((2, 16), 1e300))
 
 
 class TestFromText:
