@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation error (bad config, bad expression),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import functools
@@ -158,39 +159,52 @@ _TYPE_CHECKS = {
     "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
     "a string": lambda value: isinstance(value, str),
     "an object": lambda value: isinstance(value, dict),
+    "a number > 0": lambda value: _is_number(value) and value > 0,
+    "a number >= 1": lambda value: _is_number(value) and value >= 1,
 }
-# the type a field whose default is null must have when it is set
-_NULLABLE_TYPES = {
+# the type a field must have where its default does not tell: a set field
+# whose default is null or that sits in one, and a number with a bound
+_FIELD_TYPES = {
     "class": "an object",
+    **{f"class.{key}": "a number" for key in ("m", "rho", "delta")},
     "compose": "an object",
+    "compose.s": "a number",
     "symbol_class.max_order": "a number",
     "quantize.input": "a string",
     "kernel.cutoff": "a number",
     "norms.input": "a string",
     "cz.input": "a string",
     **{f"{section}.truncations": "a list of numbers" for section in ("kernel", "weak11", "bmo", "h1l1")},
+    "weak11.lam_lo": "a number > 0",
+    "weak11.lam_hi": "a number > 0",
+    "weak11.lam_count": "a number >= 1",
+    "kernel.samples": "a number >= 1",
 }
 
 
 def _check_types(config: dict, defaults: dict, path=""):
-    """A field whose default is a bool must hold a bool, one whose default is
-    a number a number, and a set field whose default is null the type
-    _NULLABLE_TYPES names."""
+    """A set field must hold the type _FIELD_TYPES names, else a field whose
+    default is a bool a bool and one whose default is a number a number; the
+    fields of an object that replaces a null default are checked too."""
     for key, value in config.items():
         default, here = defaults.get(key), f"{path}.{key}" if path else key
         if isinstance(default, dict) and isinstance(value, dict):
             _check_types(value, default, here)
             continue
-        if isinstance(default, bool):
+        if value is None and key in defaults and default is None:
+            continue  # a null default left unset
+        if here in _FIELD_TYPES:
+            kind = _FIELD_TYPES[here]
+        elif isinstance(default, bool):
             kind = "true or false"
         elif _is_number(default):
             kind = "a number"
-        elif default is None and value is not None:
-            kind = _NULLABLE_TYPES.get(here)
         else:
             kind = None
         if kind is not None and not _TYPE_CHECKS[kind](value):
             raise ValidationError(f"must be {kind}, got {value!r}", field=here)
+        if default is None and isinstance(value, dict):
+            _check_types(value, {}, here)
 
 
 def validate_config(config: dict):
@@ -224,6 +238,15 @@ def config_class(config: dict):
     """The nominal class a raw expression is given in ``class``, or None."""
     cls = config["class"]
     return ClassParams(cls["m"], cls["rho"], cls["delta"]) if cls else None
+
+
+def resolve_symbol(config: dict):
+    """(expr, params, class) of the configured symbol: a built-in family with
+    its own class, or the raw expression with the config ``class``."""
+    family = family_from_text(config["symbol"])
+    if family is not None:
+        return family.expr, family.parameters, ClassParams(family.order, family.rho, family.delta)
+    return parse(config["symbol"]), None, config_class(config)
 
 
 def build_operator(config: dict):
@@ -321,13 +344,7 @@ def write_plot_data(out_dir: Path, name: str, columns, manifest: dict):
 
 def cmd_symbol_class(config):
     sub = config["symbol_class"]
-    text = config["symbol"]
-    family = family_from_text(text)
-    if family is not None:
-        expr, params = family.expr, family.parameters
-        nominal = ClassParams(family.order, family.rho, family.delta)
-    else:
-        expr, params, nominal = parse(text), None, config_class(config)
+    expr, params, nominal = resolve_symbol(config)
     est = fit_order(
         expr,
         dim=len(config["grid"]),
@@ -371,7 +388,8 @@ def cmd_kernel(config):
     payload, notes = {"max_abs": kernel.max_abs()}, []
     checks = sub["checks"]
     if "decay" in checks:
-        rep = decay_scan(kernel, int(sub["decay_exponent"]), float(cutoff), truncations)
+        with _config_fields("kernel"):
+            rep = decay_scan(kernel, int(sub["decay_exponent"]), float(cutoff), truncations)
         payload["decay"] = rep.to_dict()
     if "log" in checks:
         payload["log_bound"] = log_bound_check(kernel, float(cutoff)).to_dict()
@@ -487,8 +505,19 @@ def cmd_sweep(config):
     return payload, [record.calibration_note]
 
 
-# the config field, in the command's section, behind each experiment parameter
-_ENDPOINT_FIELDS = {"truncations": "truncations", "atom_radii": "radii"}
+# the config field, in the command's section, behind each library parameter
+_LIBRARY_FIELDS = {"truncations": "truncations", "atom_radii": "radii", "box": "truncations"}
+
+
+@contextlib.contextmanager
+def _config_fields(section: str):
+    """A ValidationError on a library parameter names its config field instead."""
+    try:
+        yield
+    except ValidationError as err:
+        if err.field not in _LIBRARY_FIELDS:
+            raise
+        raise ValidationError(err.reason, field=f"{section}.{_LIBRARY_FIELDS[err.field]}") from None
 
 
 def cmd_endpoint(config, command):
@@ -505,12 +534,8 @@ def cmd_endpoint(config, command):
     experiment = {"weak11": weak11_experiment, "bmo": linf_bmo_experiment,
                   "h1l1": h1_l1_experiment}[command]
     op = build_operator(config)
-    try:
+    with _config_fields(command):
         rep = experiment(op, **kwargs)
-    except ValidationError as err:
-        if err.field not in _ENDPOINT_FIELDS:
-            raise
-        raise ValidationError(err.reason, field=f"{command}.{_ENDPOINT_FIELDS[err.field]}") from None
     if command == "weak11":
         rep = rep.to_dict()
     print(f"max ratio={rep['max_ratio']:.6g} stability={rep['stability']:.4f}")
@@ -520,12 +545,9 @@ def cmd_endpoint(config, command):
 
 def cmd_admissible(config):
     sub = config["admissible"]
-    params = config_class(config)
+    params = resolve_symbol(config)[2]
     if params is None:
-        family = family_from_text(config["symbol"])
-        if family is None:
-            raise ValidationError("admissible needs class parameters or a family", field="class")
-        params = ClassParams(family.order, family.rho, family.delta)
+        raise ValidationError("admissible needs class parameters or a family", field="class")
     dim = len(config["grid"])
     p, q = float(sub["p"]), float(sub["q"])
     out = lp_lq_admissibility(params, p, q)

@@ -197,9 +197,11 @@ def decay_scan(kernel: KernelMatrix, exponent: int, cutoff: float, truncations) 
     if cutoff < 4.0 / base_n - 1e-12:
         raise ValidationError(f"cutoff {cutoff:g} is below four grid cells (4/{base_n})")
     truncs = sorted(int(t) for t in truncations)
+    if not truncs:
+        raise ValidationError("needs at least one truncation", field="truncations")
     if truncs[-1] > base_n:
         raise ValidationError(
-            f"truncation {truncs[-1]} exceeds the kernel grid size {base_n}"
+            f"truncation {truncs[-1]} exceeds the kernel grid size {base_n}", field="truncations"
         )
     suprema, eff = {}, {}
     for L in truncs:

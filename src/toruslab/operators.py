@@ -10,19 +10,22 @@ norms depend on the truncation.  Each operator works from one read-only
 table, built once.  A Fourier multiplier (x-independent symbol) keeps its
 profile sigma(xi) and a copy in FFT order, L = G complex entries from one
 evaluation of the symbol, or given outright (MultiplierOperator, and the
-J^s of a left composition); apply is two FFTs, ifftn(fftn(f) * table), the
-adjoint uses the conjugate table and the kernel rows one inverse FFT of
-it.  A non-finite table is rejected when built.
+J^s of a left composition); apply is two FFTs, ifftn(fftn(f) * table), and
+the adjoint uses the conjugate table.  A non-finite table is rejected when
+built.
 
-Every other PdoOperator's table is its grid-basis matrix
-M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi), 16 G^2 bytes, built in
-blocks of grid rows (the phase-symbol rows e^{2 pi i x.xi} p(x, xi), then
-one FFT over the lattice axes) at about the cost of one direct evaluation
-of the sum.  apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT
-and no transposed copy (DenseOperatorMatrix shares both); to_matrix returns
-M and the kernel rows (any lattice sub-box included) are G M regathered by
-offset.  Above MATRIX_GUARD grid points nothing is stored; apply and
-adjoint recompute the row blocks on every call.
+One transform turns a symbol into kernel values, the kernel rows
+K[r] = G ifftn(ifftshift p(x_r, .)), i.e. K[r, z] = k(x_r, x_r - z) for the
+Schwartz kernel k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi); a multiplier
+has one row, for every x.  A grid-basis block is kernel rows gathered by
+offset, M[r, y] = K[r, (x_r - y) mod N] / G.  Every other PdoOperator's
+table is its grid-basis matrix M, 16 G^2 bytes, built so in blocks of grid
+rows; a multiplier's dense matrix is its one row gathered.  apply is M @ f
+and the adjoint conj(conj(g) @ M), with no DFT and no transposed copy
+(DenseOperatorMatrix shares both); to_matrix returns M and the kernel rows
+(any lattice sub-box included) are G M regathered by offset.  Above
+MATRIX_GUARD grid points nothing is stored; apply and adjoint recompute
+the row blocks on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
@@ -37,11 +40,8 @@ composition folds into the symbol, Op(p) o J^s = Op(p <xi>^s), so it stays
 a PdoOperator with kernel synthesis and the calculus; left composition
 stays a composition.
 
-The dense matrix in the grid basis carries the quadrature weight:
-M[x, y] = (1/G) k(x, y) with k the Schwartz kernel, so that M @ f equals
-apply(T, f) for plain matrix-vector products.  Adjoints are numerical
-conjugate transposes; with the uniform 1/G inner product weight on both
-sides that is the exact adjoint.
+The weight 1/G in M makes M @ f equal apply(T, f), and the numerical
+conjugate transpose is the exact adjoint under the uniform 1/G inner product.
 """
 
 from __future__ import annotations
@@ -198,7 +198,19 @@ class PdoOperator:
         xs = tuple(pts[:, j][:, None] for j in range(self.spec.dim))
         xis = tuple(xi[:, j][None, :] for j in range(self.spec.dim))
         vals = eval_expr(self.expr, xs, xis, self.params)
-        return np.asarray(vals, dtype=np.complex128)
+        return np.broadcast_to(np.asarray(vals, dtype=np.complex128), (len(pts), len(xi)))
+
+    def kernel_rows(self, flat_rows=slice(None)) -> np.ndarray:
+        """Kernel rows in offset form, K[r] = G ifftn(ifftshift p(x_r, .)), so
+        K[r, z] = k(x_r, x_r - z), shape (rows,) + sizes for the given flat
+        grid rows (all by default); a multiplier's one row serves every x."""
+        axes = tuple(range(1, 1 + self.spec.dim))
+        if self.is_multiplier:
+            table = self._multiplier_table()[None]
+        else:
+            rows = self.symbol_rows(flat_rows).reshape((-1,) + self.lattice.sizes)
+            table = np.fft.ifftshift(rows, axes=axes)
+        return np.fft.ifftn(table, axes=axes, norm="forward")  # the unweighted sum, G ifftn
 
     def apply(self, f: GridFunction) -> GridFunction:
         if self.is_multiplier:
@@ -206,23 +218,16 @@ class PdoOperator:
         return _dense_apply(self.spec, f, self._matrix_blocks())
 
     def _matrix_rows(self):
-        """Successive blocks (rows, M[rows]) of the grid-basis matrix.
-
-        Each block is the phase-symbol rows e^{2 pi i x.xi} p(x, xi) followed
-        by one FFT over the lattice axes, which sums against e^{-2 pi i y.xi}.
-        """
-        x = self.spec.points()
-        xi = self.lattice.points().astype(float)
+        """Successive blocks (rows, M[rows]) of the grid-basis matrix: the
+        block's kernel rows gathered by offset, M[r, y] = K[r, (x_r - y) mod N] / G."""
         G = self.spec.npoints
-        axes = tuple(range(1, 1 + self.spec.dim))
         for start in range(0, G, _CHUNK):
             rows = np.arange(start, min(start + _CHUNK, G))
-            block = np.exp(2j * np.pi * (x[rows] @ xi.T)) * self.symbol_rows(rows)
-            block = np.fft.ifftshift(block.reshape((rows.size,) + self.lattice.sizes), axes=axes)
-            yield rows, np.fft.fftn(block, axes=axes).reshape(rows.size, G) / G
+            block = _swap_offset_axes(self.kernel_rows(rows), rows, self.spec)
+            yield rows, block.reshape(rows.size, G) / G
 
     def _grid_matrix(self) -> np.ndarray:
-        """M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi), built once, read-only."""
+        """M[x, y] = (1/G) k(x, y), the blocks of _matrix_rows stacked, built once, read-only."""
         _guard(self.spec)
         if self._matrix is None:
             matrix = np.empty((self.spec.npoints, self.spec.npoints), dtype=np.complex128)
@@ -285,10 +290,8 @@ def to_matrix(op) -> DenseOperatorMatrix:
         return op
     spec = op.spec
     G = spec.npoints
-    if isinstance(op, PdoOperator) and op.is_multiplier:
-        matrix = offsets_to_full(kernel_offset_rows(op), spec) / G
-    elif isinstance(op, PdoOperator):
-        matrix = op._grid_matrix()
+    if isinstance(op, PdoOperator):
+        matrix = offsets_to_full(op.kernel_rows(), spec) / G if op.is_multiplier else op._grid_matrix()
     else:
         # generic fallback: column y is the image of the y-th basis vector
         matrix = np.empty((G, G), dtype=np.complex128)
@@ -301,8 +304,8 @@ def to_matrix(op) -> DenseOperatorMatrix:
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form: K[r, z] = k(x_r, x_r - z), shape (G,) + sizes.
 
-    The rows are G times the dense matrix regathered by offset; a multiplier
-    transforms its one profile row and repeats it.  ``box`` keeps only the
+    A multiplier's rows are its one kernel row repeated, any other
+    operator's are G times its dense matrix regathered by offset.  ``box`` keeps only the
     frequencies of the centered sub-box of that per-axis size, an even
     integer >= 2, one Fourier filter along the offset axes; an axis no
     larger than the box stays whole.  The dense size guard applies.
@@ -313,10 +316,8 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     spec = op.spec
     G = spec.npoints
     axes = tuple(range(1, 1 + spec.dim))
-    if isinstance(op, PdoOperator) and op.is_multiplier:
-        K = np.fft.ifftn(op._multiplier_table())[None] * G
-    else:
-        K = full_to_offsets(to_matrix(op).matrix * G, spec)
+    multiplier = isinstance(op, PdoOperator) and op.is_multiplier
+    K = op.kernel_rows() if multiplier else full_to_offsets(to_matrix(op).matrix * G, spec)
     if box is not None:
         xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
         inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
@@ -326,37 +327,34 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     return K.reshape((G,) + spec.sizes)
 
 
-def _swap_offset_axes(values: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """out[r, w] = values[r, (x_r - w) mod N] for multi-indices r, w.
+def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """out[i, w] = values[i, (x_r - w) mod N] for r = flat_rows[i] and
+    multi-indices w, shape (rows,) + sizes; one value row serves every row.
 
     The map w -> (x_r - w) mod N is its own inverse, so one gather serves
     both directions between dense rows k(x_r, y) and offset rows
     k(x_r, x_r - z).  The index arrays broadcast per axis and hold
-    sum_j N_j^2 entries; axis sizes are powers of two, so the reduction
-    mod N is a bit mask.
+    rows * sum_j N_j entries; axis sizes are powers of two, so the
+    reduction mod N is a bit mask.
     """
     sizes, dim = spec.sizes, spec.dim
-    rows, offsets = [], []
-    for ax, n in enumerate(sizes):
-        k = np.arange(n, dtype=np.int32)
-        shape = [1] * (2 * dim)
-        shape[ax] = n
-        rows.append(k.reshape(shape))
-        shape[dim + ax] = n
-        offsets.append(((k[:, None] - k[None, :]) & (n - 1)).reshape(shape))
-    values = np.asarray(values, dtype=np.complex128).reshape(sizes + sizes)
-    return values[tuple(rows + offsets)]
+    values = np.asarray(values, dtype=np.complex128).reshape((-1,) + sizes)
+    index = [np.arange(len(flat_rows)).reshape((-1,) + (1,) * dim) if len(values) > 1 else 0]
+    for ax, (x, n) in enumerate(zip(np.unravel_index(flat_rows, sizes), sizes)):
+        offsets = (x.astype(np.int32)[:, None] - np.arange(n, dtype=np.int32)) & (n - 1)
+        index.append(offsets.reshape((-1,) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax)))
+    return values[tuple(index)]
 
 
 def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Dense k(x, y) matrix from offset rows."""
+    """Dense k(x, y) matrix from offset rows, or from one row that serves all."""
     G = spec.npoints
-    return _swap_offset_axes(K_offsets, spec).reshape(G, G)
+    return _swap_offset_axes(K_offsets, np.arange(G), spec).reshape(G, G)
 
 
 def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Offset rows from the dense k(x, y) matrix."""
-    return _swap_offset_axes(kernel, spec).reshape((spec.npoints,) + spec.sizes)
+    return _swap_offset_axes(kernel, np.arange(spec.npoints), spec)
 
 
 class MultiplierOperator(PdoOperator):

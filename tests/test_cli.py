@@ -236,6 +236,13 @@ class TestErrorsAndDeterminism:
             ("bmo", "bessel(-2)", "bmo.truncations=[]"),
             ("bmo", "bessel(-2)", "grid=[4]"),
             ("bmo", "bessel(-2)", "bmo.truncations=[4,8]"),
+            ("quantize", "bessel(-2)", 'compose={"s":"abc"}'),
+            ("weak11", "bracket(xi)^(-1)", 'class={"m":"x","rho":1,"delta":0}'),
+            ("weak11", "bessel(-2)", "weak11.lam_lo=0"),
+            ("weak11", "bessel(-2)", "weak11.lam_count=-3"),
+            ("weak11", "bessel(-2)", "weak11.lam_count=0"),
+            pytest.param("kernel", "bessel(-2)", ("kernel.samples=0", 'kernel.checks=["sigma"]'),
+                         id="kernel-bessel(-2)-kernel.samples=0-kernel.checks=sigma"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -277,6 +284,17 @@ class TestErrorsAndDeterminism:
         assert err.startswith(f"error: {field}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("truncations", ["[0,32,64]", "[-8,32,64]", "[3,32,64]", "[16,128]"])
+    def test_kernel_truncation_errors_name_the_config_field(self, tmp_path, capsys, truncations):
+        code, out, err = run(
+            ["kernel", "--symbol", "bessel(-2)", "--grid", "64", "--out", str(tmp_path),
+             "--set", f"kernel.truncations={truncations}"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: kernel.truncations: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
         # a built-in family carries its own class; a config class beside it
@@ -296,7 +314,12 @@ class TestErrorsAndDeterminism:
          ("cz.level=true", "cz.level"), ('sweep.family_params={"a": "x"}', "sweep.family_params.a"),
          ("symbol_class.max_order=abc", "symbol_class.max_order"),
          ("kernel.cutoff=abc", "kernel.cutoff"), ("weak11.truncations=abc", "weak11.truncations"),
-         ("compose=5", "compose"), ("norms.input=5", "norms.input")],
+         ("compose=5", "compose"), ("norms.input=5", "norms.input"),
+         ('compose={"s": "abc"}', "compose.s"), ('class={"m": "x", "rho": 1, "delta": 0}', "class.m"),
+         ('class={"m": -1, "rho": 1, "delta": null}', "class.delta"),
+         ("weak11.lam_lo=0", "weak11.lam_lo"), ("weak11.lam_hi=-1", "weak11.lam_hi"),
+         ("weak11.lam_count=-3", "weak11.lam_count"), ("weak11.lam_count=0", "weak11.lam_count"),
+         ("kernel.samples=0", "kernel.samples")],
     )
     def test_mistyped_setting_names_its_field(self, tmp_path, capsys, setting, field):
         # a field whose default is a number must hold a number, a bool field a bool

@@ -150,6 +150,12 @@ class TestDecayScan:
         with pytest.raises(ValidationError):
             decay_scan(synthesize_kernel(T), 0, cutoff=4 / 128, truncations=[256])
 
+    def test_no_truncation_names_the_field(self):
+        T = PdoOperator.from_family(bessel(-2.0), GridSpec((128,)))
+        with pytest.raises(ValidationError) as err:
+            decay_scan(synthesize_kernel(T), 0, cutoff=4 / 128, truncations=[])
+        assert err.value.field == "truncations"
+
 
 class TestLogBound:
     def test_critical_order_log_fit(self):

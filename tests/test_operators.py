@@ -344,7 +344,7 @@ class TestPhaseSymbolTable:
         kernel_offset_rows(T, 4)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("sizes", [(64,), (16, 8)])
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (4, 8, 4)])
     def test_streamed_blocks_match_table(self, monkeypatch, sizes):
         spec = GridSpec(sizes)
         family = exotic(-0.5, 0.75, 1.0)
@@ -371,6 +371,35 @@ class TestPhaseSymbolTable:
             lhs = inner_product(T.apply(f), g)
             rhs = inner_product(f, T.apply_adjoint(g))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def direct_matrix(op):
+    """M[x, y] = (1/G) sum_xi e^{2 pi i (x-y).xi} p(x, xi) summed directly, each
+    phase e^{2 pi i x.xi} taken from x.xi = sum_j k_j xi_j / N_j reduced exactly mod 1."""
+    spec = op.spec
+    k = np.stack(np.unravel_index(np.arange(spec.npoints), spec.sizes), axis=-1)
+    xi = op.lattice.points()
+    turns = sum(np.mod(np.outer(k[:, j], xi[:, j]), n) / n for j, n in enumerate(spec.sizes))
+    phase = np.exp(2j * np.pi * turns)
+    x = spec.points()
+    p = eval_expr(op.expr, tuple(x.T[:, :, None]), tuple(xi.T[:, None, :].astype(float)), op.params)
+    return (phase * np.broadcast_to(p, phase.shape)) @ phase.conj().T / spec.npoints
+
+
+class TestKernelRows:
+    @pytest.mark.parametrize("sizes", [(64,), (16, 8), (4, 8, 4)])
+    def test_multiplier_matrix_equals_general_path(self, sizes):
+        # the same symbol made formally x-dependent takes the general path
+        spec = GridSpec(sizes)
+        multiplier = PdoOperator.from_text("bracket(xi)^(-1)", spec)
+        general = PdoOperator.from_text("bracket(xi)^(-1) + 0*x1", spec)
+        assert multiplier.is_multiplier and not general.is_multiplier
+        assert max_rel_diff(to_matrix(multiplier).matrix, to_matrix(general).matrix) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1024,), (32, 32)])
+    def test_stored_matrix_matches_direct_sum(self, sizes):
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec(sizes))
+        assert max_rel_diff(to_matrix(T).matrix, direct_matrix(T)) <= 1e-12
 
 
 def random_kernel(spec, seed):
