@@ -206,9 +206,9 @@ def decay_scan(kernel: KernelMatrix, exponent: int, cutoff: float, truncations) 
     suprema, eff = {}, {}
     for L in truncs:
         kern_L = synthesize_kernel(kernel.source, lattice_box=L)
-        cut_L = max(cutoff, 4.0 / L)
+        eff[L] = cut_L = max(cutoff, 4.0 / L)
         suprema[L] = _masked_decay_sup(kern_L, exponent, cut_L)
-        eff[L] = cut_L
+        del kern_L  # one truncated kernel alive at a time, not two
     smallest, largest = suprema[truncs[0]], suprema[truncs[-1]]
     ratio = largest / smallest if smallest > 0 else math.inf
     return KernelDecayReport(exponent, cutoff, suprema, eff, float(ratio))

@@ -56,9 +56,9 @@ from .grid import GridFunction, GridSpec, finite_values
 from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
 MATRIX_GUARD = 4096  # largest G for dense constructions and stored grid-basis matrices
-# Grid rows per block of the grid-basis matrix, whether the block is stored
-# or streamed: the transient memory of a block is a few times 16 * _CHUNK * G
-# bytes.
+# Grid rows per block of the grid-basis matrix, stored or streamed, and of a
+# kernel-row box filter: the transient memory of a block is a few times
+# 16 * _CHUNK * G bytes.
 _CHUNK = 256
 
 
@@ -321,7 +321,8 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     if box is not None:
         xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
         inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
-        K = np.fft.ifftn(np.fft.fftn(K, axes=axes) * inside, axes=axes)
+        for block in np.split(K, range(_CHUNK, len(K), _CHUNK)):  # views: no G^2 temporaries
+            block[...] = np.fft.ifftn(np.fft.fftn(block, axes=axes) * inside, axes=axes)
     if K.shape[0] < G:
         K = np.repeat(K, G, axis=0)
     return K.reshape((G,) + spec.sizes)

@@ -482,6 +482,13 @@ class TestOffsetRows:
         assert max_rel_diff(kernel_offset_rows(T, box), want) <= 1e-12
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_box_filter_by_row_blocks(self, monkeypatch, sizes):
+        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec(sizes))
+        whole = kernel_offset_rows(T, 4)  # one block: G <= _CHUNK
+        monkeypatch.setattr(operators, "_CHUNK", 5)  # blocks of 5 rows, the last one partial
+        assert np.array_equal(kernel_offset_rows(T, 4), whole)
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     @pytest.mark.parametrize("wrap", ["left", "adjoint"])
     def test_any_operator_can_be_truncated(self, sizes, wrap):
         spec = GridSpec(sizes)
