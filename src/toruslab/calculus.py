@@ -11,9 +11,10 @@ first differences) and the spatial-loss exponent delta (from first
 x-derivatives).  Fits are least squares in log-log coordinates with the two
 innermost shells excluded.
 
-seminorm_constant and fit_order share one evaluation, in which each shifted
-symbol d^beta_x p(x, xi + gamma) is evaluated once per shell for all alphas;
-so a fit's constants are seminorm_constant at its reference class.
+seminorm_constant and fit_order share one evaluation, in which each
+x-derivative d^beta_x p is evaluated once, on the union of the shifted shells,
+and every difference D^alpha reads offset views of that one lattice box; so a
+fit's constants are seminorm_constant at its reference class.
 
 x-derivatives come in two flavours: exact symbolic differentiation of the
 expression tree (always available, used by the fitting machinery) and
@@ -198,26 +199,60 @@ def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
     """max over the x-sample of |d^beta_x D^alpha_xi p(x, xi)| at each shell point.
 
     Returns the brackets <xi> of each shell's points and, per alpha, a list of
-    per-shell maxima.  Each shifted symbol d^beta_x p(x, xi + gamma) is
-    evaluated once per shell and shared by all alphas, whose differences sum in
-    difference_terms order; one shell's shifted values are held at a time.
+    per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
+    union of the shifted shells (xi + gamma for every shell point xi and every
+    gamma of every alpha), and scattered into a zeroed lattice box
+    [-R, R + reach]^dim.  Each D^alpha is the difference_terms sum of box views
+    offset by gamma, accumulated in place in that order, so it matches the
+    pointwise sum bit for bit.  Points outside the union are never evaluated:
+    the inner hole may hold a singularity (1/abs(xi) at xi = 0).
     """
     if x_resolution < 1:
         raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
     tree = diff_x_multi(expr, beta)
     r = x_resolution if depends_on_x(tree) else 1
     xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*[np.arange(r) / r] * dim, indexing="ij"))
-    gammas = {gamma for alpha in alphas for gamma, _ in difference_terms(alpha)}
-    brackets, maxima = [], {alpha: [] for alpha in alphas}
-    for lo, hi in shells:
-        xi = shell_lattice_points(lo, hi, dim).astype(float)
-        shifted = {g: eval_expr(tree, xs, tuple(xi[None, :, j] + g[j] for j in range(dim)), params)
-                   for g in gammas}
-        for alpha in alphas:
-            total = sum(coef * shifted[g] for g, coef in difference_terms(alpha))
-            maxima[alpha].append(np.max(np.abs(total), axis=0))
-        del shifted, total
-        brackets.append(np.sqrt(1.0 + np.sum(xi**2, axis=-1)))
+    terms = {alpha: list(difference_terms(alpha)) for alpha in alphas}
+    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
+    rad = max(int(np.max(np.abs(p))) for p in points)
+    core = (2 * rad + 1,) * dim
+    cells = [tuple((p + rad).T) for p in points]  # each shell's box indices, in its order
+
+    def offset(arr, gamma):
+        """The core-shaped view of a box-shaped array at xi + gamma."""
+        return arr[(...,) + tuple(slice(g, g + n) for g, n in zip(gamma, core))]
+
+    inside = np.zeros(core, dtype=bool)
+    for cell in cells:
+        inside[cell] = True
+    union = np.zeros(tuple(n + max(map(max, alphas)) for n in core), dtype=bool)
+    for gamma in {g for ts in terms.values() for g, _ in ts}:
+        offset(union, gamma)[...] |= inside
+    xi = tuple(axis[None, :] - float(rad) for axis in np.nonzero(union))
+    values = eval_expr(tree, xs, xi, params)
+    box = np.zeros((r**dim,) + union.shape, dtype=np.complex128)
+    box[:, union] = values
+    del values
+
+    # one x-sample row at a time, so every buffer is one core
+    total, modulus, scratch = np.empty(core, dtype=np.complex128), np.empty(core), None
+    maxima = {}
+    for alpha, ((gamma0, coef0), *rest) in terms.items():
+        peak = np.zeros(core)  # every |D^alpha| is >= 0, so a zero start moves no maximum
+        for row in box:
+            np.multiply(coef0, offset(row, gamma0), out=total)
+            for gamma, coef in rest:
+                # a +-1 term adds or subtracts its view: the same number as coef * view
+                if coef == 1:
+                    total += offset(row, gamma)
+                elif coef == -1:
+                    total -= offset(row, gamma)
+                else:
+                    scratch = np.multiply(coef, offset(row, gamma), out=scratch)
+                    total += scratch
+            np.maximum(peak, np.abs(total, out=modulus), out=peak)
+        maxima[alpha] = [peak[cell] for cell in cells]
+    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
     return brackets, maxima
 
 
@@ -318,7 +353,8 @@ def fit_order(
     vanishes identically contributes the best possible exponent of its kind
     (rho = 1, delta = 0), which never masks a worse direction.  The constants
     are seminorm_constant at the reference class (nominal, else fitted), each
-    from the same evaluation as the slopes.
+    from the same evaluation as the slopes: each x-derivative is evaluated
+    once, on the union of the shifted shells, and serves every alpha.
     """
     if max_order is None:
         max_order = math.ceil(dim / 2) + 1

@@ -383,7 +383,9 @@ def cmd_kernel(config):
     sub = config["kernel"]
     base_n = min(op.spec.sizes)
     cutoff = sub["cutoff"] if sub["cutoff"] is not None else 4.0 / base_n
-    truncations = sub["truncations"] or [base_n // 4, base_n // 2, base_n]
+    truncations = sub["truncations"]
+    if truncations is None:
+        truncations = [base_n // 4, base_n // 2, base_n]
     kernel = synthesize_kernel(op)
     payload, notes = {"max_abs": kernel.max_abs()}, []
     checks = sub["checks"]

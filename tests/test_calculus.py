@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,17 @@ from toruslab.errors import (
     ValidationError,
 )
 from toruslab.grid import GridSpec
-from toruslab.symbols import TableSymbol, bessel, bind, diff_x_multi, exotic, parse, wainger
+from toruslab.symbols import (
+    TableSymbol,
+    bessel,
+    bind,
+    depends_on_x,
+    diff_x_multi,
+    eval_expr,
+    exotic,
+    parse,
+    wainger,
+)
 
 
 class TestClassParams:
@@ -214,6 +227,58 @@ class TestSeminorm:
                 assert np.max(np.abs(maxima[alpha][0] - want)) <= 1e-12 * np.max(want)
 
 
+def per_shift_shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
+    """Reference: each shifted symbol evaluated per shell, differences summed pointwise."""
+    tree = diff_x_multi(expr, beta)
+    r = x_resolution if depends_on_x(tree) else 1
+    xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*[np.arange(r) / r] * dim, indexing="ij"))
+    gammas = {gamma for alpha in alphas for gamma, _ in calculus.difference_terms(alpha)}
+    brackets, maxima = [], {alpha: [] for alpha in alphas}
+    for lo, hi in shells:
+        xi = shell_lattice_points(lo, hi, dim).astype(float)
+        shifted = {g: eval_expr(tree, xs, tuple(xi[None, :, j] + g[j] for j in range(dim)), params)
+                   for g in gammas}
+        for alpha in alphas:
+            total = sum(coef * shifted[g] for g, coef in calculus.difference_terms(alpha))
+            maxima[alpha].append(np.max(np.abs(total), axis=0))
+        brackets.append(np.sqrt(1.0 + np.sum(xi**2, axis=-1)))
+    return brackets, maxima
+
+
+class TestLatticeBox:
+    @pytest.mark.parametrize(
+        "symbol, dim, shell_range, x_resolution",
+        [
+            ("bessel(-1)", 1, (8.0, 512.0), 64),
+            ("wainger(0.5, 1)", 1, (8.0, 512.0), 64),
+            ("exotic(0, 0.75, 1)", 1, (8.0, 512.0), 64),
+            ("1/abs(xi)", 1, (8.0, 512.0), 64),
+            ("exotic(0, 0.75, 1)", 2, (8.0, 64.0), 4),
+            ("exp(i*sin(2*pi*x1)*bracket(xi)^0.75)", 2, (8.0, 64.0), 4),
+            ("1/abs(xi)", 2, (8.0, 64.0), 4),
+            ("exotic(0, 0.75, 1)", 3, (2.0, 16.0), 2),
+        ],
+    )
+    def test_matches_the_per_shift_loop_bit_for_bit(self, symbol, dim, shell_range,
+                                                   x_resolution):
+        fam = {"bessel(-1)": bessel(-1.0), "wainger(0.5, 1)": wainger(0.5, 1.0),
+               "exotic(0, 0.75, 1)": exotic(0.0, 0.75, 1.0)}.get(symbol)
+        expr, params = (fam.expr, fam.parameters) if fam else (parse(symbol), None)
+        shells = dyadic_shells(*shell_range)
+        for max_order in (1, 2, 3):
+            alphas = [a for a in product(range(max_order + 1), repeat=dim) if sum(a) <= max_order]
+            for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
+                args = (expr, beta, alphas, shells, dim, params, x_resolution)
+                want_br, want = per_shift_shell_maxima(*args)
+                got_br, got = _shell_maxima(*args)
+                assert len(got_br) == len(want_br)
+                assert all(np.array_equal(g, w) for g, w in zip(got_br, want_br))
+                assert list(got) == list(want)
+                for alpha in alphas:
+                    assert len(got[alpha]) == len(want[alpha])
+                    assert all(np.array_equal(g, w) for g, w in zip(got[alpha], want[alpha]))
+
+
 class TestFitOrder:
     def fit(self, fam, shell_hi=512.0):
         return fit_order(
@@ -305,20 +370,56 @@ class TestFitOrder:
             assert value == max(want, 1e-300)
 
     def test_each_shifted_symbol_evaluated_once(self, monkeypatch):
+        # one evaluation per x-derivative, on exactly the union of the
+        # shifted shells: distinct points, and never the inner hole's xi = 0
         calls = []
         original = calculus.eval_expr
-        monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(1) or original(*a))
+        monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(a) or original(*a))
+
+        def check(dim, shell_range, gammas):
+            want = np.unique(np.concatenate([shell_lattice_points(lo, hi, dim) + gamma
+                                             for lo, hi in dyadic_shells(*shell_range)
+                                             for gamma in gammas]), axis=0)
+            for _, _, xi, _ in calls:
+                got = np.stack([c.ravel() for c in xi], axis=-1)
+                assert len(got) == len(want)
+                assert np.array_equal(np.unique(got, axis=0), want)
+                assert not np.any(np.all(got == 0, axis=-1))
+            calls.clear()
+
         fam = exotic(0.0, 0.75, 1.0)
         fit_order(fam.expr, params=fam.parameters)  # 3 indices, 6 shells
-        assert len(calls) == 3 * 3 * 6
-        calls.clear()
+        assert len(calls) == 3
+        check(1, (8.0, 512.0), [(0,), (1,), (2,)])
         fit_order(fam.expr, dim=2, params=fam.parameters, shell_range=(8.0, 128.0),
                   x_resolution=4)  # 6 indices, 4 shells
-        assert len(calls) == 6 * 6 * 4
-        calls.clear()
+        assert len(calls) == 6
+        check(2, (8.0, 128.0), [g for g in np.ndindex(3, 3) if sum(g) <= 2])
         seminorm_constant(fam.expr, (2,), (1,), ClassParams(0, 0.25, 0.75),
                           params=fam.parameters)
-        assert len(calls) == 3 * 6
+        assert len(calls) == 1
+        check(1, (8.0, 512.0), [(0,), (1,), (2,)])
+
+    @pytest.mark.parametrize("dim, shell_range, x_resolution",
+                             [(1, (8.0, 512.0), 64), (2, (8.0, 128.0), 4)])
+    def test_fits_a_symbol_singular_at_the_origin(self, dim, shell_range, x_resolution):
+        # xi = 0 lies in the inner hole, so it is never evaluated
+        est = fit_order(parse("1/abs(xi)"), dim=dim, shell_range=shell_range,
+                        x_resolution=x_resolution)
+        assert est.fitted_m == pytest.approx(-1.0, abs=1e-9)
+
+    def test_exotic_2d_fit_memory(self):
+        # class-exotic-2d of the benchmark's analysis workload: one lattice box
+        # per derivative, differenced one x-sample row at a time
+        fam = exotic(0.0, 0.75, 1.0)
+        tracemalloc.start()
+        try:
+            fit_order(fam.expr, dim=2, params=fam.parameters, shell_range=(8.0, 128.0),
+                      x_resolution=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("kwargs", [{"max_order": 0}, {"max_order": -1},
                                         {"x_resolution": 0}])

@@ -284,7 +284,8 @@ class TestErrorsAndDeterminism:
         assert err.startswith(f"error: {field}: ")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("truncations", ["[0,32,64]", "[-8,32,64]", "[3,32,64]", "[16,128]"])
+    @pytest.mark.parametrize("truncations",
+                             ["[0,32,64]", "[-8,32,64]", "[3,32,64]", "[16,128]", "[]"])
     def test_kernel_truncation_errors_name_the_config_field(self, tmp_path, capsys, truncations):
         code, out, err = run(
             ["kernel", "--symbol", "bessel(-2)", "--grid", "64", "--out", str(tmp_path),
