@@ -201,11 +201,12 @@ def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
     Returns the brackets <xi> of each shell's points and, per alpha, a list of
     per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
     union of the shifted shells (xi + gamma for every shell point xi and every
-    gamma of every alpha), and scattered into a zeroed lattice box
-    [-R, R + reach]^dim.  Each D^alpha is the difference_terms sum of box views
-    offset by gamma, accumulated in place in that order, so it matches the
-    pointwise sum bit for bit.  Points outside the union are never evaluated:
-    the inner hole may hold a singularity (1/abs(xi) at xi = 0).
+    gamma of every alpha).  One x-sample at a time, its values are scattered
+    into a zeroed lattice box [-R, R + reach]^dim, and each D^alpha is the
+    difference_terms sum of box views offset by gamma, accumulated in place in
+    that order, so it matches the pointwise sum bit for bit.  Points outside
+    the union are never evaluated: the inner hole may hold a singularity
+    (1/abs(xi) at xi = 0).
     """
     if x_resolution < 1:
         raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
@@ -229,29 +230,27 @@ def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
     for gamma in {g for ts in terms.values() for g, _ in ts}:
         offset(union, gamma)[...] |= inside
     xi = tuple(axis[None, :] - float(rad) for axis in np.nonzero(union))
-    values = eval_expr(tree, xs, xi, params)
-    box = np.zeros((r**dim,) + union.shape, dtype=np.complex128)
-    box[:, union] = values
-    del values
+    values = np.broadcast_to(eval_expr(tree, xs, xi, params), (r**dim, xi[0].size))
 
-    # one x-sample row at a time, so every buffer is one core
+    # one x-sample at a time, so every buffer is one box or one core
+    box = np.zeros(union.shape, dtype=np.complex128)
     total, modulus, scratch = np.empty(core, dtype=np.complex128), np.empty(core), None
-    maxima = {}
-    for alpha, ((gamma0, coef0), *rest) in terms.items():
-        peak = np.zeros(core)  # every |D^alpha| is >= 0, so a zero start moves no maximum
-        for row in box:
-            np.multiply(coef0, offset(row, gamma0), out=total)
+    peaks = {alpha: np.zeros(core) for alpha in alphas}  # every |D^alpha| is >= 0
+    for sample in values:
+        box[union] = sample
+        for alpha, ((gamma0, coef0), *rest) in terms.items():
+            np.multiply(coef0, offset(box, gamma0), out=total)
             for gamma, coef in rest:
                 # a +-1 term adds or subtracts its view: the same number as coef * view
                 if coef == 1:
-                    total += offset(row, gamma)
+                    total += offset(box, gamma)
                 elif coef == -1:
-                    total -= offset(row, gamma)
+                    total -= offset(box, gamma)
                 else:
-                    scratch = np.multiply(coef, offset(row, gamma), out=scratch)
+                    scratch = np.multiply(coef, offset(box, gamma), out=scratch)
                     total += scratch
-            np.maximum(peak, np.abs(total, out=modulus), out=peak)
-        maxima[alpha] = [peak[cell] for cell in cells]
+            np.maximum(peaks[alpha], np.abs(total, out=modulus), out=peaks[alpha])
+    maxima = {alpha: [peak[cell] for cell in cells] for alpha, peak in peaks.items()}
     brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
     return brackets, maxima
 

@@ -409,7 +409,7 @@ def cmd_kernel(config):
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in sub["dump_rows"]:
         row = int(row)
-        values = kernel.full()[row]
+        values = kernel.row(row)
         write_function_csv(out_dir / f"kernel_row_{row}.csv", GridFunction(op.spec, values))
     print(f"kernel checks done: {', '.join(checks)}")
     return payload, notes

@@ -36,7 +36,14 @@ from .calculus import mi_abs, mi_validate
 from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, _center_distance_grid, offset_distance_grid
 from .experiments import lp_threshold
-from .operators import PdoOperator, kernel_offset_rows, offsets_to_full, to_matrix
+from .operators import (
+    _CHUNK,
+    PdoOperator,
+    _swap_offset_axes,
+    kernel_offset_rows,
+    offsets_to_full,
+    to_matrix,
+)
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
@@ -67,10 +74,18 @@ class KernelMatrix:
         """max over rows of |K[r] - K[0]|; zero for x-independent symbols."""
         return float(np.max(np.abs(self.offset_rows - self.offset_rows[0])))
 
+    def row(self, r: int) -> np.ndarray:
+        """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
+        return _swap_offset_axes(self.offset_rows[r:r + 1], np.array([r]), self.spec).reshape(-1)
+
     def supremum_per_offset(self) -> np.ndarray:
-        """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``."""
-        G = self.spec.npoints
-        return np.max(np.abs(self.offset_rows.reshape(G, -1)), axis=0).reshape(self.spec.sizes)
+        """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``; the
+        moduli are taken one row block at a time, so no G^2 array is made."""
+        rows = self.offset_rows.reshape(self.spec.npoints, -1)
+        sup = np.zeros(rows.shape[1])  # every modulus is >= 0
+        for start in range(0, len(rows), _CHUNK):
+            np.maximum(sup, np.max(np.abs(rows[start:start + _CHUNK]), axis=0), out=sup)
+        return sup.reshape(self.spec.sizes)
 
 
 def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:

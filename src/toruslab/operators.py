@@ -317,12 +317,18 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     G = spec.npoints
     axes = tuple(range(1, 1 + spec.dim))
     multiplier = isinstance(op, PdoOperator) and op.is_multiplier
-    K = op.kernel_rows() if multiplier else full_to_offsets(to_matrix(op).matrix * G, spec)
+    if multiplier:
+        K = op.kernel_rows()
+    else:
+        K = full_to_offsets(to_matrix(op).matrix, spec)  # a fresh gather, scaled in place
+        K *= G
     if box is not None:
         xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
         inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
         for block in np.split(K, range(_CHUNK, len(K), _CHUNK)):  # views: no G^2 temporaries
-            block[...] = np.fft.ifftn(np.fft.fftn(block, axes=axes) * inside, axes=axes)
+            np.fft.fftn(block, axes=axes, out=block)
+            block *= inside
+            np.fft.ifftn(block, axes=axes, out=block)
     if K.shape[0] < G:
         K = np.repeat(K, G, axis=0)
     return K.reshape((G,) + spec.sizes)

@@ -409,8 +409,8 @@ class TestFitOrder:
         assert est.fitted_m == pytest.approx(-1.0, abs=1e-9)
 
     def test_exotic_2d_fit_memory(self):
-        # class-exotic-2d of the benchmark's analysis workload: one lattice box
-        # per derivative, differenced one x-sample row at a time
+        # class-exotic-2d of the benchmark's analysis workload: one evaluation per
+        # derivative, differenced in one lattice box per x-sample
         fam = exotic(0.0, 0.75, 1.0)
         tracemalloc.start()
         try:
@@ -419,7 +419,7 @@ class TestFitOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 52 * 2**20
 
     @pytest.mark.parametrize("kwargs", [{"max_order": 0}, {"max_order": -1},
                                         {"x_resolution": 0}])

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from toruslab import kernels
 from toruslab.errors import EmptyDomainError, SizeGuardError, ValidationError
 from toruslab.grid import GridSpec, constant_function, torus_distance
 from toruslab.kernels import (
@@ -77,6 +79,16 @@ class TestSynthesize:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             synthesize_kernel(PdoOperator.from_text("1", GridSpec((128, 64))))
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    def test_rows_and_suprema_without_dense_arrays(self, monkeypatch, sizes):
+        # row(r) gathers one offset row; the suprema take moduli by row blocks
+        k = synthesize_kernel(PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec(sizes)))
+        G = k.spec.npoints
+        want = np.max(np.abs(k.offset_rows.reshape(G, -1)), axis=0).reshape(sizes)
+        monkeypatch.setattr(kernels, "_CHUNK", 5)  # blocks of 5 rows, the last one partial
+        assert np.array_equal(k.supremum_per_offset(), want)
+        assert all(np.array_equal(k.row(r), k.full()[r]) for r in range(G))
 
 
 class TestDerivativeKernel:
@@ -155,6 +167,20 @@ class TestDecayScan:
         with pytest.raises(ValidationError) as err:
             decay_scan(synthesize_kernel(T), 0, cutoff=4 / 128, truncations=[])
         assert err.value.field == "truncations"
+
+    def test_kernel_2d_memory(self):
+        # kernel-2d of the benchmark's analysis workload, G = 1024, so each dense
+        # array is 16 MiB: the operator's matrix, the kernel and one truncated kernel
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32, 32)))
+        tracemalloc.start()
+        try:
+            k = synthesize_kernel(T)
+            decay_scan(k, 0, cutoff=4 / 32, truncations=[8, 16, 32])
+            k.row(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20
 
 
 class TestLogBound:
