@@ -30,8 +30,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyDomainError, NumericalError, SpectralTailError, ValidationError
-from .grid import GridFunction, GridSpec
+from .errors import (EmptyDomainError, NumericalError, SizeGuardError, SpectralTailError,
+                     ValidationError)
+from .grid import MATRIX_GUARD, GridFunction, GridSpec
 from .symbols import TableSymbol, depends_on_x, diff_x_multi, eval_expr
 
 # fraction of per-axis frequencies counted as the spectral tail, and the
@@ -195,9 +196,10 @@ def shell_lattice_points(lo: float, hi: float, dim: int) -> np.ndarray:
     return pts
 
 
-def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
+def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     """max over the x-sample of |d^beta_x D^alpha_xi p(x, xi)| at each shell point.
 
+    ``points`` are the shells' ``shell_lattice_points``, built once per fit.
     Returns the brackets <xi> of each shell's points and, per alpha, a list of
     per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
     union of the shifted shells (xi + gamma for every shell point xi and every
@@ -206,17 +208,25 @@ def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
     difference_terms sum of box views offset by gamma, accumulated in place in
     that order, so it matches the pointwise sum bit for bit.  Points outside
     the union are never evaluated: the inner hole may hold a singularity
-    (1/abs(xi) at xi = 0).
+    (1/abs(xi) at xi = 0).  Before any evaluation, x-samples x box cells above
+    MATRIX_GUARD^2, the element budget of the largest dense matrix, raise
+    SizeGuardError.
     """
     if x_resolution < 1:
         raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
     tree = diff_x_multi(expr, beta)
+    dim = points[0].shape[1]
     r = x_resolution if depends_on_x(tree) else 1
     xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*[np.arange(r) / r] * dim, indexing="ij"))
     terms = {alpha: list(difference_terms(alpha)) for alpha in alphas}
-    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
     rad = max(int(np.max(np.abs(p))) for p in points)
     core = (2 * rad + 1,) * dim
+    shape = tuple(n + max(map(max, alphas)) for n in core)  # [-R, R + reach]^dim
+    if r**dim * math.prod(shape) > MATRIX_GUARD**2:
+        raise SizeGuardError(
+            f"class fit needs {r**dim} x-samples (x_resolution={x_resolution}) on "
+            f"{math.prod(shape)} lattice cells for shells ({shells[0][0]:g}, {shells[-1][1]:g}), "
+            f"above the guard of {MATRIX_GUARD}^2 elements")
     cells = [tuple((p + rad).T) for p in points]  # each shell's box indices, in its order
 
     def offset(arr, gamma):
@@ -226,14 +236,14 @@ def _shell_maxima(expr, beta, alphas, shells, dim, params, x_resolution):
     inside = np.zeros(core, dtype=bool)
     for cell in cells:
         inside[cell] = True
-    union = np.zeros(tuple(n + max(map(max, alphas)) for n in core), dtype=bool)
+    union = np.zeros(shape, dtype=bool)
     for gamma in {g for ts in terms.values() for g, _ in ts}:
         offset(union, gamma)[...] |= inside
     xi = tuple(axis[None, :] - float(rad) for axis in np.nonzero(union))
     values = np.broadcast_to(eval_expr(tree, xs, xi, params), (r**dim, xi[0].size))
 
     # one x-sample at a time, so every buffer is one box or one core
-    box = np.zeros(union.shape, dtype=np.complex128)
+    box = np.zeros(shape, dtype=np.complex128)
     total, modulus, scratch = np.empty(core, dtype=np.complex128), np.empty(core), None
     peaks = {alpha: np.zeros(core) for alpha in alphas}  # every |D^alpha| is >= 0
     for sample in values:
@@ -277,9 +287,9 @@ def seminorm_constant(
     """
     alpha = mi_validate(alpha, dim)
     beta = mi_validate(beta, dim)
-    brackets, maxima = _shell_maxima(
-        expr, beta, [alpha], dyadic_shells(*shell_range), dim, params, x_resolution
-    )
+    shells = dyadic_shells(*shell_range)
+    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
+    brackets, maxima = _shell_maxima(expr, beta, [alpha], shells, points, params, x_resolution)
     return _weighted_max(brackets, maxima[alpha], class_params.seminorm_exponent(alpha, beta))
 
 
@@ -367,7 +377,9 @@ def fit_order(
 
     indices = [mi for mi in product(range(max_order + 1), repeat=dim) if mi_abs(mi) <= max_order]
     zero = tuple([0] * dim)
-    by_beta = {b: _shell_maxima(expr, b, indices, shells, dim, params, x_resolution) for b in indices}
+    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
+    by_beta = {b: _shell_maxima(expr, b, indices, shells, points, params, x_resolution)
+               for b in indices}
     brackets = by_beta[zero][0]
     maxima = {(a, b): by_beta[b][1][a] for a in indices for b in indices}
     sups = {key: [float(np.max(m)) for m in ms] for key, ms in maxima.items()}

@@ -523,15 +523,11 @@ def weak11_experiment(
         G = spec.npoints
         best = 0.0
         # the finest truncation comes last: its level maxima and norms are kept
-        per_lam, input_norms = [0.0] * len(lam_grid), []
-        for param in params:
-            v = _realize_weak11_trial(param, spec)
-            if v is None:
-                continue
-            f = GridFunction(spec, v)
-            norm1 = _norm(f.values, 1.0, G)
-            input_norms.append(norm1)
-            Tf = np.abs(op_N.apply(f).values)
+        per_lam = [0.0] * len(lam_grid)
+        realized = [v for param in params if (v := _realize_weak11_trial(param, spec)) is not None]
+        stack = np.array(realized).reshape((-1,) + spec.sizes)
+        input_norms = _norms(stack, 1.0, G)
+        for norm1, Tf in zip(input_norms, np.abs(op_N.apply(stack))):
             for k, lam in enumerate(lam_grid):
                 value = lam * float(np.count_nonzero(Tf > lam)) / G
                 best = max(best, value / norm1)
@@ -569,19 +565,20 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
         spec = op_N.spec
         best = 0.0
         x1 = spec.mesh()[0]
-        for kind, data in trial_params:
+        stack = np.empty((trials,) + spec.sizes, dtype=complex)
+        for v, (kind, data) in zip(stack, trial_params):
             if kind == "signs":
-                reps = N // coarse
-                v = data.astype(complex)
+                signs = data
                 for ax in range(dim):
-                    v = np.repeat(v, reps, axis=ax)
+                    signs = np.repeat(signs, N // coarse, axis=ax)
+                v[...] = signs
             else:
-                v = np.zeros(spec.sizes)
+                wave = np.zeros(spec.sizes)
                 for k, c in enumerate(data):
-                    v = v + c * np.cos(2 * np.pi * (2**k) * x1)
-                v = v / np.max(np.abs(v))
-            f = GridFunction(spec, v)
-            best = max(best, bmo_norm(op_N.apply(f)).value / np.max(np.abs(v)))
+                    wave = wave + c * np.cos(2 * np.pi * (2**k) * x1)
+                v[...] = wave / np.max(np.abs(wave))
+        for v, Tv in zip(stack, op_N.apply(stack)):
+            best = max(best, bmo_norm(GridFunction(spec, Tv)).value / np.max(np.abs(v)))
         per_truncation[N] = best
     return _endpoint_fields(op, per_truncation, trials, seed)
 
@@ -610,9 +607,8 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     per_truncation = {}
     for N, op_N in _rebuilt(op, truncations):
         spec = op_N.spec
-        per_radius = {}
+        atoms = []  # (radius, values) of every atom made
         for radius in atom_radii:
-            best = 0.0
             for center, coeffs in draws[radius]:
                 # amplify so the sup normalization saturates: every witness
                 # then carries the full 1/|B| peak its radius allows
@@ -621,9 +617,11 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
                     atom = make_atom(tuple(center), radius, profile)
                 except ValidationError:
                     continue
-                out = op_N.apply(atom.values)
-                best = max(best, _norm(out.values, 1.0, spec.npoints))
-            per_radius[radius] = best
+                atoms.append((radius, atom.values.values))
+        stack = np.array([values for _, values in atoms]).reshape((-1,) + spec.sizes)
+        per_radius = dict.fromkeys(atom_radii, 0.0)
+        for (radius, _), norm1 in zip(atoms, _norms(op_N.apply(stack), 1.0, spec.npoints)):
+            per_radius[radius] = max(per_radius[radius], norm1)
         per_truncation[N] = max(per_radius.values())
     return {
         **_endpoint_fields(op, per_truncation, trials, seed),

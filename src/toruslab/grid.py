@@ -33,6 +33,9 @@ import numpy as np
 from .errors import DegenerateBallError, ValidationError
 
 
+MATRIX_GUARD = 4096  # largest G of a dense matrix; squared, the element budget of a class fit
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

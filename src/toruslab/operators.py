@@ -52,10 +52,9 @@ import numpy as np
 
 from .calculus import ClassParams
 from .errors import SizeGuardError, ValidationError
-from .grid import GridFunction, GridSpec, finite_values
+from .grid import MATRIX_GUARD, GridFunction, GridSpec, finite_values
 from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
 
-MATRIX_GUARD = 4096  # largest G for dense constructions and stored grid-basis matrices
 # Grid rows per block of the grid-basis matrix, stored or streamed, and of a
 # kernel-row box filter: the transient memory of a block is a few times
 # 16 * _CHUNK * G bytes.

@@ -15,10 +15,12 @@ minimizer and keeps the norm computable in closed form.  BMO is the exact
 sup over the whole family, found by branch and bound: two FFT correlations
 per radius bound every ball's oscillation by the standard deviations of its
 real and imaginary parts, and only the balls whose bound exceeds the best
-oscillation found so far are read, through one periodic window view of f
-a slab of centers at a time.  Its memory is bounded by one slab of balls,
-not by all G x |B| values.  The maximal function reads its ball means of |f|
-through the same FFT correlation.
+oscillation found so far are read, a slab of centers at a time, by one
+flat gather from the wrap-padded f.  Every ball of the family has an odd
+number of points, so its coordinatewise median is one middle-rank select.
+Memory is bounded by one slab of balls, not by all G x |B| values.  The
+maximal function reads its ball means of |f| through the same FFT
+correlation.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .grid import GridFunction, GridSpec, ball
 
 MIN_BALL_CELLS = 2  # smallest dyadic ball radius, in grid cells
-_SLAB_CENTERS = 256  # BMO ball centers gathered at once
+_SLAB_CENTERS = 256  # BMO ball centers whose bounds are tested at once
+_SELECT_VALUES = 2**15  # BMO ball values gathered and partitioned at once
 
 # ---------------------------------------------------------------------------
 # Scalar norms
@@ -93,16 +95,18 @@ def bmo_norm(f: GridFunction) -> NormValue:
 
     The family runs over every grid center and dyadic radii down to
     MIN_BALL_CELLS cells; the centering constant minimizing the L^1
-    deviation is the median of the ball values.  Ball values are read
-    through one periodic window view, windows[c][o] = f[(c + o) mod N], at
-    most _SLAB_CENTERS centers at a time, and only for balls that could
-    still hold the maximum: ``_oscillation_bounds`` bounds every ball's
-    oscillation from above, radii are visited by their largest bound and
-    centers in descending bound order, and a radius stops at the first
-    slab whose bounds are all at most the best oscillation found.  The
-    balls skipped cannot exceed it, and every ball evaluated goes through
-    the same contiguous median and mean, so the result is the exact sup,
-    to the last bit, of the full family.  A constant f reads no ball.
+    deviation is the median of the ball values.  With f wrap-padded to
+    P[k] = f[k mod N], the ball of center c is P[c + o] over its offsets o in
+    [0, N)^n, read by the flat index of c plus that of o in P.
+    Balls are read at most _SLAB_CENTERS centers at a time, and only those
+    that could still hold the maximum: ``_oscillation_bounds`` bounds every
+    ball's oscillation from above, radii are visited by their largest bound
+    and centers in descending bound order, and a radius stops at the first
+    slab whose bounds are all at most the best oscillation found.  The balls
+    skipped cannot exceed it, and every ball evaluated goes through the same
+    contiguous median and mean (``_oscillations``), so the result is the
+    exact sup, to the last bit, of the full family.  A constant f reads no
+    ball.
     """
     method = "grid centers x dyadic radii, median centering"
     values = f.values
@@ -110,25 +114,45 @@ def bmo_norm(f: GridFunction) -> NormValue:
         return NormValue("BMO", None, 0.0, method)
     spec = f.spec
     sizes = spec.sizes
-    windows = sliding_window_view(np.pad(values, [(0, n - 1) for n in sizes], mode="wrap"), sizes)
-    centers = np.unravel_index(np.arange(spec.npoints), sizes)
+    padded = np.pad(values, [(0, n - 1) for n in sizes], mode="wrap")
+    flat = padded.ravel()
+    centers = np.ravel_multi_index(np.unravel_index(np.arange(spec.npoints), sizes), padded.shape)
     balls = _ball_offsets(spec)
     bounds = _oscillation_bounds(f, balls)
     best = 0.0
     for k in np.argsort([-b.max() for b in bounds], kind="stable"):
-        offsets, bound = balls[k], bounds[k]
+        offsets, bound = np.ravel_multi_index(balls[k], padded.shape), bounds[k]
         order = np.argsort(-bound, kind="stable")
         for start in range(0, order.size, _SLAB_CENTERS):
             slab = order[start:start + _SLAB_CENTERS]
             if bound[slab[0]] <= best:
                 break  # the rest of this radius cannot exceed the best
-            # broadcast indices give contiguous (center, offset) rows, so
-            # np.mean sums each row in the order the full gather does
-            vals = windows[(*(c[slab, None] for c in centers), *(o[None, :] for o in offsets))]
-            med = np.median(vals.real, axis=1) + 1j * np.median(vals.imag, axis=1)
-            osc = np.mean(np.abs(vals - med[:, None]), axis=1)
+            osc = _oscillations(flat, centers[slab], offsets)
             best = max(best, float(osc.max()))
     return NormValue("BMO", None, best, method)
+
+
+def _oscillations(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per center c, the median-centered mean oscillation of flat[c + offsets].
+
+    Every family ball has an odd size: o -> -o pairs its offsets, and only
+    o = 0 pairs with itself, as a coordinate N/2 puts an offset at distance
+    >= 1/2, outside every ball (radius <= 1/2, strict inequality).  So the
+    coordinatewise median is the middle rank, one partition of a float copy
+    of the real and imaginary parts.
+    Each contiguous row is centered in place and averaged in the order of a
+    full gather, _SELECT_VALUES values at a time so the rows stay in cache.
+    """
+    out = np.empty(centers.size)
+    mid = offsets.size // 2
+    rows = max(1, _SELECT_VALUES // offsets.size)
+    for start in range(0, centers.size, rows):
+        vals = flat[centers[start:start + rows, None] + offsets]
+        parts = np.stack((vals.real, vals.imag))
+        parts.partition(mid, axis=-1)
+        vals -= parts[0, :, mid, None] + 1j * parts[1, :, mid, None]
+        out[start:start + rows] = np.mean(np.abs(vals), axis=1)
+    return out
 
 
 def _ball_offsets(spec: GridSpec) -> list:

@@ -17,6 +17,7 @@ from toruslab.calculus import (
 )
 from toruslab.errors import (
     EmptyDomainError,
+    SizeGuardError,
     SpectralTailError,
     TableRangeError,
     ValidationError,
@@ -217,7 +218,8 @@ class TestSeminorm:
         x = tuple(m.ravel() for m in axes)
         for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
             tree = diff_x_multi(fam.expr, beta)
-            _, maxima = _shell_maxima(fam.expr, beta, alphas, [shell], dim, fam.parameters,
+            _, maxima = _shell_maxima(fam.expr, beta, alphas, [shell],
+                                      [shell_lattice_points(*shell, dim)], fam.parameters,
                                       x_resolution)
             for alpha in alphas:
                 want = [
@@ -265,12 +267,14 @@ class TestLatticeBox:
                "exotic(0, 0.75, 1)": exotic(0.0, 0.75, 1.0)}.get(symbol)
         expr, params = (fam.expr, fam.parameters) if fam else (parse(symbol), None)
         shells = dyadic_shells(*shell_range)
+        points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
         for max_order in (1, 2, 3):
             alphas = [a for a in product(range(max_order + 1), repeat=dim) if sum(a) <= max_order]
             for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
-                args = (expr, beta, alphas, shells, dim, params, x_resolution)
-                want_br, want = per_shift_shell_maxima(*args)
-                got_br, got = _shell_maxima(*args)
+                want_br, want = per_shift_shell_maxima(expr, beta, alphas, shells, dim, params,
+                                                       x_resolution)
+                got_br, got = _shell_maxima(expr, beta, alphas, shells, points, params,
+                                            x_resolution)
                 assert len(got_br) == len(want_br)
                 assert all(np.array_equal(g, w) for g, w in zip(got_br, want_br))
                 assert list(got) == list(want)
@@ -420,6 +424,24 @@ class TestFitOrder:
         finally:
             tracemalloc.stop()
         assert peak < 52 * 2**20
+
+    @pytest.mark.parametrize("guard, fits", [(65, False), (66, True)])
+    def test_size_guard_bounds_samples_times_box_cells(self, monkeypatch, guard, fits):
+        # 2^2 x-samples on the 2D box [-15, 17]^2: 4 x 33^2 = 66^2 elements
+        monkeypatch.setattr(calculus, "MATRIX_GUARD", guard)
+        calls = []
+        original = calculus.eval_expr
+        monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(1) or original(*a))
+        fam = exotic(0.0, 0.75, 1.0)
+        fit = lambda: fit_order(fam.expr, dim=2, params=fam.parameters, shell_range=(1.0, 16.0),
+                                x_resolution=2)
+        if fits:
+            fit()
+            assert len(calls) == 6
+        else:
+            with pytest.raises(SizeGuardError, match=r"x_resolution=2.*shells \(1, 16\)"):
+                fit()
+            assert calls == []  # raised before any evaluation
 
     @pytest.mark.parametrize("kwargs", [{"max_order": 0}, {"max_order": -1},
                                         {"x_resolution": 0}])

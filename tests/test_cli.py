@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,23 @@ class TestErrorsAndDeterminism:
         )
         assert code == 2
         assert not (tmp_path / "kernel_report.json").exists()
+
+    def test_class_fit_above_the_guard_exits_2(self, tmp_path, capsys):
+        # the default symbol_class on 64^2 asks for 4096 x-samples on a 1025^2
+        # lattice box, about 69 GB per complex array
+        tracemalloc.start()
+        try:
+            code, out, err = run(["symbol-class", "--symbol", "exotic(0, 0.75, 1)", "--grid",
+                                  "64,64", "--out", str(tmp_path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err.startswith("numerical failure: class fit needs 4096 x-samples "
+                              "(x_resolution=64) on 1050625 lattice cells for shells (8, 512)")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "symbol_class_report.json").exists()
+        assert peak < 64 * 2**20  # the shells' lattice points, no evaluation
 
     @pytest.mark.parametrize(
         "command, symbol, setting",

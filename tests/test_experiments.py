@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -30,6 +31,7 @@ from toruslab.experiments import (
     weak11_experiment,
     weak11_hypothesis,
 )
+from toruslab.spaces import bmo_norm, make_atom
 from toruslab.symbols import bessel, exotic, wainger
 
 
@@ -510,6 +512,142 @@ class TestTruncationScan:
         finest = weak11_experiment(op, trials=6, seed=2, truncations=[64])
         assert both.per_lam == finest.per_lam and both.input_norms == finest.input_norms
         assert both.per_truncation["64"] == finest.per_truncation["64"]
+
+
+def trial_by_trial_weak11(op, trials, seed, truncations):
+    """Reference: weak11_experiment applying one realized trial at a time."""
+    lam_grid = list(np.geomspace(1e-3, 1e3, 61))
+    params = experiments._weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
+    per_truncation = {}
+    for N, op_N in experiments._rebuilt(op, sorted(truncations)):
+        spec, G = op_N.spec, op_N.spec.npoints
+        best, per_lam, input_norms = 0.0, [0.0] * len(lam_grid), []
+        for param in params:
+            v = experiments._realize_weak11_trial(param, spec)
+            if v is None:
+                continue
+            f = GridFunction(spec, v)
+            norm1 = experiments._norm(f.values, 1.0, G)
+            input_norms.append(norm1)
+            Tf = np.abs(op_N.apply(f).values)
+            for k, lam in enumerate(lam_grid):
+                value = lam * float(np.count_nonzero(Tf > lam)) / G
+                best = max(best, value / norm1)
+                per_lam[k] = max(per_lam[k], value)
+        per_truncation[str(N)] = best
+    return per_truncation, per_lam, input_norms
+
+
+def trial_by_trial_linf_bmo(op, trials, seed, truncations):
+    """Reference: linf_bmo_experiment applying one trial at a time."""
+    dim = op.spec.dim
+    coarse = min([*op.spec.sizes, *truncations])
+    rng = np.random.default_rng(seed)
+    depth = int(math.log2(coarse)) - 2
+    trial_params = [("signs", rng.choice([-1.0, 1.0], size=(coarse,) * dim)) if t % 2 == 0
+                    else ("lacunary", rng.choice([-1.0, 1.0], size=depth)) for t in range(trials)]
+    per_truncation = {}
+    for N, op_N in experiments._rebuilt(op, sorted(truncations)):
+        spec, best, x1 = op_N.spec, 0.0, op_N.spec.mesh()[0]
+        for kind, data in trial_params:
+            if kind == "signs":
+                v = data.astype(complex)
+                for ax in range(dim):
+                    v = np.repeat(v, N // coarse, axis=ax)
+            else:
+                v = np.zeros(spec.sizes)
+                for k, c in enumerate(data):
+                    v = v + c * np.cos(2 * np.pi * (2**k) * x1)
+                v = v / np.max(np.abs(v))
+            Tf = op_N.apply(GridFunction(spec, v))
+            best = max(best, bmo_norm(Tf).value / np.max(np.abs(v)))
+        per_truncation[str(N)] = best
+    return per_truncation
+
+
+def atom_by_atom_h1_l1(op, atom_radii, trials, seed, truncations):
+    """Reference: h1_l1_experiment applying one atom at a time."""
+    rng = np.random.default_rng(seed)
+    draws = {radius: [(rng.random(op.spec.dim), rng.standard_normal(33)) for _ in range(trials)]
+             for radius in atom_radii}
+    per_truncation = {}
+    for N, op_N in experiments._rebuilt(op, sorted(truncations)):
+        spec, per_radius = op_N.spec, {}
+        for radius in atom_radii:
+            best = 0.0
+            for center, coeffs in draws[radius]:
+                profile = GridFunction(spec, 1e9 * experiments._trig_profile(coeffs, spec))
+                try:
+                    atom = make_atom(tuple(center), radius, profile)
+                except ValidationError:
+                    continue
+                out = op_N.apply(atom.values)
+                best = max(best, experiments._norm(out.values, 1.0, spec.npoints))
+            per_radius[radius] = best
+        per_truncation[str(N)] = max(per_radius.values())
+    return per_truncation, {f"{r:g}": v for r, v in per_radius.items()}
+
+
+class TestStackedTrials:
+    """Each truncation's trials (atoms, for H^1) are one stacked apply, and the
+    reports equal one trial at a time, bit for bit."""
+
+    CASES = {  # operator, truncations, H^1 atom radii
+        "general-1d": (lambda: compose_bessel(PdoOperator.from_family(
+            exotic(0.0, 0.75, 1.0), GridSpec((32,))), -0.625, "left"), [32, 64], None),
+        "adjoint-1d": (lambda: AdjointOperator(compose_bessel(PdoOperator.from_family(
+            exotic(0.0, 0.75, 1.0), GridSpec((32,))), -0.625, "left")), [32, 64], None),
+        "multiplier-2d": (lambda: PdoOperator.from_family(bessel(-1.0), GridSpec((32, 32))),
+                          [32], [0.25, 0.125]),
+        "general-2d": (lambda: PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), GridSpec((32, 32))),
+                       [32], [0.25, 0.125]),
+    }
+
+    @staticmethod
+    def counted_scan(monkeypatch):
+        """The operators the truncation scan hands out, each counting its applies."""
+        ops, rebuilt = [], experiments._rebuilt
+
+        def counted(op, truncations):
+            for N, op_N in rebuilt(op, truncations):
+                ops.append(Counting(op_N))
+                yield N, ops[-1]
+
+        monkeypatch.setattr(experiments, "_rebuilt", counted)
+        return ops
+
+    @pytest.mark.parametrize("trials", [0, 7])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_weak11_equals_one_trial_at_a_time(self, monkeypatch, case, trials):
+        make, truncations, _ = self.CASES[case]
+        # at seed 6 one bump of the 2D cases is constant on its ball: no atom, no trial
+        want = trial_by_trial_weak11(make(), trials, 6, truncations)
+        ops = self.counted_scan(monkeypatch)
+        rep = weak11_experiment(make(), trials=trials, seed=6, truncations=truncations)
+        assert (rep.per_truncation, rep.per_lam, rep.input_norms) == want
+        assert [T.apply_calls for T in ops] == [1] * len(truncations)
+
+    @pytest.mark.parametrize("trials", [0, 1, 5])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_linf_bmo_equals_one_trial_at_a_time(self, monkeypatch, case, trials):
+        make, truncations, _ = self.CASES[case]
+        want = trial_by_trial_linf_bmo(make(), trials, 5, truncations)
+        ops = self.counted_scan(monkeypatch)
+        rep = linf_bmo_experiment(make(), trials=trials, seed=5, truncations=truncations)
+        assert rep["per_truncation"] == want
+        assert [T.apply_calls for T in ops] == [1] * len(truncations)
+
+    @pytest.mark.parametrize("trials", [0, 4])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_h1_l1_equals_one_atom_at_a_time(self, monkeypatch, case, trials):
+        make, truncations, radii = self.CASES[case]
+        radii = radii or [2.0**-k for k in range(2, 5)]
+        want = atom_by_atom_h1_l1(make(), radii, trials, 5, truncations)
+        ops = self.counted_scan(monkeypatch)
+        rep = h1_l1_experiment(make(), atom_radii=radii, trials=trials, seed=5,
+                               truncations=truncations)
+        assert (rep["per_truncation"], rep["per_radius"]) == want
+        assert [T.apply_calls for T in ops] == [1] * len(truncations)
 
 
 class TestAdmissibility:

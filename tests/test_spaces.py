@@ -11,7 +11,9 @@ import toruslab
 from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec, ball, constant_function, forward_dft
 from toruslab.operators import PdoOperator
+from toruslab import spaces
 from toruslab.spaces import (
+    _ball_offsets,
     _oscillation_bounds,
     bmo_norm,
     cz_decompose,
@@ -196,7 +198,8 @@ def sample_function(kind, sizes):
 
 
 class TestBmoSlabs:
-    """bmo_norm reads balls through one periodic window, a slab of centers at a time."""
+    """bmo_norm reads balls by one flat gather from the wrap-padded f, a slab of
+    centers at a time, and centers each by one middle-rank select."""
 
     # (32, 32) spans four slabs per radius; on (8, 8, 8) a strided slab changes np.mean's
     # summation order, so only contiguous rows give the same bits; the
@@ -208,6 +211,8 @@ class TestBmoSlabs:
         "8x8x8": lambda: random_function(GridSpec((8, 8, 8)), 31),
         "bessel-signs-32x32": lambda: bessel_of_signs(32),
         "bessel-signs-64x64": lambda: bessel_of_signs(64),
+        # the analysis norms input: every ball shares one bound, so most are read
+        "plane-wave-64x64": lambda: sample_function("plane-wave", (64, 64)),
         "constant": lambda: sample_function("constant", (16, 16)),
         "zero": lambda: sample_function("zero", (16, 16)),
     }
@@ -231,10 +236,20 @@ class TestBmoSlabs:
     @pytest.mark.parametrize("kind", ["constant", "zero"])
     def test_constant_reads_no_ball(self, kind, monkeypatch):
         calls = []
-        median = np.median
-        monkeypatch.setattr(np, "median", lambda *a, **k: calls.append(1) or median(*a, **k))
+        read = spaces._oscillations
+        monkeypatch.setattr(spaces, "_oscillations", lambda *a: calls.append(1) or read(*a))
         assert bmo_norm(sample_function(kind, (64, 64))).value == 0.0
         assert calls == []
+        assert bmo_norm(sample_function("spike", (64, 64))).value > 0.0
+        assert calls  # the counter sees the reads of a function that is not constant
+
+    @pytest.mark.parametrize("sizes", [(4,), (8,), (64,), (8, 8), (4, 16), (32, 8),
+                                       (8, 8, 8), (4, 8, 16), (16, 4, 4)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_every_ball_is_odd_sized(self, sizes):
+        # one middle rank is the whole median only on an odd number of values
+        for offsets in _ball_offsets(GridSpec(sizes)):
+            assert offsets[0].size % 2 == 1
 
     def test_memory_bounded_by_a_slab(self):
         f = random_function(GridSpec((64, 64)), 32)
@@ -244,7 +259,8 @@ class TestBmoSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20  # the full gather peaks near 500 MiB here
+        # the full gather peaks near 500 MiB here, a whole slab at once near 33 MiB
+        assert peak < 8 * 2**20
 
 
 class TestBmo2D:
