@@ -273,7 +273,8 @@ def load_grid_function(config: dict, section: str) -> GridFunction:
 def read_function_csv(path: Path, spec: GridSpec) -> GridFunction:
     if not path.exists():
         raise ValidationError(f"input file not found: {path}", field="input")
-    values = np.zeros(spec.npoints, dtype=np.complex128)
+    G = spec.npoints
+    values = np.zeros(G, dtype=np.complex128)
     seen = 0
     with path.open() as fh:
         reader = csv.reader(fh)
@@ -282,14 +283,12 @@ def read_function_csv(path: Path, spec: GridSpec) -> GridFunction:
             raise ValidationError(f"empty CSV {path}", field="input")
         for row in reader:
             idx = int(row[0])
-            if not 0 <= idx < spec.npoints:
+            if not 0 <= idx < G:
                 raise ValidationError(f"index {idx} out of range", field="input")
             values[idx] = float(row[1]) + 1j * float(row[2])
             seen += 1
-    if seen != spec.npoints:
-        raise ValidationError(
-            f"CSV has {seen} rows, grid needs {spec.npoints}", field="input"
-        )
+    if seen != G:
+        raise ValidationError(f"CSV has {seen} rows, grid needs {G}", field="input")
     return GridFunction(spec, values)
 
 

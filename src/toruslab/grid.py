@@ -26,6 +26,7 @@ paths always apply, and n <= 3 keeps dense constructions within memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class GridSpec:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axes(self):
         """Per-axis coordinate arrays k/N."""
@@ -96,7 +97,7 @@ class FrequencyLattice:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     def axes(self):
         """Per-axis frequency values in enumeration order (ascending)."""

@@ -12,15 +12,21 @@ The BMO inner infimum over the centering constant is attained at the median
 for real data; complex data uses the coordinatewise median (real and
 imaginary parts separately), which is within a fixed factor of the true
 minimizer and keeps the norm computable in closed form.  BMO is the exact
-sup over the whole family, found by branch and bound: two FFT correlations
-per radius bound every ball's oscillation by the standard deviations of its
-real and imaginary parts, and only the balls whose bound exceeds the best
-oscillation found so far are read, a slab of centers at a time, by one
-flat gather from the wrap-padded f.  Every ball of the family has an odd
-number of points, so its coordinatewise median is one middle-rank select.
-Memory is bounded by one slab of balls, not by all G x |B| values.  The
-maximal function reads its ball means of |f| through the same FFT
-correlation.
+sup over the whole family, found by branch and bound: FFT correlations
+with each radius's ball mask bound every ball's oscillation by the
+standard deviations of its real and imaginary parts, and only the balls
+whose bound exceeds the best oscillation found so far are read, a slab of
+centers at a time, by one flat gather from the wrap-padded f.  Every ball
+of the family has an odd number of points, so its coordinatewise median is
+one middle-rank select.  The search runs jointly over a stack of rows,
+each with its own scale (``bmo_sup``): it returns the max of osc / scale
+over every row's balls and the ball attaining it, builds the ball geometry
+once for all rows, bounds a group of rows by one batched correlation per
+radius, and orders their (row, center) pairs by bound / scale, so a row
+with a large ratio spares the reads of the others.  ``bmo_norm`` is its
+one-row case.  Memory is bounded by one slab of balls and one group of
+wrap-padded rows, not by all G x |B| values.  The maximal function reads
+its ball means of |f| through the same FFT correlation.
 """
 
 from __future__ import annotations
@@ -31,11 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridFunction, GridSpec, ball
+from .grid import GridFunction, GridSpec, ball, offset_distance_grid
 
 MIN_BALL_CELLS = 2  # smallest dyadic ball radius, in grid cells
 _SLAB_CENTERS = 256  # BMO ball centers whose bounds are tested at once
 _SELECT_VALUES = 2**15  # BMO ball values gathered and partitioned at once
+_PADDED_VALUES = 2**20  # wrap-padded BMO values held at once, 16 MiB
 
 # ---------------------------------------------------------------------------
 # Scalar norms
@@ -90,46 +97,90 @@ def dyadic_radii(spec: GridSpec):
     return out
 
 
+@dataclass(frozen=True)
+class BmoBall:
+    """Where the scaled BMO sup of a stack is attained: ``value`` is the
+    oscillation of row ``row`` over the family ball of ``radius`` at flat grid
+    index ``center``, divided by that row's scale.  Row, center and radius
+    are None when no ball oscillates (no row, or every row constant)."""
+
+    value: float
+    row: int | None = None
+    center: int | None = None
+    radius: float | None = None
+
+
 def bmo_norm(f: GridFunction) -> NormValue:
     """sup over balls of the median-centered mean oscillation, computed exactly.
 
     The family runs over every grid center and dyadic radii down to
     MIN_BALL_CELLS cells; the centering constant minimizing the L^1
-    deviation is the median of the ball values.  With f wrap-padded to
-    P[k] = f[k mod N], the ball of center c is P[c + o] over its offsets o in
-    [0, N)^n, read by the flat index of c plus that of o in P.
-    Balls are read at most _SLAB_CENTERS centers at a time, and only those
-    that could still hold the maximum: ``_oscillation_bounds`` bounds every
-    ball's oscillation from above, radii are visited by their largest bound
-    and centers in descending bound order, and a radius stops at the first
-    slab whose bounds are all at most the best oscillation found.  The balls
-    skipped cannot exceed it, and every ball evaluated goes through the same
-    contiguous median and mean (``_oscillations``), so the result is the
-    exact sup, to the last bit, of the full family.  A constant f reads no
-    ball.
+    deviation is the median of the ball values.  This is ``bmo_sup`` of the
+    one-row stack with scale 1.0, which divides nothing away: the result is
+    the exact sup, to the last bit, of the full family.
     """
-    method = "grid centers x dyadic radii, median centering"
-    values = f.values
-    if np.all(values == values.flat[0]):
-        return NormValue("BMO", None, 0.0, method)
-    spec = f.spec
-    sizes = spec.sizes
-    padded = np.pad(values, [(0, n - 1) for n in sizes], mode="wrap")
-    flat = padded.ravel()
-    centers = np.ravel_multi_index(np.unravel_index(np.arange(spec.npoints), sizes), padded.shape)
-    balls = _ball_offsets(spec)
-    bounds = _oscillation_bounds(f, balls)
-    best = 0.0
-    for k in np.argsort([-b.max() for b in bounds], kind="stable"):
-        offsets, bound = np.ravel_multi_index(balls[k], padded.shape), bounds[k]
-        order = np.argsort(-bound, kind="stable")
-        for start in range(0, order.size, _SLAB_CENTERS):
-            slab = order[start:start + _SLAB_CENTERS]
-            if bound[slab[0]] <= best:
-                break  # the rest of this radius cannot exceed the best
-            osc = _oscillations(flat, centers[slab], offsets)
-            best = max(best, float(osc.max()))
-    return NormValue("BMO", None, best, method)
+    value = bmo_sup(f.spec, f.values[None], [1.0]).value
+    return NormValue("BMO", None, value, "grid centers x dyadic radii, median centering")
+
+
+def bmo_sup(spec: GridSpec, stack, scales) -> BmoBall:
+    """max over rows t of a stack (B,) + sizes and over family balls of
+    osc_t(ball) / scales[t], with the ball where it is attained.
+
+    osc_t is the median-centered mean oscillation ``bmo_norm`` takes the sup
+    of.  The ball geometry is built once per call: each radius's offsets,
+    and the flat index of every center and offset in a row of the
+    wrap-padded stack P[t, k] = f_t[k mod N], where the ball of center c is
+    P[t, c + o] over its offsets o in [0, N)^n.  Rows are searched in
+    groups whose padded values fit in _PADDED_VALUES (20 rows are one group
+    in 1D and up to 64^2 and 16^3 grids), the best carried from group to
+    group.  Per group, ``_oscillation_bounds`` bounds every ball of every
+    row from above by one batched FFT correlation with each radius's mask
+    spectrum.  Radii are visited by their largest bound / scale, and
+    (row, center) pairs in descending bound / scale, _SLAB_CENTERS at a
+    time; a radius stops at the first slab whose values are all at most the
+    best ratio found.  Division by a positive scale is monotone in floating
+    point, so a skipped ball has fl(osc / s) <= fl(bound / s) <= best: the
+    result is the exact maximum, to the last bit, of fl(osc_t(ball) /
+    scales[t]) over the whole family and every row.  A constant row reads
+    no ball.
+    """
+    sizes, G = spec.sizes, spec.npoints
+    stack = np.asarray(stack, dtype=np.complex128).reshape((-1,) + sizes)
+    scales = np.asarray(scales, dtype=float)
+    if scales.shape != stack.shape[:1] or not np.all(scales > 0):
+        raise ValidationError(f"needs one positive scale per row for {len(stack)} rows, "
+                              f"got {scales.tolist()}")
+    flat_rows = stack.reshape(len(stack), G)
+    live = np.flatnonzero(np.any(flat_rows != flat_rows[:, :1], axis=1))
+    balls, radii = _ball_offsets(spec), dyadic_radii(spec)
+    shape = tuple(2 * n - 1 for n in sizes)
+    row_size = math.prod(shape)
+    centers = np.ravel_multi_index(np.unravel_index(np.arange(G), sizes), shape)
+    offsets = [np.ravel_multi_index(ball_offsets, shape) for ball_offsets in balls]
+    best = BmoBall(0.0)
+    group = max(1, _PADDED_VALUES // row_size)
+    for first in range(0, live.size, group):
+        rows = live[first:first + group]
+        part, part_scales = stack[rows], scales[rows]
+        ratios = _oscillation_bounds(part, balls)
+        for ratio in ratios:
+            ratio /= part_scales[:, None]
+        flat = np.pad(part, [(0, 0)] + [(0, n - 1) for n in sizes], mode="wrap").ravel()
+        for k in np.argsort([-ratio.max() for ratio in ratios], kind="stable"):
+            ratio = ratios[k].ravel()
+            order = np.argsort(-ratio, kind="stable")
+            for start in range(0, order.size, _SLAB_CENTERS):
+                slab = order[start:start + _SLAB_CENTERS]
+                if ratio[slab[0]] <= best.value:
+                    break  # the rest of this radius cannot exceed the best
+                row, center = np.divmod(slab, G)
+                value = (_oscillations(flat, row * row_size + centers[center], offsets[k])
+                         / part_scales[row])
+                i = int(value.argmax())
+                if value[i] > best.value:
+                    best = BmoBall(float(value[i]), int(rows[row[i]]), int(center[i]), radii[k])
+    return best
 
 
 def _oscillations(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -157,46 +208,51 @@ def _oscillations(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) ->
 
 def _ball_offsets(spec: GridSpec) -> list:
     """Per dyadic radius, the offsets o of the origin ball, one index array per
-    axis; the ball of that radius at flat center c is {c + o mod N}."""
-    return [np.unravel_index(ball(np.zeros(spec.dim), radius, spec), spec.sizes)
-            for radius in dyadic_radii(spec)]
+    axis; the ball of that radius at flat center c is {c + o mod N}.  Every
+    radius reads the one origin distance grid."""
+    distance = offset_distance_grid(spec)
+    return [np.nonzero(distance < radius) for radius in dyadic_radii(spec)]
 
 
-def _ball_means(spectra, offsets) -> list:
-    """For each fftn spectrum of a grid function g in ``spectra``, the mean of g
-    over the ball {c + o : o in offsets} at every center c, by one FFT
-    correlation with the ball mask."""
-    mask = np.zeros(spectra[0].shape)
+def _mask_spectrum(offsets, sizes) -> np.ndarray:
+    """The spectrum that turns fftn(g) into the mean of g over the ball
+    {c + o : o in offsets} at every center c, by one FFT correlation."""
+    mask = np.zeros(sizes)
     mask[offsets] = 1.0
-    kernel = np.conj(np.fft.fftn(mask)) / offsets[0].size
-    return [np.fft.ifftn(spectrum * kernel) for spectrum in spectra]
+    return np.conj(np.fft.fftn(mask)) / offsets[0].size
 
 
-def _oscillation_bounds(f: GridFunction, balls) -> list:
-    """For each ball offset set in ``balls``, an upper bound per flat center c
-    on the median-centered oscillation of f over the ball {c + o : o in offsets}.
+def _oscillation_bounds(f, balls) -> list:
+    """For each ball offset set in ``balls``, an upper bound per row t and flat
+    center c on the median-centered oscillation of f_t over the ball
+    {c + o : o in offsets}, as a (B, G) array; ``f`` is a stack (B,) + sizes
+    of grid values, or a GridFunction (B = 1).
 
     With m the coordinatewise median and mu the mean of the ball values,
         mean |f - m| <= mean |Re f - Re m| + mean |Im f - Im m|    (|z| <= |Re z| + |Im z|)
                      <= mean |Re f - Re mu| + mean |Im f - Im mu|  (the median minimizes L^1)
                      <= sd(Re f) + sd(Im f)                       (mean abs deviation <= sd).
-    The ball means of f and of (Re f)^2 + i (Im f)^2 come from two FFT
-    correlations with the ball mask.  Their rounding moves a variance by
-    about eps max|f|^2 (at most 8e-16 max|f|^2 measured up to 32^3, offset
-    data included); the slack 1e-8 max|f|^2 added to each variance covers
-    it and lifts the bound at least 5e-9 max|f| above the exact value, far
-    more than the rounding of the oscillation itself, so a ball whose bound
-    is below a computed oscillation cannot exceed it when computed.
+    The ball means of f and of (Re f)^2 + i (Im f)^2 come from FFT
+    correlations with the ball mask, over all rows at once.  Their rounding
+    moves a variance by about eps max|f_t|^2 (at most 8e-16 max|f_t|^2
+    measured up to 32^3, offset data included); the slack 1e-8 max|f_t|^2
+    added to each of row t's variances covers it and lifts the bound at
+    least 5e-9 max|f_t| above the exact value, far more than the rounding of
+    the oscillation itself, so a ball whose bound is below a computed
+    oscillation cannot exceed it when computed.
     """
-    values = f.values
-    spectra = np.fft.fftn(values), np.fft.fftn(values.real**2 + 1j * values.imag**2)
-    slack = 1e-8 * float(np.max(np.abs(values))) ** 2
+    values = f.values[None] if isinstance(f, GridFunction) else f
+    axes = tuple(range(1, values.ndim))
+    spectra = (np.fft.fftn(values, axes=axes),
+               np.fft.fftn(values.real**2 + 1j * values.imag**2, axes=axes))
+    slack = 1e-8 * np.max(np.abs(values), axis=axes, keepdims=True) ** 2
     out = []
     for offsets in balls:
-        mean, square = _ball_means(spectra, offsets)
+        kernel = _mask_spectrum(offsets, values.shape[1:])
+        mean, square = (np.fft.ifftn(spectrum * kernel, axes=axes) for spectrum in spectra)
         bound = (np.sqrt(square.real - mean.real**2 + slack)
                  + np.sqrt(square.imag - mean.imag**2 + slack))
-        out.append(bound.ravel())
+        out.append(bound.reshape(len(values), -1))
     return out
 
 
@@ -214,7 +270,7 @@ def maximal_function(f: GridFunction) -> GridFunction:
     spectrum = np.fft.fftn(a)
     axes = tuple(range(a.ndim))
     for offsets in _ball_offsets(f.spec):
-        means = _ball_means([spectrum], offsets)[0].real
+        means = np.fft.ifftn(spectrum * _mask_spectrum(offsets, a.shape)).real
         for shift in zip(*offsets):
             np.maximum(out, np.roll(means, shift, axis=axes), out=out)
     return GridFunction(f.spec, out)

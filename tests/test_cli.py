@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from toruslab.cli import main, read_function_csv, write_function_csv
+from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec
 
 
@@ -96,6 +97,15 @@ class TestQuantize:
         assert code == 0
         back = read_function_csv(tmp_path / "quantized.csv", spec)
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_csv_with_too_few_rows_rejected(self, tmp_path):
+        spec = GridSpec((8,))
+        path = tmp_path / "input.csv"
+        write_function_csv(path, GridFunction(spec, np.arange(8.0)))
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:-1]) + "\n")
+        with pytest.raises(ValidationError, match="CSV has 7 rows, grid needs 8"):
+            read_function_csv(path, spec)
 
 
 class TestKernelCommand:

@@ -514,9 +514,10 @@ class TestTruncationScan:
         assert both.per_truncation["64"] == finest.per_truncation["64"]
 
 
-def trial_by_trial_weak11(op, trials, seed, truncations):
+def trial_by_trial_weak11(op, trials, seed, truncations, lam_grid=None):
     """Reference: weak11_experiment applying one realized trial at a time."""
-    lam_grid = list(np.geomspace(1e-3, 1e3, 61))
+    if lam_grid is None:
+        lam_grid = list(np.geomspace(1e-3, 1e3, 61))
     params = experiments._weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
     per_truncation = {}
     for N, op_N in experiments._rebuilt(op, sorted(truncations)):
@@ -648,6 +649,19 @@ class TestStackedTrials:
                                truncations=truncations)
         assert (rep["per_truncation"], rep["per_radius"]) == want
         assert [T.apply_calls for T in ops] == [1] * len(truncations)
+
+
+def test_weak11_levels_at_attained_values():
+    """At a level |Tf| attains, |{|Tf| > lam}| leaves the attaining points out."""
+    op = compose_bessel(PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32,))),
+                        -0.625, "left")
+    spec = op.spec
+    param = experiments._weak11_trial_params(np.random.default_rng(6), 1, 1)[0]
+    Tf = np.abs(op.apply(GridFunction(spec, experiments._realize_weak11_trial(param, spec))).values)
+    lam_grid = sorted(set(Tf[::5].tolist())) + [0.0]
+    want = trial_by_trial_weak11(op, 4, 6, [32], lam_grid)
+    rep = weak11_experiment(op, trials=4, lam_grid=lam_grid, seed=6, truncations=[32])
+    assert (rep.per_truncation, rep.per_lam, rep.input_norms) == want
 
 
 class TestAdmissibility:

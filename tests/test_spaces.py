@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,13 @@ import pytest
 import toruslab
 from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec, ball, constant_function, forward_dft
-from toruslab.operators import PdoOperator
-from toruslab import spaces
+from toruslab.operators import PdoOperator, compose_bessel
+from toruslab import experiments, spaces
 from toruslab.spaces import (
     _ball_offsets,
     _oscillation_bounds,
     bmo_norm,
+    bmo_sup,
     cz_decompose,
     dyadic_radii,
     lp_norm,
@@ -261,6 +263,144 @@ class TestBmoSlabs:
             tracemalloc.stop()
         # the full gather peaks near 500 MiB here, a whole slab at once near 33 MiB
         assert peak < 8 * 2**20
+
+
+def per_row_bmo(stack, scales):
+    """Reference: one bmo_norm per row, each divided by its row's scale."""
+    spec = GridSpec(stack.shape[1:])
+    best = 0.0
+    for row, scale in zip(stack, scales):
+        best = max(best, bmo_norm(GridFunction(spec, row)).value / scale)
+    return best
+
+
+def mixed_stack(sizes, rows):
+    """``rows`` of complex, real, sign and plane-wave data, a constant row, and
+    sup-norm scales spread over three decades."""
+    kinds = ["complex", "real", "signs", "plane-wave", "constant", "spike"]
+    stack = np.array([sample_function(kinds[t % len(kinds)], sizes).values * (t + 1)
+                      for t in range(rows)])
+    scales = np.geomspace(1e-2, 10.0, rows)
+    return stack, scales
+
+
+def endpoint_stacks(monkeypatch):
+    """The (spec, T v stack, scales) of each truncation of the endpoint's
+    forward L^inf -> BMO experiment: J^-0.625 o Op(exotic(0, 0.75, 1)),
+    20 trials, seed 3, truncations 128 and 256."""
+    calls, search = [], experiments.bmo_sup
+    monkeypatch.setattr(experiments, "bmo_sup", lambda *a: calls.append(a) or search(*a))
+    op = compose_bessel(PdoOperator.from_text("exotic(0, 0.75, 1)", GridSpec((128,))),
+                        -0.625, "left")
+    experiments.linf_bmo_experiment(op, trials=20, seed=3, truncations=[128, 256])
+    monkeypatch.setattr(experiments, "bmo_sup", search)
+    return calls
+
+
+class TestBmoSup:
+    """One exact search over every row's balls equals the per-row loop, bit for bit."""
+
+    SIZES = [(64,), (128,), (16, 16), (8, 32), (8, 8, 8)]
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda sizes: "x".join(map(str, sizes)))
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_equals_the_per_row_loop(self, sizes, rows):
+        stack, scales = mixed_stack(sizes, rows)
+        assert bmo_sup(GridSpec(sizes), stack, scales).value == per_row_bmo(stack, scales)
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_reports_the_ball_it_found(self, sizes):
+        spec = GridSpec(sizes)
+        stack, scales = mixed_stack(sizes, 8)
+        # a constant first row: the row reported counts the rows that read no ball
+        stack = np.concatenate([sample_function("constant", sizes).values[None], stack])
+        scales = np.concatenate([[1e-3], scales])
+        got = bmo_sup(spec, stack, scales)
+        k = dyadic_radii(spec).index(got.radius)
+        osc = full_gather_oscillations(GridFunction(spec, stack[got.row]))[k][got.center]
+        assert osc / scales[got.row] == got.value > 0.0
+
+    @pytest.mark.parametrize("sizes", [(64,), (16, 16), (8, 8, 8)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_stacked_bounds_dominate_every_ball(self, sizes):
+        # amplitudes over six decades, the smallest first: each row needs its own slack
+        kinds = ["complex", "constant", "real", "signs", "plane-wave", "spike", "zero"]
+        stack = np.array([sample_function(kind, sizes).values * 10.0**k
+                          for k, kind in enumerate(kinds)])
+        bounds = _oscillation_bounds(stack, _ball_offsets(GridSpec(sizes)))
+        for t, row in enumerate(stack):
+            oscillations = full_gather_oscillations(GridFunction(GridSpec(sizes), row))
+            for bound, osc in zip(bounds, oscillations):
+                assert np.all(bound[t] >= osc)
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=lambda sizes: "x".join(map(str, sizes)))
+    def test_row_groups_carry_the_best(self, sizes, monkeypatch):
+        # padded room for three rows: the eight rows are searched in three groups
+        spec = GridSpec(sizes)
+        monkeypatch.setattr(spaces, "_PADDED_VALUES", 3 * math.prod(2 * n - 1 for n in sizes))
+        stack, scales = mixed_stack(sizes, 8)
+        got = bmo_sup(spec, stack, scales)
+        assert got.value == per_row_bmo(stack, scales)
+        k = dyadic_radii(spec).index(got.radius)
+        osc = full_gather_oscillations(GridFunction(spec, stack[got.row]))[k][got.center]
+        assert osc / scales[got.row] == got.value
+
+    def test_bessel_of_signs_stack(self):
+        stack = np.array([bessel_of_signs(32).values, 3 * bessel_of_signs(32).values[::-1]])
+        scales = np.array([1.0, 0.5])
+        assert bmo_sup(GridSpec((32, 32)), stack, scales).value == per_row_bmo(stack, scales)
+
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_constant_and_empty_stacks_read_no_ball(self, rows, monkeypatch):
+        calls = []
+        read = spaces._oscillations
+        monkeypatch.setattr(spaces, "_oscillations", lambda *a: calls.append(1) or read(*a))
+        spec = GridSpec((16, 16))
+        stack = np.array([constant_function(spec, t - 2j).values for t in range(rows)])
+        got = bmo_sup(spec, stack.reshape((rows,) + spec.sizes), np.ones(rows))
+        assert (got.value, got.row, got.center, got.radius) == (0.0, None, None, None)
+        assert calls == []
+
+    def test_one_row_is_bmo_norm(self):
+        f = random_function(GridSpec((32, 32)), 37)
+        got = bmo_sup(f.spec, f.values[None], [1.0])
+        assert got.value == bmo_norm(f).value == full_gather_bmo(f)
+        assert got.row == 0
+
+    @pytest.mark.parametrize("scales", [[1.0, 0.0], [1.0, -2.0], [1.0], [1.0, np.nan]])
+    def test_rejects_scales_that_are_not_one_positive_per_row(self, scales):
+        stack, _ = mixed_stack((16,), 2)
+        with pytest.raises(ValidationError):
+            bmo_sup(GridSpec((16,)), stack, scales)
+
+    def test_endpoint_trials_prune_each_other(self, monkeypatch):
+        read = spaces._oscillations
+        balls = []
+        monkeypatch.setattr(spaces, "_oscillations",
+                            lambda flat, centers, offsets: balls.append(centers.size)
+                            or read(flat, centers, offsets))
+        joint = per_trial = 0
+        for spec, stack, scales in endpoint_stacks(monkeypatch):
+            balls.clear()
+            value = bmo_sup(spec, stack, scales).value
+            joint += sum(balls)
+            balls.clear()
+            assert value == per_row_bmo(stack, scales)
+            per_trial += sum(balls)
+        # measured: 6,400 balls read jointly, 34,944 one trial at a time
+        assert 0 < joint < per_trial / 4
+
+    def test_memory_of_the_2d_experiment(self):
+        op = PdoOperator.from_text("bessel(-1)", GridSpec((64, 64)))
+        tracemalloc.start()
+        try:
+            experiments.linf_bmo_experiment(op, trials=20, seed=3, truncations=[64])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 17.0 MiB: 20 rows' bounds for five radii, then one wrap-padded
+        # stack, never both with the FFT spectra
+        assert peak < 20 * 2**20
 
 
 class TestBmo2D:
