@@ -207,12 +207,22 @@ def _check_types(config: dict, defaults: dict, path=""):
             _check_types(value, {}, here)
 
 
+KERNEL_CHECKS = ("decay", "log", "sigma")
+
+
 def validate_config(config: dict):
     _check_types(config, DEFAULT_CONFIG)
     grid = config["grid"]
     if not isinstance(grid, list) or not grid:
         raise ValidationError("must be a non-empty list", field="grid")
-    GridSpec(tuple(grid))  # validates sizes/dim
+    G = GridSpec(tuple(grid)).npoints  # validates sizes/dim
+    checks, rows = config["kernel"]["checks"], config["kernel"]["dump_rows"]
+    if not isinstance(checks, list) or not all(c in KERNEL_CHECKS for c in checks):
+        raise ValidationError(f"must be a list of checks from {KERNEL_CHECKS}, got {checks!r}",
+                              field="kernel.checks")
+    if not isinstance(rows, list) or not all(type(r) is int and 0 <= r < G for r in rows):
+        raise ValidationError(f"must be a list of grid indices in [0, {G}), got {rows!r}",
+                              field="kernel.dump_rows")
     if not isinstance(config["seed"], int) or config["seed"] < 0:
         raise ValidationError("must be a non-negative integer", field="seed")
     if config["class"] is not None:
@@ -275,20 +285,27 @@ def read_function_csv(path: Path, spec: GridSpec) -> GridFunction:
         raise ValidationError(f"input file not found: {path}", field="input")
     G = spec.npoints
     values = np.zeros(G, dtype=np.complex128)
-    seen = 0
+    seen = set()
     with path.open() as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"empty CSV {path}", field="input")
         for row in reader:
-            idx = int(row[0])
+            try:
+                index, real, imag = row
+                idx, value = int(index), float(real) + 1j * float(imag)
+            except ValueError:
+                raise ValidationError(f"row {row!r} of {path} is not index,real,imag",
+                                      field="input") from None
             if not 0 <= idx < G:
                 raise ValidationError(f"index {idx} out of range", field="input")
-            values[idx] = float(row[1]) + 1j * float(row[2])
-            seen += 1
-    if seen != G:
-        raise ValidationError(f"CSV has {seen} rows, grid needs {G}", field="input")
+            if idx in seen:
+                raise ValidationError(f"index {idx} repeated", field="input")
+            values[idx] = value
+            seen.add(idx)
+    if len(seen) != G:
+        raise ValidationError(f"CSV has {len(seen)} rows, grid needs {G}", field="input")
     return GridFunction(spec, values)
 
 
@@ -407,9 +424,8 @@ def cmd_kernel(config):
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in sub["dump_rows"]:
-        row = int(row)
-        values = kernel.row(row)
-        write_function_csv(out_dir / f"kernel_row_{row}.csv", GridFunction(op.spec, values))
+        values = GridFunction(op.spec, kernel.row(row))
+        write_function_csv(out_dir / f"kernel_row_{row}.csv", values)
     print(f"kernel checks done: {', '.join(checks)}")
     return payload, notes
 

@@ -94,49 +94,74 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# L2 operator norm by power iteration
+# L2 operator norm by Golub-Kahan bidiagonalization
 # ---------------------------------------------------------------------------
 
+L2_MAX_STEPS = 200  # l2_norm: Golub-Kahan steps before it gives up
+L2_RESIDUAL = 1e-10  # l2_norm: stop once the residual is at most this times sigma
 
-def l2_norm(op, seed: int = 0, tol: float = 1e-9, max_iter: int = 500) -> NormEstimate:
-    """Power iteration on T*T from a seeded random start.
 
-    Stops when successive Rayleigh quotients agree to ``tol`` relative;
-    raises ConvergenceError with the final gap if the budget runs out.
+def l2_norm(op, seed: int = 0) -> NormEstimate:
+    """Largest singular value sigma by Golub-Kahan bidiagonalization (Golub &
+    Kahan 1965) from a seeded random start, with full reorthogonalization.
+
+    Step k applies T and T* once each to a stack of one and extends
+    T V = U B, with B upper bidiagonal (alphas on the diagonal, betas above
+    it).  B's top singular triplet (sigma, a, b) gives the witness V b, whose
+    residual |T* U a - sigma V b| = beta_k |a_k|; the iteration stops once
+    that is at most L2_RESIDUAL sigma, and raises ConvergenceError carrying
+    it after L2_MAX_STEPS steps.  Tied or nearly tied top singular values
+    converge like any others.
     """
     spec = op.spec
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(spec.sizes) + 1j * rng.standard_normal(spec.sizes)
-    x /= np.linalg.norm(x)
-    f = GridFunction(spec, x)
-    rayleigh, gap = None, math.inf
-    for _ in range(max_iter):
-        Tf = op.apply(f)
-        r = float(np.vdot(Tf.values, Tf.values).real / np.vdot(f.values, f.values).real)
-        if rayleigh is not None:
-            gap = abs(r - rayleigh) / max(r, 1e-300)
-        rayleigh = r
-        if gap <= tol:
+    v = rng.standard_normal(spec.sizes) + 1j * rng.standard_normal(spec.sizes)
+    V, U = [v / np.linalg.norm(v)], []
+    alphas, betas = [], []
+    for _ in range(L2_MAX_STEPS):
+        u = op.apply(V[-1][None])[0] - (betas[-1] * U[-1] if U else 0)
+        alphas.append(_orthonormalize(u, U))
+        U.append(u)
+        v = op.apply_adjoint(U[-1][None])[0] - alphas[-1] * V[-1]
+        betas.append(_orthonormalize(v, V))
+        B = np.diag(alphas) + np.diag(betas[:-1], 1)
+        a, sigmas, bh = np.linalg.svd(B)
+        sigma, residual = float(sigmas[0]), betas[-1] * abs(a[-1, 0])
+        if residual <= L2_RESIDUAL * sigma:
             break
-        nxt = op.apply_adjoint(Tf)
-        scale = np.linalg.norm(nxt.values)
-        if scale == 0:
-            rayleigh = 0.0
-            break
-        f = GridFunction(spec, nxt.values / scale)
+        V.append(v)
     else:
-        raise ConvergenceError("power iteration did not converge", final_gap=gap)
+        raise ConvergenceError(
+            f"Golub-Kahan bidiagonalization did not converge in {L2_MAX_STEPS} steps",
+            final_gap=residual,
+        )
+    witness = np.tensordot(bh[0].conj(), np.array(V), axes=1)
     return NormEstimate(
         p=2.0,
         q=2.0,
-        value=math.sqrt(max(rayleigh, 0.0)),
-        method="power-iteration",
+        value=sigma,
+        method="golub-kahan",
         trials=1,
         seed=seed,
         truncation=spec.sizes,
-        witness=f,
+        witness=GridFunction(spec, witness),
         label=op.label,
     )
+
+
+def _orthonormalize(w: np.ndarray, basis: list) -> float:
+    """Orthogonalize w in place against the orthonormal ``basis``, twice, as
+    once is not enough in floating point, and scale it to norm 1; returns its
+    norm before scaling (a zero w stays zero)."""
+    if basis:
+        Q = np.array(basis).reshape(len(basis), -1)
+        flat = w.reshape(-1)
+        for _ in range(2):
+            flat -= Q.T @ (Q.conj() @ flat)
+    norm = float(np.linalg.norm(w))
+    if norm > 0:
+        w /= norm
+    return norm
 
 
 # ---------------------------------------------------------------------------

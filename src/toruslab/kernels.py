@@ -4,9 +4,11 @@ The kernel of Op(p) on the truncated lattice is
 
     k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi),
 
-synthesized row by row with inverse FFTs.  Three estimate families are
-probed empirically, always with finite-truncation stability diagnostics
-(never as certificates):
+held as one offset row per distinct x (KernelMatrix).  The decay and log
+checks read it, a truncation filtering copies of its row blocks, and the
+sigma integrals read the grid-basis matrix M = k / G.  Three estimate
+families are probed empirically, always with finite-truncation stability
+diagnostics (never as certificates):
 
   * polynomial off-diagonal decay: sup_{d(x,y) >= cutoff} d^N |k| stays
     bounded as the truncation grows, once N is large enough relative to the
@@ -40,6 +42,7 @@ from .operators import (
     _CHUNK,
     PdoOperator,
     _swap_offset_axes,
+    box_filter,
     kernel_offset_rows,
     offsets_to_full,
     to_matrix,
@@ -53,19 +56,16 @@ MAX_KERNEL_DERIVATIVE = 2
 
 @dataclass
 class KernelMatrix:
-    """Kernel samples in offset form plus provenance for re-synthesis."""
+    """Kernel samples in offset form, one row per distinct x: a multiplier's
+    one row serves every x, any other kernel has G rows."""
 
     spec: GridSpec
-    offset_rows: np.ndarray  # shape (G,) + sizes; K[r, z] = k(x_r, x_r - z)
+    offset_rows: np.ndarray  # shape (1,) or (G,) + sizes; K[r, z] = k(x_r, x_r - z)
     label: str = "kernel"
-    source: object = None  # operator the kernel came from
-    _full: np.ndarray = field(default=None, repr=False)
 
     def full(self) -> np.ndarray:
-        """Dense k(x, y), materialized once."""
-        if self._full is None:
-            self._full = offsets_to_full(self.offset_rows, self.spec)
-        return self._full
+        """Dense k(x, y)."""
+        return offsets_to_full(self.offset_rows, self.spec)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.offset_rows)))
@@ -76,16 +76,20 @@ class KernelMatrix:
 
     def row(self, r: int) -> np.ndarray:
         """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
-        return _swap_offset_axes(self.offset_rows[r:r + 1], np.array([r]), self.spec).reshape(-1)
+        rows = self.offset_rows if len(self.offset_rows) == 1 else self.offset_rows[r:r + 1]
+        return _swap_offset_axes(rows, np.array([r]), self.spec).reshape(-1)
 
-    def supremum_per_offset(self) -> np.ndarray:
-        """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``; the
-        moduli are taken one row block at a time, so no G^2 array is made."""
-        rows = self.offset_rows.reshape(self.spec.npoints, -1)
-        sup = np.zeros(rows.shape[1])  # every modulus is >= 0
-        for start in range(0, len(rows), _CHUNK):
-            np.maximum(sup, np.max(np.abs(rows[start:start + _CHUNK]), axis=0), out=sup)
-        return sup.reshape(self.spec.sizes)
+    def supremum_per_offset(self, box: int = None) -> np.ndarray:
+        """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``, of the
+        kernel truncated to the lattice ``box`` if given; one row block at a
+        time is copied and filtered (box_filter), so no G^2 array is made."""
+        sup = np.zeros(self.spec.sizes)  # every modulus is >= 0
+        for start in range(0, len(self.offset_rows), _CHUNK):
+            block = self.offset_rows[start:start + _CHUNK]
+            if box is not None:
+                block = box_filter(block.copy(), box, self.spec)
+            np.maximum(sup, np.max(np.abs(block), axis=0), out=sup)
+        return sup
 
 
 def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
@@ -95,8 +99,7 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    rows = kernel_offset_rows(op, lattice_box)
-    return KernelMatrix(op.spec, rows, label=op.label, source=op)
+    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), label=op.label)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +188,12 @@ class KernelDecayReport:
         }
 
 
-def _masked_decay_sup(kernel: KernelMatrix, exponent: int, cutoff: float) -> float:
-    dist = offset_distance_grid(kernel.spec)
-    mask = dist >= cutoff
-    if not np.any(mask):
-        raise EmptyDomainError(f"cutoff {cutoff:g} excludes all grid pairs")
-    sup_off = kernel.supremum_per_offset()
-    return float(np.max(dist[mask] ** exponent * sup_off[mask]))
-
-
 def decay_scan(kernel: KernelMatrix, exponent: int, cutoff: float, truncations) -> KernelDecayReport:
     """sup of d(x,y)^N |k(x,y)| off the diagonal, recomputed per lattice truncation.
 
     The grid stays fixed (the kernel's own); each truncation L restricts the
-    frequency sum to the centered L-per-axis sub-box, and the supremum runs
+    kernel's frequency sum to the centered L-per-axis sub-box, one row block
+    at a time (KernelMatrix.supremum_per_offset), and the supremum runs
     over d >= max(cutoff, 4/L), at least four cells at the truncation scale.
     The stability ratio compares the largest truncation to the smallest: a
     ratio near 1 is finite-truncation evidence for the decay estimate, while
@@ -206,8 +201,6 @@ def decay_scan(kernel: KernelMatrix, exponent: int, cutoff: float, truncations) 
     """
     if exponent < 0:
         raise ValidationError("decay exponent must be >= 0")
-    if kernel.source is None:
-        raise ValidationError("kernel lacks provenance; cannot rescan truncations")
     base_n = min(kernel.spec.sizes)
     if cutoff < 4.0 / base_n - 1e-12:
         raise ValidationError(f"cutoff {cutoff:g} is below four grid cells (4/{base_n})")
@@ -218,12 +211,15 @@ def decay_scan(kernel: KernelMatrix, exponent: int, cutoff: float, truncations) 
         raise ValidationError(
             f"truncation {truncs[-1]} exceeds the kernel grid size {base_n}", field="truncations"
         )
+    dist = offset_distance_grid(kernel.spec)
     suprema, eff = {}, {}
     for L in truncs:
-        kern_L = synthesize_kernel(kernel.source, lattice_box=L)
-        eff[L] = cut_L = max(cutoff, 4.0 / L)
-        suprema[L] = _masked_decay_sup(kern_L, exponent, cut_L)
-        del kern_L  # one truncated kernel alive at a time, not two
+        sup_off = kernel.supremum_per_offset(L)  # rejects a box that is not even and >= 2
+        eff[L] = max(cutoff, 4.0 / L)
+        mask = dist >= eff[L]
+        if not np.any(mask):
+            raise EmptyDomainError(f"cutoff {eff[L]:g} excludes all grid pairs")
+        suprema[L] = float(np.max(dist[mask] ** exponent * sup_off[mask]))
     smallest, largest = suprema[truncs[0]], suprema[truncs[-1]]
     ratio = largest / smallest if smallest > 0 else math.inf
     return KernelDecayReport(exponent, cutoff, suprema, eff, float(ratio))
@@ -400,7 +396,7 @@ def sigma_estimates(
             )
 
     G = spec.npoints
-    kernel = to_matrix(op).matrix * G  # k(x, y)
+    M = to_matrix(op).matrix  # k(x, y) / G, the quadrature weight included
     points = spec.points()
     rng = np.random.default_rng(seed)
 
@@ -419,10 +415,10 @@ def sigma_estimates(
                     f"excluded ball of radius {r:g} covers the whole torus at sigma={s:g}"
                 )
             if variant in ("a1", "b"):
-                diff = np.abs(kernel[:, y] - kernel[:, z])
+                diff = np.abs(M[:, y] - M[:, z])
             else:
-                diff = np.abs(kernel[y, :] - kernel[z, :])
-            best = max(best, float(np.sum(diff[outside]) / G))
+                diff = np.abs(M[y, :] - M[z, :])
+            best = max(best, float(np.sum(diff[outside])))
         per_sigma.append(best)
 
     return SigmaEstimateReport(

@@ -22,10 +22,10 @@ offset, M[r, y] = K[r, (x_r - y) mod N] / G.  Every other PdoOperator's
 table is its grid-basis matrix M, 16 G^2 bytes, built so in blocks of grid
 rows; a multiplier's dense matrix is its one row gathered.  apply is M @ f
 and the adjoint conj(conj(g) @ M), with no DFT and no transposed copy
-(DenseOperatorMatrix shares both); to_matrix returns M and the kernel rows
-(any lattice sub-box included) are G M regathered by offset.  Above
-MATRIX_GUARD grid points nothing is stored; apply and adjoint recompute
-the row blocks on every call.
+(DenseOperatorMatrix shares both); to_matrix returns M, and the kernel rows
+are a multiplier's one row or G M regathered by offset, cut to a lattice
+sub-box in place by box_filter.  Above MATRIX_GUARD grid points nothing is
+stored; apply and adjoint recompute the row blocks on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
@@ -301,36 +301,36 @@ def to_matrix(op) -> DenseOperatorMatrix:
 
 
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
-    """Kernel rows in offset form: K[r, z] = k(x_r, x_r - z), shape (G,) + sizes.
+    """Kernel rows in offset form, K[r, z] = k(x_r, x_r - z), shape (rows,) + sizes.
 
-    A multiplier's rows are its one kernel row repeated, any other
-    operator's are G times its dense matrix regathered by offset.  ``box`` keeps only the
-    frequencies of the centered sub-box of that per-axis size, an even
-    integer >= 2, one Fourier filter along the offset axes; an axis no
-    larger than the box stays whole.  The dense size guard applies.
+    A multiplier has its one kernel row, which serves every x; any other
+    operator has G rows, G times its dense matrix regathered by offset.
+    ``box`` truncates them to a centered lattice sub-box (box_filter).  The
+    dense size guard applies.
     """
     _guard(op.spec)
-    if box is not None and (box < 2 or box % 2):
-        raise ValidationError(f"lattice box {box!r} must be an even integer >= 2", field="box")
-    spec = op.spec
-    G = spec.npoints
-    axes = tuple(range(1, 1 + spec.dim))
-    multiplier = isinstance(op, PdoOperator) and op.is_multiplier
-    if multiplier:
+    if isinstance(op, PdoOperator) and op.is_multiplier:
         K = op.kernel_rows()
     else:
-        K = full_to_offsets(to_matrix(op).matrix, spec)  # a fresh gather, scaled in place
-        K *= G
-    if box is not None:
-        xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
-        inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
-        for block in np.split(K, range(_CHUNK, len(K), _CHUNK)):  # views: no G^2 temporaries
-            np.fft.fftn(block, axes=axes, out=block)
-            block *= inside
-            np.fft.ifftn(block, axes=axes, out=block)
-    if K.shape[0] < G:
-        K = np.repeat(K, G, axis=0)
-    return K.reshape((G,) + spec.sizes)
+        K = full_to_offsets(to_matrix(op).matrix, op.spec)  # a fresh gather, scaled in place
+        K *= op.spec.npoints
+    return K if box is None else box_filter(K, box, op.spec)
+
+
+def box_filter(K: np.ndarray, box: int, spec: GridSpec) -> np.ndarray:
+    """K with each offset row cut to the frequencies of the centered sub-box of
+    per-axis size ``box``, an even integer >= 2 (an axis no larger than it
+    stays whole), in place by row blocks, so no G^2 temporary is made."""
+    if box < 2 or box % 2:
+        raise ValidationError(f"lattice box {box!r} must be an even integer >= 2", field="box")
+    axes = tuple(range(1, 1 + spec.dim))
+    xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
+    inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
+    for block in np.split(K, range(_CHUNK, len(K), _CHUNK)):  # views
+        np.fft.fftn(block, axes=axes, out=block)
+        block *= inside
+        np.fft.ifftn(block, axes=axes, out=block)
+    return K
 
 
 def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec) -> np.ndarray:

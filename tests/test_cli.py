@@ -107,6 +107,26 @@ class TestQuantize:
         with pytest.raises(ValidationError, match="CSV has 7 rows, grid needs 8"):
             read_function_csv(path, spec)
 
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [(["0,1,0", "0,1,0", "2,1,0", "3,1,0"], "index 0 repeated"),
+         (["0,1,0", "1,abc,0", "2,1,0", "3,1,0"], "is not index,real,imag"),
+         (["0,1,0", "1", "2,1,0", "3,1,0"], "is not index,real,imag"),
+         (["0,1,0", "x,1,0", "2,1,0", "3,1,0"], "is not index,real,imag")],
+        ids=["repeated-index", "non-numeric-value", "short-row", "non-integer-index"],
+    )
+    def test_malformed_csv_rejected(self, tmp_path, capsys, rows, reason):
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join(["index,real,imag"] + rows) + "\n")
+        with pytest.raises(ValidationError, match=reason) as err:
+            read_function_csv(path, GridSpec((4,)))
+        assert err.value.field == "input"
+        code, out, err = run(["quantize", "--symbol", "1", "--grid", "4", "--out", str(tmp_path),
+                              "--set", f"quantize.input={path}"], capsys)
+        assert code == 1
+        assert err.startswith("error: input: ")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestKernelCommand:
     def test_decay_check(self, tmp_path, capsys):
@@ -127,6 +147,25 @@ class TestKernelCommand:
         assert code == 0
         payload = load_report(tmp_path, "kernel")["payload"]
         assert 0.5 <= payload["decay"]["stability_ratio"] <= 2.0
+
+    @pytest.mark.parametrize(
+        "setting, field",
+        [("kernel.dump_rows=[64]", "kernel.dump_rows"),
+         ("kernel.dump_rows=[-1]", "kernel.dump_rows"),
+         ('kernel.dump_rows=["a"]', "kernel.dump_rows"),
+         ("kernel.dump_rows=[1.5]", "kernel.dump_rows"),
+         ("kernel.dump_rows=3", "kernel.dump_rows"),
+         ('kernel.checks=["decay","sigmaa"]', "kernel.checks"),
+         ('kernel.checks="decay"', "kernel.checks")],
+    )
+    def test_bad_dump_rows_and_checks_name_their_field(self, tmp_path, capsys, setting, field):
+        # a row off the 64-point grid or not an integer, or a check that does not exist
+        code, out, err = run(["kernel", "--symbol", "bessel(-2)", "--grid", "64",
+                              "--out", str(tmp_path), "--set", setting], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {field}: must be ")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestNormsAndCz:

@@ -7,7 +7,7 @@ import numpy.linalg as la
 import pytest
 
 from toruslab.calculus import ClassParams
-from toruslab.errors import ValidationError
+from toruslab.errors import ConvergenceError, ValidationError
 from toruslab.grid import GridFunction, GridSpec
 from toruslab.operators import (
     AdjointOperator,
@@ -87,6 +87,51 @@ class TestL2Norm:
         nT = l2_norm(T, seed=0).value
         nA = l2_norm(AdjointOperator(T), seed=1).value
         assert abs(nT - nA) <= 1e-6 * nT
+
+    @pytest.mark.parametrize("N", [64, 128, 256, 512])
+    def test_near_tied_exotic_matches_dense_svd(self, N):
+        # the top two singular values of exotic(0, 0.75, 1) nearly tie
+        # (1.38115 and 1.37485 at N = 128)
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((N,)))
+        first, second = la.svd(to_matrix(T).matrix, compute_uv=False)[:2]
+        assert (first - second) / first < 0.05
+        est = l2_norm(T, seed=3)
+        assert abs(est.value - first) <= 1e-10 * first
+        assert abs(est.verify(T) - est.value) <= 1e-10 * est.value
+
+    def test_near_tied_multiplier_profiles(self):
+        # the draws c06 excludes: the two largest moduli within 2 % of each other
+        spec = GridSpec((64,))
+        rng = np.random.default_rng(20240601)
+        for k in range(20):
+            while True:
+                vals = rng.uniform(0.2, 2.0, 64) * np.exp(2j * np.pi * rng.random(64))
+                mags = np.sort(np.abs(vals))[::-1]
+                if (mags[0] - mags[1]) / mags[0] < 0.02:
+                    break
+            want = float(mags[0])
+            assert abs(l2_norm(MultiplierOperator(vals, spec), seed=k).value - want) <= 1e-10 * want
+
+    def test_witness_is_a_unit_ritz_vector(self):
+        # top moduli clustered within 1e-6: without reorthogonalization the
+        # Lanczos vectors drift and the witness norm is off by about 3e-8
+        spec = GridSpec((256,))
+        rng = np.random.default_rng(0)
+        vals = (1 - 1e-6 * rng.random(256)) * np.exp(2j * np.pi * rng.random(256))
+        T = MultiplierOperator(vals, spec)
+        est = l2_norm(T, seed=1)
+        assert abs(np.linalg.norm(est.witness.values) - 1.0) <= 1e-12
+        assert abs(est.verify(T) - est.value) <= 1e-12 * est.value
+        assert abs(est.value - np.abs(vals).max()) <= 1e-10
+
+    def test_zero_operator_and_exhausted_budget(self, monkeypatch):
+        spec = GridSpec((32,))
+        assert l2_norm(MultiplierOperator(np.zeros(32), spec)).value == 0.0
+        monkeypatch.setattr(experiments, "L2_MAX_STEPS", 3)
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), spec)
+        with pytest.raises(ConvergenceError, match="3 steps") as err:
+            l2_norm(T, seed=3)
+        assert err.value.final_gap > 1e-10
 
 
 class TestLowerBound:

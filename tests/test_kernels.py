@@ -6,8 +6,9 @@ import pytest
 
 from toruslab import kernels
 from toruslab.errors import EmptyDomainError, SizeGuardError, ValidationError
-from toruslab.grid import GridSpec, constant_function, torus_distance
+from toruslab.grid import GridSpec, constant_function, offset_distance_grid, torus_distance
 from toruslab.kernels import (
+    KernelMatrix,
     decay_scan,
     derivative_kernel,
     dirichlet_kernel_closed_form,
@@ -15,7 +16,7 @@ from toruslab.kernels import (
     sigma_estimates,
     synthesize_kernel,
 )
-from toruslab.operators import PdoOperator, to_matrix
+from toruslab.operators import AdjointOperator, PdoOperator, compose_bessel, to_matrix
 from toruslab.symbols import bessel, exotic, wainger
 
 FOUR_FAMILIES = [bessel(-1.0), wainger(0.5, 1.0), exotic(0.0, 0.75, 1.0), exotic(-0.5, 0.5, 2.0)]
@@ -89,6 +90,34 @@ class TestSynthesize:
         monkeypatch.setattr(kernels, "_CHUNK", 5)  # blocks of 5 rows, the last one partial
         assert np.array_equal(k.supremum_per_offset(), want)
         assert all(np.array_equal(k.row(r), k.full()[r]) for r in range(G))
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    @pytest.mark.parametrize("box", [None, 4])
+    def test_multiplier_kernel_is_one_row(self, sizes, box):
+        # one offset row serves every x; each reader equals that of the row
+        # repeated G times
+        spec = GridSpec(sizes)
+        k = synthesize_kernel(PdoOperator.from_family(wainger(0.5, 1.0), spec), lattice_box=box)
+        assert k.offset_rows.shape == (1,) + sizes
+        repeated = KernelMatrix(spec, np.repeat(k.offset_rows, spec.npoints, axis=0))
+        assert k.max_abs() == repeated.max_abs()
+        assert k.circulant_defect() == repeated.circulant_defect() == 0.0
+        assert all(np.array_equal(k.row(r), repeated.row(r)) for r in range(spec.npoints))
+        assert np.array_equal(k.full(), repeated.full())
+        for trunc in (None, 2, 4):
+            assert np.array_equal(k.supremum_per_offset(trunc), repeated.supremum_per_offset(trunc))
+
+    @pytest.mark.parametrize("sizes", [(4096,), (64, 64)])
+    def test_multiplier_kernel_memory(self, sizes):
+        # G = 4096: the repeated row would be 256 MiB, the one row is 64 KiB
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec(sizes))
+        tracemalloc.start()
+        try:
+            synthesize_kernel(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDerivativeKernel:
@@ -181,6 +210,38 @@ class TestDecayScan:
         finally:
             tracemalloc.stop()
         assert peak < 56 * 2**20
+
+    @pytest.mark.parametrize("sizes, truncations",
+                             [((512,), [128, 256, 512]), ((32, 16), [8, 16])])
+    @pytest.mark.parametrize("wrap", ["left", "adjoint"])
+    def test_suprema_are_those_of_the_truncated_kernels(self, sizes, truncations, wrap):
+        # the scan truncates the kernel it holds, one row block at a time, to
+        # exactly the kernel synthesized with that lattice box
+        spec = GridSpec(sizes)
+        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+        op = compose_bessel(T, -0.5, "left") if wrap == "left" else AdjointOperator(T)
+        cutoff = 4 / min(sizes)
+        rep = decay_scan(synthesize_kernel(op), 1, cutoff=cutoff, truncations=truncations)
+        dist = offset_distance_grid(spec)
+        for L in truncations:
+            mask = dist >= max(cutoff, 4 / L)
+            sup = synthesize_kernel(op, lattice_box=L).supremum_per_offset()
+            assert rep.suprema[L] == float(np.max(dist[mask] * sup[mask]))
+
+    def test_kernel_2d_decay_memory(self):
+        # as test_kernel_2d_memory: the operator's matrix and the kernel, 16 MiB
+        # each, and one copied row block of a truncation with its moduli; no
+        # truncated G^2 kernel
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32, 32)))
+        tracemalloc.start()
+        try:
+            k = synthesize_kernel(T)
+            decay_scan(k, 0, cutoff=4 / 32, truncations=[8, 16, 32])
+            k.row(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 42 * 2**20
 
 
 class TestLogBound:
