@@ -12,9 +12,11 @@ x-derivatives).  Fits are least squares in log-log coordinates with the two
 innermost shells excluded.
 
 seminorm_constant and fit_order share one evaluation, in which each
-x-derivative d^beta_x p is evaluated once, on the union of the shifted shells,
-and every difference D^alpha reads offset views of that one lattice box; so a
-fit's constants are seminorm_constant at its reference class.
+x-derivative d^beta_x p is evaluated once, on the union of the shifted shells
+and at the x-samples along the axes it reads, and every difference D^alpha
+reads offset views of that one lattice box; so a fit's constants are
+seminorm_constant at its reference class.  Both refuse a fit above the size
+guard before any lattice point is built.
 
 x-derivatives come in two flavours: exact symbolic differentiation of the
 expression tree (always available, used by the fitting machinery) and
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import (EmptyDomainError, NumericalError, SizeGuardError, SpectralTailError,
                      ValidationError)
 from .grid import MATRIX_GUARD, GridFunction, GridSpec
-from .symbols import TableSymbol, depends_on_x, diff_x_multi, eval_expr
+from .symbols import TableSymbol, depends_on_x, diff_x_multi, eval_expr, read_axes
 
 # fraction of per-axis frequencies counted as the spectral tail, and the
 # relative tail mass above which spectral differentiation refuses to run
@@ -181,9 +183,14 @@ def dyadic_shells(lo: float, hi: float):
     return shells
 
 
+def box_radius(hi: float) -> int:
+    """The largest |xi_j| of a lattice point with <xi> < hi, floor(sqrt(hi^2 - 1))."""
+    return math.floor(math.sqrt(max(hi**2 - 1.0, 0.0)))
+
+
 def shell_lattice_points(lo: float, hi: float, dim: int) -> np.ndarray:
     """All xi in Z^dim with lo <= <xi> < hi, as an (S, dim) integer array."""
-    rmax = math.floor(math.sqrt(max(hi**2 - 1.0, 0.0)))
+    rmax = box_radius(hi)
     if dim == 1:
         xi = np.arange(-rmax, rmax + 1)[:, None]
     else:
@@ -196,6 +203,23 @@ def shell_lattice_points(lo: float, hi: float, dim: int) -> np.ndarray:
     return pts
 
 
+def _fit_guard(expr, shells, reach: int, dim: int, x_resolution: int):
+    """Refuse a class fit before any lattice point is built: x_resolution^dim
+    x-samples (one for an x-independent symbol) times the cells of the
+    lattice box [-R, R + reach]^dim of the outer shell, R = box_radius, above
+    MATRIX_GUARD^2, the element budget of the largest dense matrix, raise
+    SizeGuardError."""
+    if x_resolution < 1:
+        raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
+    samples = (x_resolution if depends_on_x(expr) else 1) ** dim
+    cells = (2 * box_radius(shells[-1][1]) + 1 + reach) ** dim
+    if samples * cells > MATRIX_GUARD**2:
+        raise SizeGuardError(
+            f"class fit needs {samples} x-samples (x_resolution={x_resolution}) on "
+            f"{cells} lattice cells for shells ({shells[0][0]:g}, {shells[-1][1]:g}), "
+            f"above the guard of {MATRIX_GUARD}^2 elements")
+
+
 def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     """max over the x-sample of |d^beta_x D^alpha_xi p(x, xi)| at each shell point.
 
@@ -203,30 +227,26 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     Returns the brackets <xi> of each shell's points and, per alpha, a list of
     per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
     union of the shifted shells (xi + gamma for every shell point xi and every
-    gamma of every alpha).  One x-sample at a time, its values are scattered
-    into a zeroed lattice box [-R, R + reach]^dim, and each D^alpha is the
-    difference_terms sum of box views offset by gamma, accumulated in place in
-    that order, so it matches the pointwise sum bit for bit.  Points outside
-    the union are never evaluated: the inner hole may hold a singularity
-    (1/abs(xi) at xi = 0).  Before any evaluation, x-samples x box cells above
-    MATRIX_GUARD^2, the element budget of the largest dense matrix, raise
-    SizeGuardError.
+    gamma of every alpha), and x is sampled at x_resolution points per axis
+    along the axes the derivative reads only, with 0 on the others: the rest
+    of the x_resolution^dim grid repeats those values.  One x-sample at a
+    time, its values are scattered into a zeroed lattice box
+    [-R, R + reach]^dim, and each D^alpha is the difference_terms sum of box
+    views offset by gamma, accumulated in place in that order, so it matches
+    the pointwise sum bit for bit.  Points outside the union are never
+    evaluated: the inner hole may hold a singularity (1/abs(xi) at xi = 0).
+    The callers run _fit_guard first.
     """
-    if x_resolution < 1:
-        raise ValidationError(f"must be >= 1, got {x_resolution}", field="x_resolution")
     tree = diff_x_multi(expr, beta)
     dim = points[0].shape[1]
-    r = x_resolution if depends_on_x(tree) else 1
-    xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*[np.arange(r) / r] * dim, indexing="ij"))
+    axes = read_axes(tree, dim)
+    grids = [np.arange(x_resolution) / x_resolution if ax in axes else np.zeros(1)
+             for ax in range(dim)]
+    xs = tuple(m.reshape(-1, 1) for m in np.meshgrid(*grids, indexing="ij"))
     terms = {alpha: list(difference_terms(alpha)) for alpha in alphas}
     rad = max(int(np.max(np.abs(p))) for p in points)
     core = (2 * rad + 1,) * dim
     shape = tuple(n + max(map(max, alphas)) for n in core)  # [-R, R + reach]^dim
-    if r**dim * math.prod(shape) > MATRIX_GUARD**2:
-        raise SizeGuardError(
-            f"class fit needs {r**dim} x-samples (x_resolution={x_resolution}) on "
-            f"{math.prod(shape)} lattice cells for shells ({shells[0][0]:g}, {shells[-1][1]:g}), "
-            f"above the guard of {MATRIX_GUARD}^2 elements")
     cells = [tuple((p + rad).T) for p in points]  # each shell's box indices, in its order
 
     def offset(arr, gamma):
@@ -240,7 +260,7 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     for gamma in {g for ts in terms.values() for g, _ in ts}:
         offset(union, gamma)[...] |= inside
     xi = tuple(axis[None, :] - float(rad) for axis in np.nonzero(union))
-    values = np.broadcast_to(eval_expr(tree, xs, xi, params), (r**dim, xi[0].size))
+    values = np.broadcast_to(eval_expr(tree, xs, xi, params), (xs[0].size, xi[0].size))
 
     # one x-sample at a time, so every buffer is one box or one core
     box = np.zeros(shape, dtype=np.complex128)
@@ -288,6 +308,7 @@ def seminorm_constant(
     alpha = mi_validate(alpha, dim)
     beta = mi_validate(beta, dim)
     shells = dyadic_shells(*shell_range)
+    _fit_guard(expr, shells, max(alpha), dim, x_resolution)
     points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
     brackets, maxima = _shell_maxima(expr, beta, [alpha], shells, points, params, x_resolution)
     return _weighted_max(brackets, maxima[alpha], class_params.seminorm_exponent(alpha, beta))
@@ -377,6 +398,7 @@ def fit_order(
 
     indices = [mi for mi in product(range(max_order + 1), repeat=dim) if mi_abs(mi) <= max_order]
     zero = tuple([0] * dim)
+    _fit_guard(expr, shells, max_order, dim, x_resolution)
     points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
     by_beta = {b: _shell_maxima(expr, b, indices, shells, points, params, x_resolution)
                for b in indices}

@@ -4,11 +4,11 @@ The kernel of Op(p) on the truncated lattice is
 
     k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi),
 
-held as one offset row per distinct x (KernelMatrix).  The decay and log
-checks read it, a truncation filtering copies of its row blocks, and the
-sigma integrals read the grid-basis matrix M = k / G.  Three estimate
-families are probed empirically, always with finite-truncation stability
-diagnostics (never as certificates):
+held as one offset row per distinct x over the axes the symbol reads
+(KernelMatrix).  The decay and log checks read it, a truncation filtering
+copies of its row blocks, and the sigma integrals read the grid-basis matrix
+M = k / G.  Three estimate families are probed empirically, always with
+finite-truncation stability diagnostics (never as certificates):
 
   * polynomial off-diagonal decay: sup_{d(x,y) >= cutoff} d^N |k| stays
     bounded as the truncation grows, once N is large enough relative to the
@@ -45,6 +45,7 @@ from .operators import (
     box_filter,
     kernel_offset_rows,
     offsets_to_full,
+    representatives,
     to_matrix,
 )
 from .symbols import BinOp, Const, XiVar, diff_x_multi
@@ -56,28 +57,43 @@ MAX_KERNEL_DERIVATIVE = 2
 
 @dataclass
 class KernelMatrix:
-    """Kernel samples in offset form, one row per distinct x: a multiplier's
-    one row serves every x, any other kernel has G rows."""
+    """Kernel samples in offset form, one row per distinct x over ``x_axes``,
+    the grid axes the kernel varies along, in C order over them: grid row r
+    reads the row of its representative (operators.representatives).  With
+    no axes given, one row serves every x and G rows are one per grid row."""
 
     spec: GridSpec
-    offset_rows: np.ndarray  # shape (1,) or (G,) + sizes; K[r, z] = k(x_r, x_r - z)
+    offset_rows: np.ndarray  # shape (rows,) + sizes; K[r, z] = k(x_r, x_r - z)
     label: str = "kernel"
+    x_axes: tuple = None
+
+    def __post_init__(self):
+        if self.x_axes is None:
+            self.x_axes = () if len(self.offset_rows) == 1 else tuple(range(self.spec.dim))
+        if len(self.offset_rows) != math.prod(self.spec.sizes[ax] for ax in self.x_axes):
+            raise ValidationError(f"{len(self.offset_rows)} offset rows for x axes {self.x_axes} "
+                                  f"of the grid {self.spec.sizes}")
+
+    def _row_of(self, flat_rows):
+        """The offset row that each flat grid row reads."""
+        return representatives(flat_rows, self.spec, self.x_axes)[0]
 
     def full(self) -> np.ndarray:
         """Dense k(x, y)."""
-        return offsets_to_full(self.offset_rows, self.spec)
+        return offsets_to_full(self.offset_rows, self.spec,
+                               self._row_of(np.arange(self.spec.npoints)))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.offset_rows)))
 
     def circulant_defect(self) -> float:
-        """max over rows of |K[r] - K[0]|; zero for x-independent symbols."""
+        """max over x of |K[x] - K[0]|; zero for x-independent symbols."""
         return float(np.max(np.abs(self.offset_rows - self.offset_rows[0])))
 
     def row(self, r: int) -> np.ndarray:
         """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
-        rows = self.offset_rows if len(self.offset_rows) == 1 else self.offset_rows[r:r + 1]
-        return _swap_offset_axes(rows, np.array([r]), self.spec).reshape(-1)
+        flat = np.array([r])
+        return _swap_offset_axes(self.offset_rows, flat, self.spec, self._row_of(flat)).reshape(-1)
 
     def supremum_per_offset(self, box: int = None) -> np.ndarray:
         """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``, of the
@@ -99,7 +115,8 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), label=op.label)
+    x_axes = op.x_axes if isinstance(op, PdoOperator) else None
+    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, x_axes)
 
 
 # ---------------------------------------------------------------------------

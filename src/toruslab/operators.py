@@ -16,16 +16,22 @@ built.
 
 One transform turns a symbol into kernel values, the kernel rows
 K[r] = G ifftn(ifftshift p(x_r, .)), i.e. K[r, z] = k(x_r, x_r - z) for the
-Schwartz kernel k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi); a multiplier
-has one row, for every x.  A grid-basis block is kernel rows gathered by
-offset, M[r, y] = K[r, (x_r - y) mod N] / G.  Every other PdoOperator's
-table is its grid-basis matrix M, 16 G^2 bytes, built so in blocks of grid
-rows; a multiplier's dense matrix is its one row gathered.  apply is M @ f
-and the adjoint conj(conj(g) @ M), with no DFT and no transposed copy
-(DenseOperatorMatrix shares both); to_matrix returns M, and the kernel rows
-are a multiplier's one row or G M regathered by offset, cut to a lattice
-sub-box in place by box_filter.  Above MATRIX_GUARD grid points nothing is
-stored; apply and adjoint recompute the row blocks on every call.
+Schwartz kernel k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi).  A
+PdoOperator's ``x_axes`` are the grid axes its symbol reads, and it has one
+kernel row per distinct x over them: grid row r shares the row of its
+representative, the grid point with r's coordinates on x_axes and 0 on every
+other axis (representatives).  A multiplier reads no axis and has one row,
+for every x; a symbol that reads every axis has G.  A grid-basis block makes
+kernel rows for its distinct representatives only and gathers each grid row
+by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G.  Every other
+PdoOperator's table is its grid-basis matrix M, 16 G^2 bytes, built so in
+blocks of grid rows; a multiplier's dense matrix is its one row gathered.
+apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT and no
+transposed copy (DenseOperatorMatrix shares both); to_matrix returns M, and
+the kernel rows are a multiplier's one row or G times M's representative
+rows regathered by offset, cut to a lattice sub-box in place by box_filter.
+Above MATRIX_GUARD grid points nothing is stored; apply and adjoint
+recompute the row blocks on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
@@ -53,7 +59,7 @@ import numpy as np
 from .calculus import ClassParams
 from .errors import SizeGuardError, ValidationError
 from .grid import MATRIX_GUARD, GridFunction, GridSpec, finite_values
-from .symbols import BinOp, Call, Const, XiVec, depends_on_x, eval_expr, family_from_text, parse
+from .symbols import BinOp, Call, Const, XiVec, eval_expr, family_from_text, parse, read_axes
 
 # Grid rows per block of the grid-basis matrix, stored or streamed, and of a
 # kernel-row box filter: the transient memory of a block is a few times
@@ -145,7 +151,7 @@ class PdoOperator:
         if self.params is None:
             self.params = {}
         self.lattice = self.spec.lattice()
-        self.is_multiplier = not depends_on_x(self.expr)
+        self.x_axes = read_axes(self.expr, self.spec.dim)
         self._matrix = self._profile = self._table = None
         # probe evaluability on grid x lattice once, cheaply
         eval_expr(self.expr, tuple(0.0 for _ in range(self.spec.dim)),
@@ -168,6 +174,11 @@ class PdoOperator:
         if family is not None:
             return cls.from_family(family, spec)
         return cls(expr=parse(text), spec=spec, class_params=class_params, label=text)
+
+    @property
+    def is_multiplier(self) -> bool:
+        """True when the symbol reads no x axis."""
+        return not self.x_axes
 
     def on(self, spec: GridSpec) -> "PdoOperator":
         """The same symbol quantized on the grid ``spec``."""
@@ -216,13 +227,24 @@ class PdoOperator:
             return _multiply(self.spec, f, self._multiplier_table())
         return _dense_apply(self.spec, f, self._matrix_blocks())
 
+    def _distinct_rows(self, rows: np.ndarray):
+        """(reps, value_rows): the sorted distinct representatives of the flat
+        grid ``rows`` and, for each row, the position of its representative in
+        reps; a symbol that reads every axis gives (rows, None), each row its
+        own representative."""
+        if len(self.x_axes) == self.spec.dim:
+            return rows, None
+        return np.unique(representatives(rows, self.spec, self.x_axes)[1], return_inverse=True)
+
     def _matrix_rows(self):
-        """Successive blocks (rows, M[rows]) of the grid-basis matrix: the
-        block's kernel rows gathered by offset, M[r, y] = K[r, (x_r - y) mod N] / G."""
+        """Successive blocks (rows, M[rows]) of the grid-basis matrix: kernel
+        rows of the block's distinct representatives, each grid row gathered
+        from its own by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G."""
         G = self.spec.npoints
         for start in range(0, G, _CHUNK):
             rows = np.arange(start, min(start + _CHUNK, G))
-            block = _swap_offset_axes(self.kernel_rows(rows), rows, self.spec)
+            reps, value_rows = self._distinct_rows(rows)
+            block = _swap_offset_axes(self.kernel_rows(reps), rows, self.spec, value_rows)
             yield rows, block.reshape(rows.size, G) / G
 
     def _grid_matrix(self) -> np.ndarray:
@@ -303,16 +325,21 @@ def to_matrix(op) -> DenseOperatorMatrix:
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form, K[r, z] = k(x_r, x_r - z), shape (rows,) + sizes.
 
-    A multiplier has its one kernel row, which serves every x; any other
-    operator has G rows, G times its dense matrix regathered by offset.
-    ``box`` truncates them to a centered lattice sub-box (box_filter).  The
-    dense size guard applies.
+    A PdoOperator has one row per distinct x over its x_axes, in C order
+    over those axes (representatives): a multiplier its one kernel row, which
+    serves every x, any other G times its dense matrix's representative rows
+    regathered by offset.  Any other operator has G rows.  ``box`` truncates
+    them to a centered lattice sub-box (box_filter).  The dense size guard
+    applies.
     """
     _guard(op.spec)
     if isinstance(op, PdoOperator) and op.is_multiplier:
         K = op.kernel_rows()
     else:
-        K = full_to_offsets(to_matrix(op).matrix, op.spec)  # a fresh gather, scaled in place
+        reps = np.arange(op.spec.npoints)
+        if isinstance(op, PdoOperator):
+            reps = op._distinct_rows(reps)[0]
+        K = _swap_offset_axes(to_matrix(op).matrix, reps, op.spec, reps)  # fresh, scaled in place
         K *= op.spec.npoints
     return K if box is None else box_filter(K, box, op.spec)
 
@@ -333,9 +360,25 @@ def box_filter(K: np.ndarray, box: int, spec: GridSpec) -> np.ndarray:
     return K
 
 
-def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """out[i, w] = values[i, (x_r - w) mod N] for r = flat_rows[i] and
-    multi-indices w, shape (rows,) + sizes; one value row serves every row.
+def representatives(flat_rows, spec: GridSpec, axes):
+    """(index, rep) of each flat grid row: its representative among the
+    distinct x over ``axes`` is the grid point rep with the row's coordinates
+    on ``axes`` and 0 on every other axis, and index its position among
+    them in C order over ``axes``.  Over every axis each row represents
+    itself; over none both are 0, one row for every x."""
+    index = rep = 0
+    for ax, (c, n) in enumerate(zip(np.unravel_index(flat_rows, spec.sizes), spec.sizes)):
+        rep = rep * n
+        if ax in axes:
+            index, rep = index * n + c, rep + c
+    return index, rep
+
+
+def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec,
+                      value_rows=None) -> np.ndarray:
+    """out[i, w] = values[value_rows[i], (x_r - w) mod N] for r = flat_rows[i]
+    and multi-indices w, shape (rows,) + sizes.  By default value row i
+    serves row i, or one value row serves every row (value_rows 0).
 
     The map w -> (x_r - w) mod N is its own inverse, so one gather serves
     both directions between dense rows k(x_r, y) and offset rows
@@ -345,17 +388,20 @@ def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec)
     """
     sizes, dim = spec.sizes, spec.dim
     values = np.asarray(values, dtype=np.complex128).reshape((-1,) + sizes)
-    index = [np.arange(len(flat_rows)).reshape((-1,) + (1,) * dim) if len(values) > 1 else 0]
+    if value_rows is None:
+        value_rows = np.arange(len(flat_rows)) if len(values) > 1 else 0
+    index = [np.reshape(value_rows, (-1,) + (1,) * dim)]
     for ax, (x, n) in enumerate(zip(np.unravel_index(flat_rows, sizes), sizes)):
         offsets = (x.astype(np.int32)[:, None] - np.arange(n, dtype=np.int32)) & (n - 1)
         index.append(offsets.reshape((-1,) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax)))
     return values[tuple(index)]
 
 
-def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Dense k(x, y) matrix from offset rows, or from one row that serves all."""
+def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec, value_rows=None) -> np.ndarray:
+    """Dense k(x, y) matrix from offset rows, grid row r read from offset row
+    value_rows[r] (by default row r, or one row that serves all)."""
     G = spec.npoints
-    return _swap_offset_axes(K_offsets, np.arange(G), spec).reshape(G, G)
+    return _swap_offset_axes(K_offsets, np.arange(G), spec, value_rows).reshape(G, G)
 
 
 def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -373,8 +419,7 @@ class MultiplierOperator(PdoOperator):
                  class_params: ClassParams = None):
         self.expr, self.spec, self.params = None, spec, {}
         self.class_params, self.label = class_params, label
-        self.lattice = spec.lattice()
-        self.is_multiplier = True
+        self.lattice, self.x_axes = spec.lattice(), ()
         self._profile, self._table = _fft_table(np.reshape(profile, self.lattice.sizes), label)
 
     def on(self, spec: GridSpec):

@@ -452,6 +452,11 @@ def depends_on_x(expr, axis=None) -> bool:
     return False
 
 
+def read_axes(expr, dim: int) -> tuple:
+    """The grid axes j < dim whose coordinate x_{j+1} the expression reads."""
+    return tuple(ax for ax in range(dim) if depends_on_x(expr, ax))
+
+
 # ---------------------------------------------------------------------------
 # Exact x-differentiation
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from toruslab.calculus import (
     x_derivative,
 )
 from toruslab.errors import (
+    DslError,
     EmptyDomainError,
     SizeGuardError,
     SpectralTailError,
@@ -166,6 +167,15 @@ class TestShells:
         pts = shell_lattice_points(4, 8, 2)
         br = np.sqrt(1 + np.sum(pts.astype(float) ** 2, axis=1))
         assert np.all((br >= 4) & (br < 8))
+
+    @pytest.mark.parametrize("shell_range", [(8.0, 512.0), (8.0, 128.0), (8.0, 64.0), (8.0, 16.0),
+                                             (64.0, 128.0), (4.0, 8.0), (2.0, 16.0), (1.0, 16.0)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_box_radius_is_the_largest_coordinate(self, shell_range, dim):
+        # the size guard's box, read from the shell range before any point is built
+        shells = dyadic_shells(*shell_range)
+        largest = max(int(np.max(np.abs(shell_lattice_points(lo, hi, dim)))) for lo, hi in shells)
+        assert calculus.box_radius(shells[-1][1]) == largest
 
 
 class TestSeminorm:
@@ -423,7 +433,7 @@ class TestFitOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 52 * 2**20
+        assert peak < 31 * 2**20  # 29.2 MiB measured
 
     @pytest.mark.parametrize("guard, fits", [(65, False), (66, True)])
     def test_size_guard_bounds_samples_times_box_cells(self, monkeypatch, guard, fits):
@@ -442,6 +452,52 @@ class TestFitOrder:
             with pytest.raises(SizeGuardError, match=r"x_resolution=2.*shells \(1, 16\)"):
                 fit()
             assert calls == []  # raised before any evaluation
+
+    @pytest.mark.parametrize("which", ["fit_order", "seminorm_constant"])
+    def test_size_guard_runs_before_any_lattice_point(self, monkeypatch, which):
+        # 4096 x-samples on the 1025^2 or 1023^2 box of the shells (8, 512)
+        calls = []
+        monkeypatch.setattr(calculus, "shell_lattice_points", lambda *a: calls.append(a))
+        fam = exotic(0.0, 0.75, 1.0)
+        with pytest.raises(SizeGuardError, match="4096 x-samples"):
+            if which == "fit_order":
+                fit_order(fam.expr, dim=2, params=fam.parameters)
+            else:
+                seminorm_constant(fam.expr, (0, 0), (0, 0), ClassParams(0, 0.25, 0.75), dim=2,
+                                  params=fam.parameters)
+        assert calls == []
+
+    @pytest.mark.parametrize("symbol, dim, x_resolution, beta, read", [
+        ("exotic(0, 0.75, 1)", 2, 4, (0, 0), (0,)),
+        ("exotic(0, 0.75, 1)", 2, 4, (1, 0), (0,)),
+        ("exotic(0, 0.75, 1)", 2, 4, (0, 1), ()),
+        ("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)", 2, 4, (0, 0), (1,)),
+        ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)", 3, 3, (0, 0, 0), (0, 2)),
+        ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)", 3, 3, (0, 0, 1), (0, 2)),
+        ("exotic(0, 0.75, 1)", 1, 8, (0,), (0,)),
+    ])
+    def test_x_samples_only_along_the_axes_read(self, monkeypatch, symbol, dim, x_resolution,
+                                                beta, read):
+        # the x_resolution grid over the read axes, with 0 on every other axis
+        fam = exotic(0.0, 0.75, 1.0) if symbol.startswith("exotic") else None
+        expr, params = (fam.expr, fam.parameters) if fam else (parse(symbol), None)
+        calls = []
+        original = calculus.eval_expr
+        monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(a) or original(*a))
+        shells = dyadic_shells(2.0, 8.0)
+        _shell_maxima(expr, beta, [(0,) * dim], shells,
+                      [shell_lattice_points(lo, hi, dim) for lo, hi in shells], params,
+                      x_resolution)
+        (_, x, _, _), = calls
+        got = np.stack([np.broadcast_to(c, x[0].shape).ravel() for c in x], axis=-1)
+        grids = [np.arange(x_resolution) / x_resolution if ax in read else [0.0]
+                 for ax in range(dim)]
+        want = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=-1)
+        assert np.array_equal(got, want)
+
+    def test_a_symbol_of_x2_alone_in_1d_raises(self):
+        with pytest.raises(DslError, match="x2 out of range"):
+            fit_order(parse("exp(i*x2)*bracket(xi)^-1"), dim=1)
 
     @pytest.mark.parametrize("kwargs", [{"max_order": 0}, {"max_order": -1},
                                         {"x_resolution": 0}])

@@ -284,6 +284,19 @@ class TestErrorsAndDeterminism:
         assert not (tmp_path / "symbol_class_report.json").exists()
         assert peak < 64 * 2**20  # the shells' lattice points, no evaluation
 
+    def test_refused_class_fit_builds_no_lattice_point(self, tmp_path, capsys):
+        # the guard reads the box from the shell range, so the refusal costs
+        # no lattice point (43 MiB of them on 64^2 with shells up to 512)
+        tracemalloc.start()
+        try:
+            code, _, err = run(["symbol-class", "--symbol", "exotic(0, 0.75, 1)", "--grid",
+                                "64,64", "--out", str(tmp_path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "class fit needs 4096 x-samples" in err
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize(
         "command, symbol, setting",
         [

@@ -86,7 +86,8 @@ class TestSynthesize:
         # row(r) gathers one offset row; the suprema take moduli by row blocks
         k = synthesize_kernel(PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec(sizes)))
         G = k.spec.npoints
-        want = np.max(np.abs(k.offset_rows.reshape(G, -1)), axis=0).reshape(sizes)
+        rows = np.repeat(k.offset_rows, G // len(k.offset_rows), axis=0)  # x1 only: one per row
+        want = np.max(np.abs(rows.reshape(G, -1)), axis=0).reshape(sizes)
         monkeypatch.setattr(kernels, "_CHUNK", 5)  # blocks of 5 rows, the last one partial
         assert np.array_equal(k.supremum_per_offset(), want)
         assert all(np.array_equal(k.row(r), k.full()[r]) for r in range(G))
@@ -106,6 +107,33 @@ class TestSynthesize:
         assert np.array_equal(k.full(), repeated.full())
         for trunc in (None, 2, 4):
             assert np.array_equal(k.supremum_per_offset(trunc), repeated.supremum_per_offset(trunc))
+
+    @pytest.mark.parametrize("text, sizes, axes", [
+        ("exotic(-0.5, 0.75, 1)", (16, 8), (0,)),
+        ("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)*bracket(xi)^-1", (8, 16), (1,)),
+        ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)*bracket(xi)^-1", (8, 4, 8), (0, 2)),
+    ])
+    @pytest.mark.parametrize("box", [None, 4])
+    def test_kernel_has_one_row_per_distinct_x(self, text, sizes, axes, box):
+        # grid row r reads the row of its coordinates on the axes the symbol
+        # reads; each reader equals that of the rows expanded to every grid row
+        spec = GridSpec(sizes)
+        k = synthesize_kernel(PdoOperator.from_text(text, spec), lattice_box=box)
+        read = tuple(sizes[ax] for ax in axes)
+        assert k.x_axes == axes and k.offset_rows.shape == (math.prod(read),) + sizes
+        coords = np.unravel_index(np.arange(spec.npoints), sizes)
+        expanded = KernelMatrix(spec, k.offset_rows[np.ravel_multi_index(
+            [coords[ax] for ax in axes], read)])
+        assert k.max_abs() == expanded.max_abs()
+        assert k.circulant_defect() == expanded.circulant_defect() > 0.0
+        assert all(np.array_equal(k.row(r), expanded.row(r)) for r in range(spec.npoints))
+        assert np.array_equal(k.full(), expanded.full())
+        for trunc in (None, 2, 4):
+            assert np.array_equal(k.supremum_per_offset(trunc), expanded.supremum_per_offset(trunc))
+
+    def test_row_count_must_match_the_axes(self):
+        with pytest.raises(ValidationError, match="8 offset rows for x axes"):
+            KernelMatrix(GridSpec((16, 8)), np.zeros((8, 16, 8)), x_axes=(0,))
 
     @pytest.mark.parametrize("sizes", [(4096,), (64, 64)])
     def test_multiplier_kernel_memory(self, sizes):
@@ -198,8 +226,8 @@ class TestDecayScan:
         assert err.value.field == "truncations"
 
     def test_kernel_2d_memory(self):
-        # kernel-2d of the benchmark's analysis workload, G = 1024, so each dense
-        # array is 16 MiB: the operator's matrix, the kernel and one truncated kernel
+        # kernel-2d of the benchmark's analysis workload, G = 1024, so the
+        # operator's matrix is 16 MiB; the kernel is its 32 distinct x1 rows
         T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32, 32)))
         tracemalloc.start()
         try:
@@ -209,7 +237,7 @@ class TestDecayScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 56 * 2**20
+        assert peak < 30 * 2**20  # 28.5 MiB measured
 
     @pytest.mark.parametrize("sizes, truncations",
                              [((512,), [128, 256, 512]), ((32, 16), [8, 16])])

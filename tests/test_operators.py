@@ -9,7 +9,7 @@ import pytest
 
 from toruslab import operators
 from toruslab.calculus import ClassParams
-from toruslab.errors import SizeGuardError, ValidationError
+from toruslab.errors import DslError, SizeGuardError, ValidationError
 from toruslab.grid import GridFunction, GridSpec, pure_wave
 from toruslab.kernels import derivative_kernel, synthesize_kernel
 from toruslab.operators import (
@@ -256,14 +256,15 @@ class TestCompose:
         J = PdoOperator.from_family(bessel(0.5), spec)
         product_kernel = (to_matrix(T).matrix @ to_matrix(J).matrix) * spec.npoints
         want = full_to_offsets(product_kernel, spec)
-        assert max_rel_diff(synthesize_kernel(C).offset_rows, want) <= 1e-12
+        G = spec.npoints
+        assert max_rel_diff(every_row(synthesize_kernel(C).offset_rows, G), want) <= 1e-12
         assert max_rel_diff(full_to_offsets(to_matrix(C).matrix * spec.npoints, spec), want) <= 1e-12
         # an axis no larger than the box stays whole on its own; the others
         # are truncated
-        truncated = synthesize_kernel(C, lattice_box=4).offset_rows
+        truncated = every_row(synthesize_kernel(C, lattice_box=4).offset_rows, G)
         assert max_rel_diff(truncated, offset_rows_by_definition(C, 4)) <= 1e-12
         dx = derivative_kernel(C, (1,) + (0,) * (spec.dim - 1), (0,) * spec.dim)
-        assert dx.offset_rows.shape == (spec.npoints,) + sizes
+        assert every_row(dx.offset_rows, G).shape == (spec.npoints,) + sizes
         assert np.all(np.isfinite(dx.offset_rows))
 
     def test_invalid_compositions_and_rebuilds_raise(self):
@@ -287,6 +288,12 @@ class TestCompose:
 
 def max_rel_diff(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def every_row(offset_rows, G):
+    """Offset rows of a symbol that reads x1 only (or every axis of a 1D
+    grid, or none), repeated to one per grid row in C order."""
+    return np.repeat(offset_rows, G // len(offset_rows), axis=0)
 
 
 def direct_sums(op, f, g):
@@ -402,6 +409,110 @@ class TestKernelRows:
         assert max_rel_diff(to_matrix(T).matrix, direct_matrix(T)) <= 1e-12
 
 
+# symbols that read some of the grid axes, on grids where they skip others
+PARTIAL_SYMBOLS = [
+    ("exotic(-0.5, 0.75, 1)", (16, 8), (0,)),
+    ("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)*bracket(xi)^-1", (8, 16), (1,)),
+    ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)*bracket(xi)^-1", (8, 4, 8), (0, 2)),
+]
+
+
+def every_row_blocks(op):
+    """Blocks (rows, M[rows]) with kernel rows made for every grid row, each
+    gathered by offset, M[r, y] = K[r, (x_r - y) mod N] / G."""
+    G = op.spec.npoints
+    for start in range(0, G, operators._CHUNK):
+        rows = np.arange(start, min(start + operators._CHUNK, G))
+        block = operators._swap_offset_axes(op.kernel_rows(rows), rows, op.spec)
+        yield rows, block.reshape(rows.size, G) / G
+
+
+def representative_points(rows, spec, axes):
+    """The grid points of the flat ``rows`` with 0 on every axis but ``axes``."""
+    points = spec.points()[rows]
+    points[:, [ax for ax in range(spec.dim) if ax not in axes]] = 0.0
+    return points
+
+
+class TestDistinctX:
+    """A symbol that skips grid axes is evaluated and transformed once per
+    distinct x over the axes it reads; every value stays bit-identical."""
+
+    @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
+    def test_reads_its_axes(self, text, sizes, axes):
+        op = PdoOperator.from_text(text, GridSpec(sizes))
+        assert op.x_axes == axes and not op.is_multiplier
+
+    @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
+    def test_cached_matrix_apply_and_adjoint_are_bit_identical(self, text, sizes, axes):
+        spec = GridSpec(sizes)
+        op = PdoOperator.from_text(text, spec)
+        want = np.concatenate([block for _, block in every_row_blocks(op)])
+        assert np.array_equal(to_matrix(op).matrix, want)
+        F, H = random_stack(spec, 3, 1), random_stack(spec, 3, 2)
+        blocks = [(slice(None), want)]
+        assert np.array_equal(op.apply(F), operators._dense_apply(spec, F, blocks))
+        assert np.array_equal(op.apply_adjoint(H), operators._dense_adjoint(spec, H, blocks))
+
+    @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
+    def test_streamed_apply_and_adjoint_are_bit_identical(self, monkeypatch, text, sizes, axes):
+        # a block size that does not divide G leaves a partial last block
+        monkeypatch.setattr(operators, "MATRIX_GUARD", 16)
+        monkeypatch.setattr(operators, "_CHUNK", 24)
+        spec = GridSpec(sizes)
+        op = PdoOperator.from_text(text, spec)
+        F, H = random_stack(spec, 3, 1), random_stack(spec, 3, 2)
+        assert np.array_equal(op.apply(F), operators._dense_apply(spec, F, every_row_blocks(op)))
+        want = operators._dense_adjoint(spec, H, every_row_blocks(op))
+        assert np.array_equal(op.apply_adjoint(H), want)
+        assert op._matrix is None
+
+    @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
+    def test_each_block_evaluates_its_distinct_rows(self, monkeypatch, text, sizes, axes):
+        monkeypatch.setattr(operators, "_CHUNK", 24)
+        spec = GridSpec(sizes)
+        op = PdoOperator.from_text(text, spec)
+        calls = []
+        original = operators.eval_expr
+        monkeypatch.setattr(operators, "eval_expr", lambda *a: calls.append(a) or original(*a))
+        to_matrix(op)
+        blocks = [np.arange(s, min(s + 24, spec.npoints)) for s in range(0, spec.npoints, 24)]
+        assert len(calls) == len(blocks)
+        for rows, (_, x, xi, _) in zip(blocks, calls):
+            want = np.unique(representative_points(rows, spec, axes), axis=0)
+            got = np.stack([c.ravel() for c in x], axis=-1)
+            assert np.array_equal(got, want)  # each distinct x once, in order
+            assert np.broadcast(*x, *xi).size == len(want) * spec.npoints
+
+    def test_a_symbol_that_reads_every_axis_makes_every_row(self, monkeypatch):
+        spec = GridSpec((8, 16))
+        op = PdoOperator.from_text("exp(i*sin(2*pi*(x1+x2))*bracket(xi)^0.5)", spec)
+        assert op.x_axes == (0, 1)
+        calls = []
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a))
+        assert np.array_equal(to_matrix(op).matrix,
+                              np.concatenate([block for _, block in every_row_blocks(op)]))
+        kernel_offset_rows(op)
+        assert calls == []
+
+    def test_a_symbol_of_x2_alone_on_a_1d_grid_raises(self):
+        with pytest.raises(DslError, match="x2 out of range"):
+            PdoOperator.from_text("exp(i*x2)", GridSpec((16,)))
+
+    def test_on_recomputes_the_axes(self):
+        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), GridSpec((16,)))
+        moved = T.on(GridSpec((16, 8)))
+        assert T.x_axes == moved.x_axes == (0,)
+        assert kernel_offset_rows(T).shape == (16, 16)
+        assert kernel_offset_rows(moved).shape == (16, 16, 8)
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec((16,)))
+        assert J.on(GridSpec((8, 8))).x_axes == ()
+
+    def test_a_given_profile_reads_no_axis(self):
+        M = MultiplierOperator(np.ones((8, 4)), GridSpec((8, 4)))
+        assert M.x_axes == () and M.is_multiplier
+
+
 def random_kernel(spec, seed):
     rng = np.random.default_rng(seed)
     shape = (spec.npoints, spec.npoints)
@@ -479,7 +590,7 @@ class TestOffsetRows:
         spec = GridSpec(sizes)
         T = PdoOperator.from_family(fam, spec)
         want = offset_rows_by_definition(T, max(sizes) if box is None else box)
-        assert max_rel_diff(kernel_offset_rows(T, box), want) <= 1e-12
+        assert max_rel_diff(every_row(kernel_offset_rows(T, box), spec.npoints), want) <= 1e-12
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     def test_box_filter_by_row_blocks(self, monkeypatch, sizes):
