@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (EmptyDomainError, NumericalError, SizeGuardError, SpectralTailError,
                      ValidationError)
 from .grid import MATRIX_GUARD, GridFunction, GridSpec
-from .symbols import TableSymbol, depends_on_x, diff_x_multi, eval_expr, read_axes
+from .symbols import Const, TableSymbol, depends_on_x, diff_x_multi, eval_expr, read_axes
 
 # fraction of per-axis frequencies counted as the spectral tail, and the
 # relative tail mass above which spectral differentiation refuses to run
@@ -235,9 +235,13 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     views offset by gamma, accumulated in place in that order, so it matches
     the pointwise sum bit for bit.  Points outside the union are never
     evaluated: the inner hole may hold a singularity (1/abs(xi) at xi = 0).
-    The callers run _fit_guard first.
+    A derivative that is the constant 0 is not evaluated at all.  The callers
+    run _fit_guard first.
     """
     tree = diff_x_multi(expr, beta)
+    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
+    if tree == Const(0j):  # every maximum is 0
+        return brackets, {alpha: [np.zeros(len(p)) for p in points] for alpha in alphas}
     dim = points[0].shape[1]
     axes = read_axes(tree, dim)
     grids = [np.arange(x_resolution) / x_resolution if ax in axes else np.zeros(1)
@@ -281,7 +285,6 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
                     total += scratch
             np.maximum(peaks[alpha], np.abs(total, out=modulus), out=peaks[alpha])
     maxima = {alpha: [peak[cell] for cell in cells] for alpha, peak in peaks.items()}
-    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
     return brackets, maxima
 
 

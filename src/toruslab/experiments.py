@@ -48,12 +48,14 @@ WEAK11_FINEST_BUMP = 5  # weak11 bump radii are 2^-2 ... 2^-WEAK11_FINEST_BUMP
 EFFECTIVE_ORDER_SHELL_LO = 2.0  # effective_order: lower edge of the first dyadic shell
 
 
-def _norms(stack: np.ndarray, p: float, G: int) -> list:
-    """The L^p norm of each row of a stack, each summed and powered on its own."""
-    a = np.abs(stack)
+def _norms(stack: np.ndarray, p: float, G: int, a: np.ndarray = None) -> list:
+    """The L^p norm of each row of a stack, given its modulus ``a`` or not:
+    the rows summed in one reduction, each sum powered on its own, as the
+    array power can differ from the scalar one in the last bit."""
+    a = (np.abs(stack) if a is None else a).reshape(len(stack), G)
     if math.isinf(p):
-        return [float(row.max()) for row in a]
-    return [float((np.sum(row) / G) ** (1.0 / p)) for row in a**p]
+        return a.max(axis=1).tolist()
+    return [float((total / G) ** (1.0 / p)) for total in (a**p).sum(axis=1)]
 
 
 def _norm(values: np.ndarray, p: float, G: int) -> float:
@@ -169,17 +171,21 @@ def _orthonormalize(w: np.ndarray, basis: list) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _dual_map(stack: np.ndarray, q: float) -> np.ndarray:
-    """Holder-extremal pairing element for the L^q norm of each row of ``stack``."""
+def _dual_map(stack: np.ndarray, q: float, a: np.ndarray = None) -> np.ndarray:
+    """Holder-extremal pairing element for the L^q norm of each row of
+    ``stack``, given its modulus ``a`` or not."""
+    a = np.abs(stack) if a is None else a
     if math.isinf(q):
-        flat = stack.reshape(len(stack), -1)
-        at = (np.arange(len(stack)), np.abs(flat).argmax(axis=1))
+        flat, a = stack.reshape(len(stack), -1), a.reshape(len(stack), -1)
+        at = (np.arange(len(stack)), a.argmax(axis=1))
         out = np.zeros(flat.shape, dtype=stack.dtype)
-        out[at] = flat[at] / np.maximum(np.abs(flat[at]), 1e-300)
+        out[at] = flat[at] / np.maximum(a[at], 1e-300)
         return out.reshape(stack.shape)
-    a = np.abs(stack)
-    sign = np.where(a > 0, stack / np.where(a == 0, 1.0, a), 0.0)
-    return a ** (q - 1.0) * sign
+    if a.all():
+        sign = stack / a
+    else:  # a zero modulus has sign 0
+        sign = np.where(a > 0, stack / np.where(a == 0, 1.0, a), 0.0)
+    return (a if q == 2 else a ** (q - 1.0)) * sign
 
 
 def _witness_battery(spec: GridSpec, rng, trials: int):
@@ -207,8 +213,10 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     extremizer of Tf, and the next iterate is the L^p-pairing extremizer of
     T*h.  The battery is one stacked apply; its four best start four chains
     of fifty steps in lockstep, one adjoint and one apply per step serving
-    every live chain.  A chain stops when its iterate vanishes.  The witness
-    is the first best ratio in battery order, then chain by chain, step by step.
+    every live chain.  Each image's modulus is taken once, for its L^q norm
+    and the next step's dual map.  A chain stops when its iterate vanishes.
+    The witness is the first best ratio in battery order, then chain by
+    chain, step by step.
     """
     if not (1 <= p) or not (1 <= q):
         raise ValidationError(f"exponents ({p:g}, {q:g}) must be >= 1")
@@ -218,11 +226,14 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     pp = math.inf if p == 1 else (p / (p - 1.0) if not math.isinf(p) else 1.0)
 
     def scored(stack):
-        """(ratios, images) of a value stack; a row of norm 0 scores 0, with image 0."""
+        """(ratios, images, |images|) of a value stack; a row of norm 0 scores
+        0, with image 0."""
         norms = _norms(stack, p, G)
         images = op.apply(stack)
-        images[np.array(norms) == 0] = 0
-        return [r / nv if nv else 0.0 for r, nv in zip(_norms(images, q, G), norms)], images
+        if 0 in norms:
+            images[np.array(norms) == 0] = 0
+        a = np.abs(images)
+        return [r / nv if nv else 0.0 for r, nv in zip(_norms(images, q, G, a), norms)], images, a
 
     best = [(0.0, None)] * 5  # (ratio, witness): the battery's best, then each chain's
 
@@ -232,19 +243,22 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
                 best[slot] = ratio, row.copy()
 
     battery = np.array(_witness_battery(spec, rng, trials))
-    ratios, g = scored(battery)
+    ratios, g, a = scored(battery)
     keep([0] * len(battery), ratios, battery)
     starts = np.argsort(ratios)[::-1][:4]
-    g, chains = g[starts], 1 + np.arange(len(starts))  # the live chains: images, best slots
+    # the live chains: images, their moduli, best slots
+    g, a, chains = g[starts], a[starts], 1 + np.arange(len(starts))
     for _ in range(ASCENT_STEPS):
         # h = _dual_map(g, q); a chain whose h is 0 gets an iterate of 0 and stops
-        f = _dual_map(op.apply_adjoint(_dual_map(g, q)), pp)
-        scale = np.abs(f).reshape(len(f), -1).max(axis=1)
-        f, scale, chains = f[scale != 0], scale[scale != 0], chains[scale != 0]
-        if len(chains) == 0:
-            break
+        f = _dual_map(op.apply_adjoint(_dual_map(g, q, a)), pp)
+        scale = np.abs(f).reshape(len(f), G).max(axis=1)
+        live = scale != 0
+        if not live.all():
+            f, scale, chains = f[live], scale[live], chains[live]
+            if len(chains) == 0:
+                break
         f /= scale.reshape((-1,) + (1,) * spec.dim)
-        ratios, g = scored(f)
+        ratios, g, a = scored(f)
         keep(chains, ratios, f)
     best_ratio, best_witness = max(best, key=lambda b: b[0])  # the first of the best
 

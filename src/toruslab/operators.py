@@ -10,9 +10,9 @@ norms depend on the truncation.  Each operator works from one read-only
 table, built once.  A Fourier multiplier (x-independent symbol) keeps its
 profile sigma(xi) and a copy in FFT order, L = G complex entries from one
 evaluation of the symbol, or given outright (MultiplierOperator, and the
-J^s of a left composition); apply is two FFTs, ifftn(fftn(f) * table), and
-the adjoint uses the conjugate table.  A non-finite table is rejected when
-built.
+J^s of a left composition); apply is two FFTs, ifftn(fftn(f) * table), run
+axis by axis in place in one fresh stack, and the adjoint uses the conjugate
+table, built once per operator.  A non-finite table is rejected when built.
 
 One transform turns a symbol into kernel values, the kernel rows
 K[r] = G ifftn(ifftshift p(x_r, .)), i.e. K[r, z] = k(x_r, x_r - z) for the
@@ -27,9 +27,11 @@ by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G.  Every other
 PdoOperator's table is its grid-basis matrix M, 16 G^2 bytes, built so in
 blocks of grid rows; a multiplier's dense matrix is its one row gathered.
 apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT and no
-transposed copy (DenseOperatorMatrix shares both); to_matrix returns M, and
-the kernel rows are a multiplier's one row or G times M's representative
-rows regathered by offset, cut to a lattice sub-box in place by box_filter.
+transposed copy (DenseOperatorMatrix shares both); to_matrix returns M, maps
+M's columns through J^s for J^s o Op(p) and conjugate-transposes M for
+Op(p)*, and the kernel rows are a multiplier's one row or G times M's
+representative rows regathered by offset, cut to a lattice sub-box in place
+by box_filter.
 Above MATRIX_GUARD grid points nothing is stored; apply and adjoint
 recompute the row blocks on every call.
 
@@ -90,9 +92,19 @@ def _stacked(act):
 
 @_stacked
 def _multiply(spec: GridSpec, F: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Fourier multiplier, table in FFT order: ifftn(fftn(f) * table), as 1/G and G cancel."""
-    axes = tuple(range(1, 1 + spec.dim))  # with the sizes given, numpy skips a shape lookup
-    return np.fft.ifftn(np.fft.fftn(F, spec.sizes, axes) * table, spec.sizes, axes)
+    """Fourier multiplier, table in FFT order: ifftn(fftn(f) * table), as 1/G and G cancel.
+
+    The transforms run axis by axis in one fresh stack, in place, in the
+    reversed axis order fftn and ifftn take, so every value is theirs bit for bit.
+    """
+    axes = range(spec.dim, 0, -1)
+    X = np.fft.fft(F, axis=spec.dim)
+    for ax in axes[1:]:
+        np.fft.fft(X, axis=ax, out=X)
+    X *= table
+    for ax in axes:
+        np.fft.ifft(X, axis=ax, out=X)
+    return X
 
 
 def _fft_table(profile, label: str):
@@ -152,7 +164,7 @@ class PdoOperator:
             self.params = {}
         self.lattice = self.spec.lattice()
         self.x_axes = read_axes(self.expr, self.spec.dim)
-        self._matrix = self._profile = self._table = None
+        self._matrix = self._profile = self._table = self._adjoint_table = None
         # probe evaluability on grid x lattice once, cheaply
         eval_expr(self.expr, tuple(0.0 for _ in range(self.spec.dim)),
                   tuple(0 for _ in range(self.spec.dim)), self.params)
@@ -195,11 +207,17 @@ class PdoOperator:
             self._profile, self._table = _fft_table(vals, self.label)
         return self._profile
 
-    def _multiplier_table(self) -> np.ndarray:
-        """The profile in FFT order, the multiplier's one table."""
+    def _multiplier_table(self, adjoint: bool = False) -> np.ndarray:
+        """The profile in FFT order, the multiplier's one table, or for the
+        adjoint its conjugate; each is built once, read-only."""
         if self._table is None:
             self.multiplier_profile()
-        return self._table
+        if not adjoint:
+            return self._table
+        if self._adjoint_table is None:
+            self._adjoint_table = np.conj(self._table)
+            self._adjoint_table.flags.writeable = False
+        return self._adjoint_table
 
     def symbol_rows(self, flat_rows: np.ndarray) -> np.ndarray:
         """p(x, xi) for the given flat grid rows, shape (rows, L)."""
@@ -245,7 +263,8 @@ class PdoOperator:
             rows = np.arange(start, min(start + _CHUNK, G))
             reps, value_rows = self._distinct_rows(rows)
             block = _swap_offset_axes(self.kernel_rows(reps), rows, self.spec, value_rows)
-            yield rows, block.reshape(rows.size, G) / G
+            block /= G  # a fresh gather, weighted in place
+            yield rows, block.reshape(rows.size, G)
 
     def _grid_matrix(self) -> np.ndarray:
         """M[x, y] = (1/G) k(x, y), the blocks of _matrix_rows stacked, built once, read-only."""
@@ -269,7 +288,7 @@ class PdoOperator:
     def apply_adjoint(self, g: GridFunction) -> GridFunction:
         """Action of the adjoint operator, conj(conj(g) @ M)."""
         if self.is_multiplier:
-            return _multiply(self.spec, g, np.conj(self._multiplier_table()))
+            return _multiply(self.spec, g, self._multiplier_table(adjoint=True))
         return _dense_adjoint(self.spec, g, self._matrix_blocks())
 
 
@@ -304,21 +323,32 @@ def to_matrix(op) -> DenseOperatorMatrix:
 
     Column y is the image of the unit-mass discrete delta at y divided by G,
     i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).  A
-    general PdoOperator returns its cached, read-only matrix.
+    general PdoOperator returns its cached, read-only matrix M, and J^s o T
+    and T* of such a T reuse it: J^s applied to M's columns, and M's
+    conjugate transpose.  Those are the basis images bit for bit, as M @ e_y
+    is M's column y exactly.
     """
     _guard(op.spec)
     if isinstance(op, DenseOperatorMatrix):
         return op
     spec = op.spec
     G = spec.npoints
+    inner = op.inner if isinstance(op, (AdjointOperator, ComposedOperator)) else None
+    M = inner._grid_matrix() if isinstance(inner, PdoOperator) and not inner.is_multiplier else None
     if isinstance(op, PdoOperator):
         matrix = offsets_to_full(op.kernel_rows(), spec) / G if op.is_multiplier else op._grid_matrix()
+    elif M is not None and isinstance(op, AdjointOperator):  # C order, as every other matrix
+        matrix = np.conj(M.T, out=np.empty((G, G), dtype=np.complex128))
     else:
-        # generic fallback: column y is the image of the y-th basis vector
+        # column y is the image of the y-th basis vector, by blocks of columns
         matrix = np.empty((G, G), dtype=np.complex128)
         for start in range(0, G, _CHUNK):
-            basis = np.eye(min(_CHUNK, G - start), G, start).reshape((-1,) + spec.sizes)
-            matrix[:, start:start + _CHUNK] = op.apply(basis).reshape(-1, G).T
+            if M is not None:  # J^s o Op(p): J^s of M's columns
+                images = op._bessel.apply(M[:, start:start + _CHUNK].T.reshape((-1,) + spec.sizes))
+            else:
+                basis = np.eye(min(_CHUNK, G - start), G, start).reshape((-1,) + spec.sizes)
+                images = op.apply(basis)
+            matrix[:, start:start + _CHUNK] = images.reshape(-1, G).T
     return DenseOperatorMatrix(spec, matrix, label=op.label, class_params=op.class_params)
 
 
@@ -421,6 +451,7 @@ class MultiplierOperator(PdoOperator):
         self.class_params, self.label = class_params, label
         self.lattice, self.x_axes = spec.lattice(), ()
         self._profile, self._table = _fft_table(np.reshape(profile, self.lattice.sizes), label)
+        self._adjoint_table = None
 
     def on(self, spec: GridSpec):
         raise ValidationError(f"{type(self).__name__} cannot be rebuilt: its table is given")

@@ -297,8 +297,9 @@ class Atom:
     def check(self, tol: float = 1e-12):
         spec = self.values.spec
         v = self.values.values.ravel()
-        outside = np.setdiff1d(np.arange(spec.npoints), self.indices)
-        if outside.size and np.max(np.abs(v[outside])) > tol:
+        outside = np.ones(spec.npoints, dtype=bool)
+        outside[self.indices] = False
+        if outside.any() and np.max(np.abs(v[outside])) > tol:
             raise ValidationError("atom has mass outside its ball")
         if np.abs(v.sum() / spec.npoints) > tol:
             raise ValidationError("atom mean is not zero")

@@ -406,8 +406,8 @@ class TestFitOrder:
         assert len(calls) == 3
         check(1, (8.0, 512.0), [(0,), (1,), (2,)])
         fit_order(fam.expr, dim=2, params=fam.parameters, shell_range=(8.0, 128.0),
-                  x_resolution=4)  # 6 indices, 4 shells
-        assert len(calls) == 6
+                  x_resolution=4)  # 6 indices, 3 of them nonzero derivatives, 4 shells
+        assert len(calls) == 3
         check(2, (8.0, 128.0), [g for g in np.ndindex(3, 3) if sum(g) <= 2])
         seminorm_constant(fam.expr, (2,), (1,), ClassParams(0, 0.25, 0.75),
                           params=fam.parameters)
@@ -447,7 +447,7 @@ class TestFitOrder:
                                 x_resolution=2)
         if fits:
             fit()
-            assert len(calls) == 6
+            assert len(calls) == 3  # the x2-derivatives are 0 and not evaluated
         else:
             with pytest.raises(SizeGuardError, match=r"x_resolution=2.*shells \(1, 16\)"):
                 fit()
@@ -470,7 +470,7 @@ class TestFitOrder:
     @pytest.mark.parametrize("symbol, dim, x_resolution, beta, read", [
         ("exotic(0, 0.75, 1)", 2, 4, (0, 0), (0,)),
         ("exotic(0, 0.75, 1)", 2, 4, (1, 0), (0,)),
-        ("exotic(0, 0.75, 1)", 2, 4, (0, 1), ()),
+        ("bracket(xi)^0.5", 2, 4, (0, 0), ()),
         ("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)", 2, 4, (0, 0), (1,)),
         ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)", 3, 3, (0, 0, 0), (0, 2)),
         ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)", 3, 3, (0, 0, 1), (0, 2)),
@@ -494,6 +494,29 @@ class TestFitOrder:
                  for ax in range(dim)]
         want = np.stack([m.ravel() for m in np.meshgrid(*grids, indexing="ij")], axis=-1)
         assert np.array_equal(got, want)
+
+    def test_zero_derivatives_are_not_evaluated(self, monkeypatch):
+        # exotic reads x1 only, so on 2D every beta with beta_2 > 0 gives the
+        # constant 0; its maxima are 0 with no evaluation, exactly the fit
+        # that evaluates and differences those zero trees
+        fam = exotic(0.0, 0.75, 1.0)
+        trees = []
+        original = calculus.eval_expr
+        monkeypatch.setattr(calculus, "eval_expr", lambda *a: trees.append(a[0]) or original(*a))
+        fit = lambda: fit_order(fam.expr, dim=2, params=fam.parameters,
+                                shell_range=(8.0, 128.0), x_resolution=4)
+        skipped = fit()
+        betas = [b for b in product(range(3), repeat=2) if sum(b) <= 2]
+        nonzero = [diff_x_multi(fam.expr, b) for b in betas if b[1] == 0]
+        assert trees == nonzero
+        trees.clear()
+        monkeypatch.setattr(calculus, "Const", lambda value: None)  # no tree is Const(0) now
+        evaluated = fit()
+        assert len(trees) == len(betas)
+        assert skipped.constants == evaluated.constants
+        assert skipped.slopes == evaluated.slopes
+        assert (skipped.fitted_m, skipped.fitted_rho, skipped.fitted_delta) == \
+            (evaluated.fitted_m, evaluated.fitted_rho, evaluated.fitted_delta)
 
     def test_a_symbol_of_x2_alone_in_1d_raises(self):
         with pytest.raises(DslError, match="x2 out of range"):

@@ -389,6 +389,39 @@ class TestLockstepAscent:
         assert peak < 4 * 2**20
 
 
+class TestAscentPasses:
+    """The stacked norms and dual map are the sequential ones, bit for bit."""
+
+    @staticmethod
+    def stack(sizes, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((5,) + sizes) + 1j * rng.standard_normal((5,) + sizes)
+
+    @pytest.mark.parametrize("sizes", [(64,), (8, 16)])
+    @pytest.mark.parametrize("p", EXPONENTS + [3.0])
+    def test_norms_are_the_sequential_norms(self, p, sizes):
+        stack, G = self.stack(sizes, 1), math.prod(sizes)
+        want = [sequential_norm(row, p, G) for row in stack]
+        assert experiments._norms(stack, p, G) == want
+        assert experiments._norms(stack, p, G, np.abs(stack)) == want
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    def test_norms_of_an_empty_stack(self, p):
+        assert experiments._norms(np.zeros((0, 4, 8), dtype=complex), p, 32) == []
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("q", EXPONENTS)
+    def test_dual_map_is_the_sequential_map(self, q, zeros):
+        # with exact zeros the masked division runs, else the plain one
+        stack = self.stack((8, 16), 2)
+        if zeros:
+            stack[0, 2:5] = 0
+            stack[3] = 0
+        want = [sequential_dual_map(row, q) for row in stack]
+        for a in (None, np.abs(stack)):
+            assert np.array_equal(experiments._dual_map(stack, q, a), want)
+
+
 class TestThresholdSweep:
     def test_diagonal_threshold_formulas(self):
         assert lp_threshold(ClassParams(0, 1.0, 0.0), 2.0, 1) == 0.0

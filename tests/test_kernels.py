@@ -237,7 +237,7 @@ class TestDecayScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 30 * 2**20  # 28.5 MiB measured
+        assert peak < 26 * 2**20  # 24.5 MiB measured
 
     @pytest.mark.parametrize("sizes, truncations",
                              [((512,), [128, 256, 512]), ((32, 16), [8, 16])])
@@ -257,9 +257,9 @@ class TestDecayScan:
             assert rep.suprema[L] == float(np.max(dist[mask] * sup[mask]))
 
     def test_kernel_2d_decay_memory(self):
-        # as test_kernel_2d_memory: the operator's matrix and the kernel, 16 MiB
-        # each, and one copied row block of a truncation with its moduli; no
-        # truncated G^2 kernel
+        # the path of test_kernel_2d_memory: the operator's 16 MiB matrix and
+        # its 32 distinct x1 kernel rows, each truncation cut one row block at
+        # a time; no truncated G^2 kernel
         T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32, 32)))
         tracemalloc.start()
         try:
@@ -269,7 +269,7 @@ class TestDecayScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 42 * 2**20
+        assert peak < 26 * 2**20  # 24.5 MiB measured
 
 
 class TestLogBound:

@@ -170,6 +170,22 @@ class TestToMatrix:
         with pytest.raises(SizeGuardError):
             to_matrix(PdoOperator.from_text("1", GridSpec((128, 64))))
 
+    @pytest.mark.parametrize("sizes", [(64,), (16, 16), (8, 16)])
+    @pytest.mark.parametrize("wrap", ["composed", "adjoint"])
+    def test_wrapped_general_reuses_its_matrix(self, monkeypatch, sizes, wrap):
+        # J^s o T maps M's columns, and T* is M's conjugate transpose, with no
+        # basis apply through T: the basis images bit for bit, in C order
+        spec = GridSpec(sizes)
+        G = spec.npoints
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), spec)
+        op = compose_bessel(T, -0.5, "left") if wrap == "composed" else AdjointOperator(T)
+        want = op.apply(np.eye(G).reshape((G,) + sizes)).reshape(G, G).T
+        for name in ("apply", "apply_adjoint"):
+            monkeypatch.setattr(T, name, None)
+        got = to_matrix(op).matrix
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
     def test_2d_kernel_matches_apply(self):
         spec = GridSpec((8, 8))
         T = PdoOperator.from_family(exotic(-1.0, 0.5, 1.0), spec)
@@ -407,6 +423,18 @@ class TestKernelRows:
     def test_stored_matrix_matches_direct_sum(self, sizes):
         T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec(sizes))
         assert max_rel_diff(to_matrix(T).matrix, direct_matrix(T)) <= 1e-12
+
+    def test_stored_matrix_build_memory(self):
+        # M (16 MiB at G = 1024) and one 256-row block's symbol rows, kernel
+        # rows and gather (4 MiB each); the 1/G weight is applied in place
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((1024,)))
+        tracemalloc.start()
+        try:
+            T._grid_matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 * 2**20  # 32.0 MiB measured
 
 
 # symbols that read some of the grid axes, on grids where they skip others
@@ -650,6 +678,51 @@ class TestMultiplierTable:
         assert np.array_equal(C.apply_adjoint(g).values, want)
         assert np.array_equal(bessel_apply(-0.75, f).values, shifted_multiply(f.values, js))
 
+    @pytest.mark.parametrize("sizes", [(64,), (16, 32), (8, 4, 16)])
+    def test_stack_is_the_fftn_formula(self, sizes):
+        # the axis-by-axis transforms in place are fftn and ifftn bit for bit,
+        # and the input stack is left as it was
+        spec = GridSpec(sizes)
+        axes = tuple(range(1, 1 + spec.dim))
+        F = random_stack(spec, 4, 5)
+        before = F.copy()
+        stored = random_stack(spec, 1, 6)[0]
+        for op in (PdoOperator.from_family(wainger(0.5, 1.0), spec), MultiplierOperator(stored, spec)):
+            table = np.fft.ifftshift(op.multiplier_profile())
+            for act, t in ((op.apply, table), (op.apply_adjoint, np.conj(table))):
+                assert np.array_equal(act(F), np.fft.ifftn(np.fft.fftn(F, axes=axes) * t, axes=axes))
+            assert np.array_equal(F, before)
+
+    def test_adjoint_table_is_built_once(self):
+        # also for a MultiplierOperator, whose table is given, not evaluated
+        spec = GridSpec((16,))
+        g = random_stack(spec, 2, 0)
+        for op in (PdoOperator.from_family(bessel(-1.0), spec), MultiplierOperator(g[0], spec)):
+            op.apply_adjoint(g)
+            table = op._adjoint_table
+            op.apply_adjoint(g)
+            assert op._adjoint_table is table
+            assert np.array_equal(table, np.conj(np.fft.ifftshift(op.multiplier_profile())))
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
+    @pytest.mark.parametrize("sizes", [(2048,), (32, 64)])
+    def test_apply_holds_two_stacks(self, sizes):
+        # one fresh stack transformed in place and numpy's copy of an
+        # in-place input; the finite checks add masks of 1/16 stack each
+        spec = GridSpec(sizes)
+        op = PdoOperator.from_family(wainger(0.5, 1.0), spec)
+        F = random_stack(spec, 4, 0)
+        op.apply(F), op.apply_adjoint(F)  # both tables built
+        for act in (op.apply, op.apply_adjoint):
+            tracemalloc.start()
+            try:
+                act(F)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.25 * F.nbytes  # 2.01 measured
+
     def test_tables_are_read_only(self):
         spec = GridSpec((16,))
         T = PdoOperator.from_family(bessel(-1.0), spec)
@@ -776,6 +849,13 @@ class TestStacks:
             op.apply(stack)
         with pytest.raises(ValidationError, match="grid function contains non-finite values"):
             op.apply_adjoint(stack)
+
+    @pytest.mark.parametrize("sizes", [(16,), (4, 8)])
+    @pytest.mark.parametrize("kind", list(operator_cases()))
+    def test_empty_stack(self, kind, sizes):
+        op = operator_cases(GridSpec(sizes))[kind]
+        empty = np.zeros((0,) + sizes, dtype=complex)
+        assert op.apply(empty).shape == op.apply_adjoint(empty).shape == empty.shape
 
     def test_non_finite_output_raises(self):
         spec = GridSpec((16,))

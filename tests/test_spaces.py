@@ -434,6 +434,21 @@ class TestAtoms:
             assert abs(v.sum() / 64) <= 1e-12
             assert lp_norm(atom.values, 1).value <= 1.0 + 1e-12
 
+    def test_check_finds_mass_outside_the_ball(self):
+        spec = GridSpec((8, 8))
+        atom = make_atom((0.5, 0.5), 0.3, random_function(spec, 6))
+        atom.check()
+        outside = np.setdiff1d(np.arange(spec.npoints), atom.indices)
+        atom.values.values.reshape(-1)[outside[3]] = 1e-9
+        with pytest.raises(ValidationError, match="mass outside its ball"):
+            atom.check()
+
+    def test_check_of_a_ball_that_covers_the_grid(self):
+        # no point lies outside, so there is no mass to look for
+        spec = GridSpec((4, 4))
+        v = np.where(np.arange(16) % 2 == 0, 1.0, -1.0).reshape(4, 4)
+        spaces.Atom((0.5, 0.5), 1.0, GridFunction(spec, v), np.arange(16)).check()
+
     def test_constant_profile_rejected(self):
         spec = GridSpec((32,))
         with pytest.raises(ValidationError):
