@@ -161,9 +161,13 @@ _TYPE_CHECKS = {
     "an object": lambda value: isinstance(value, dict),
     "a number > 0": lambda value: _is_number(value) and value > 0,
     "a number >= 1": lambda value: _is_number(value) and value >= 1,
+    "an integer >= 0": lambda value: type(value) is int and value >= 0,
+    'a list of numbers or "inf"': lambda value: isinstance(value, list) and all(
+        _is_number(p) or p in ("inf", "Inf") for p in value),
 }
 # the type a field must have where its default does not tell: a set field
-# whose default is null or that sits in one, and a number with a bound
+# whose default is null or that sits in one, a number with a bound, a list
+# that may hold "inf", and each field of the free-form family_params
 _FIELD_TYPES = {
     "class": "an object",
     **{f"class.{key}": "a number" for key in ("m", "rho", "delta")},
@@ -179,13 +183,28 @@ _FIELD_TYPES = {
     "weak11.lam_hi": "a number > 0",
     "weak11.lam_count": "a number >= 1",
     "kernel.samples": "a number >= 1",
+    "kernel.decay_exponent": "an integer >= 0",
+    "norms.p_values": 'a list of numbers or "inf"',
+    "sweep.family_params.*": "a number",
 }
 
 
+def _default_kind(default):
+    """The type a field must hold by its default: a bool, a number, a list of
+    numbers or an object; None where the default does not tell."""
+    if isinstance(default, bool):
+        return "true or false"
+    if _is_number(default):
+        return "a number"
+    if isinstance(default, list) and all(map(_is_number, default)):
+        return "a list of numbers"
+    return "an object" if isinstance(default, dict) else None
+
+
 def _check_types(config: dict, defaults: dict, path=""):
-    """A set field must hold the type _FIELD_TYPES names, else a field whose
-    default is a bool a bool and one whose default is a number a number; the
-    fields of an object that replaces a null default are checked too."""
+    """A set field must hold the type _FIELD_TYPES names (``section.*`` for
+    every field of a section), else the type of its default (_default_kind);
+    the fields of an object that replaces a null default are checked too."""
     for key, value in config.items():
         default, here = defaults.get(key), f"{path}.{key}" if path else key
         if isinstance(default, dict) and isinstance(value, dict):
@@ -193,14 +212,7 @@ def _check_types(config: dict, defaults: dict, path=""):
             continue
         if value is None and key in defaults and default is None:
             continue  # a null default left unset
-        if here in _FIELD_TYPES:
-            kind = _FIELD_TYPES[here]
-        elif isinstance(default, bool):
-            kind = "true or false"
-        elif _is_number(default):
-            kind = "a number"
-        else:
-            kind = None
+        kind = _FIELD_TYPES.get(here, _FIELD_TYPES.get(f"{path}.*")) or _default_kind(default)
         if kind is not None and not _TYPE_CHECKS[kind](value):
             raise ValidationError(f"must be {kind}, got {value!r}", field=here)
         if default is None and isinstance(value, dict):

@@ -4,7 +4,8 @@ The kernel of Op(p) on the truncated lattice is
 
     k(x, y) = sum_xi e^{2 pi i (x-y).xi} p(x, xi),
 
-held as one offset row per distinct x over the axes the symbol reads
+held as one offset row per distinct x over the operator's x_axes, the axes
+its symbol reads, which a composition J^s o T and an adjoint T* take from T
 (KernelMatrix).  The decay and log checks read it, a truncation filtering
 copies of its row blocks, and the sigma integrals read the grid-basis matrix
 M = k / G.  Three estimate families are probed empirically, always with
@@ -115,8 +116,7 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    x_axes = op.x_axes if isinstance(op, PdoOperator) else None
-    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, x_axes)
+    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, op.x_axes)
 
 
 # ---------------------------------------------------------------------------

@@ -25,28 +25,33 @@ for every x; a symbol that reads every axis has G.  A grid-basis block makes
 kernel rows for its distinct representatives only and gathers each grid row
 by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G.  Every other
 PdoOperator's table is its grid-basis matrix M, 16 G^2 bytes, built so in
-blocks of grid rows; a multiplier's dense matrix is its one row gathered.
-apply is M @ f and the adjoint conj(conj(g) @ M), with no DFT and no
-transposed copy (DenseOperatorMatrix shares both); to_matrix returns M, maps
-M's columns through J^s for J^s o Op(p) and conjugate-transposes M for
-Op(p)*, and the kernel rows are a multiplier's one row or G times M's
-representative rows regathered by offset, cut to a lattice sub-box in place
-by box_filter.
+blocks of grid rows.  apply is M @ f and the adjoint conj(conj(g) @ M), with
+no DFT and no transposed copy (DenseOperatorMatrix shares both).
 Above MATRIX_GUARD grid points nothing is stored; apply and adjoint
 recompute the row blocks on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
 function, a streamed block built once), each function bit for bit as alone.
-Every operator also carries ``spec``, ``label``, ``class_params`` and
-``on(spec)``, the same operator on another grid.  The
+Every operator also carries ``spec``, ``label``, ``class_params``,
+``x_axes`` and ``on(spec)``, the same operator on another grid.  The
 types are PdoOperator (Op(p) for a symbol expression), MultiplierOperator
 (a PdoOperator with a given profile), ComposedOperator (J^s o T),
 AdjointOperator (T*) and DenseOperatorMatrix; a given table cannot be
 rebuilt, so ``on`` raises for the last and MultiplierOperator.  Right
 composition folds into the symbol, Op(p) o J^s = Op(p <xi>^s), so it stays
 a PdoOperator with kernel synthesis and the calculus; left composition
-stays a composition.
+stays a composition.  J^s o T and T* commute with every translation that T
+commutes with, so they take T's x_axes, and a DenseOperatorMatrix reads
+every axis.
+
+to_matrix is one recursion through the wrappers: a PdoOperator gives its
+cached M or a multiplier's one kernel row gathered, J^s o T maps the columns
+of T's matrix through J^s, T* conjugate-transposes T's matrix, and a
+DenseOperatorMatrix is its own.  Every operator's kernel rows are then one
+per distinct x over its x_axes: a multiplier's one row, or G times its
+dense matrix's representative rows regathered by offset, cut to a lattice
+sub-box in place by box_filter.
 
 The weight 1/G in M makes M @ f equal apply(T, f), and the numerical
 conjugate transpose is the exact adjoint under the uniform 1/G inner product.
@@ -245,15 +250,6 @@ class PdoOperator:
             return _multiply(self.spec, f, self._multiplier_table())
         return _dense_apply(self.spec, f, self._matrix_blocks())
 
-    def _distinct_rows(self, rows: np.ndarray):
-        """(reps, value_rows): the sorted distinct representatives of the flat
-        grid ``rows`` and, for each row, the position of its representative in
-        reps; a symbol that reads every axis gives (rows, None), each row its
-        own representative."""
-        if len(self.x_axes) == self.spec.dim:
-            return rows, None
-        return np.unique(representatives(rows, self.spec, self.x_axes)[1], return_inverse=True)
-
     def _matrix_rows(self):
         """Successive blocks (rows, M[rows]) of the grid-basis matrix: kernel
         rows of the block's distinct representatives, each grid row gathered
@@ -261,7 +257,7 @@ class PdoOperator:
         G = self.spec.npoints
         for start in range(0, G, _CHUNK):
             rows = np.arange(start, min(start + _CHUNK, G))
-            reps, value_rows = self._distinct_rows(rows)
+            reps, value_rows = _distinct_rows(rows, self.spec, self.x_axes)
             block = _swap_offset_axes(self.kernel_rows(reps), rows, self.spec, value_rows)
             block /= G  # a fresh gather, weighted in place
             yield rows, block.reshape(rows.size, G)
@@ -276,6 +272,15 @@ class PdoOperator:
             matrix.flags.writeable = False
             self._matrix = matrix
         return self._matrix
+
+    def _dense(self):
+        """(M, fresh): a multiplier's one kernel row gathered, a fresh array
+        weighted in place, or the cached, read-only M."""
+        if not self.is_multiplier:
+            return self._grid_matrix(), False
+        matrix = offsets_to_full(self.kernel_rows(), self.spec)
+        matrix /= self.spec.npoints
+        return matrix, True
 
     def _matrix_blocks(self):
         """M as (rows, block) pairs, lazily: the cached matrix as one block up
@@ -301,6 +306,13 @@ class DenseOperatorMatrix:
     label: str = "matrix"
     class_params: ClassParams = None
 
+    @property
+    def x_axes(self) -> tuple:
+        return tuple(range(self.spec.dim))
+
+    def _dense(self):
+        return self.matrix, False  # the caller's array
+
     def apply(self, f: GridFunction) -> GridFunction:
         return _dense_apply(self.spec, f, [(slice(None), self.matrix)])
 
@@ -322,53 +334,30 @@ def to_matrix(op) -> DenseOperatorMatrix:
     """Dense grid-basis matrix with rows = output points.
 
     Column y is the image of the unit-mass discrete delta at y divided by G,
-    i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).  A
-    general PdoOperator returns its cached, read-only matrix M, and J^s o T
-    and T* of such a T reuse it: J^s applied to M's columns, and M's
-    conjugate transpose.  Those are the basis images bit for bit, as M @ e_y
-    is M's column y exactly.
+    i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).  Each
+    operator's ``_dense`` gives (M, fresh), recursing through the wrappers: a
+    PdoOperator its cached M or a multiplier's one row gathered, J^s o T
+    J^s of the columns of T's matrix (in place when that is fresh), T* the
+    conjugate transpose of T's matrix and a DenseOperatorMatrix its own.
     """
     _guard(op.spec)
-    if isinstance(op, DenseOperatorMatrix):
-        return op
-    spec = op.spec
-    G = spec.npoints
-    inner = op.inner if isinstance(op, (AdjointOperator, ComposedOperator)) else None
-    M = inner._grid_matrix() if isinstance(inner, PdoOperator) and not inner.is_multiplier else None
-    if isinstance(op, PdoOperator):
-        matrix = offsets_to_full(op.kernel_rows(), spec) / G if op.is_multiplier else op._grid_matrix()
-    elif M is not None and isinstance(op, AdjointOperator):  # C order, as every other matrix
-        matrix = np.conj(M.T, out=np.empty((G, G), dtype=np.complex128))
-    else:
-        # column y is the image of the y-th basis vector, by blocks of columns
-        matrix = np.empty((G, G), dtype=np.complex128)
-        for start in range(0, G, _CHUNK):
-            if M is not None:  # J^s o Op(p): J^s of M's columns
-                images = op._bessel.apply(M[:, start:start + _CHUNK].T.reshape((-1,) + spec.sizes))
-            else:
-                basis = np.eye(min(_CHUNK, G - start), G, start).reshape((-1,) + spec.sizes)
-                images = op.apply(basis)
-            matrix[:, start:start + _CHUNK] = images.reshape(-1, G).T
-    return DenseOperatorMatrix(spec, matrix, label=op.label, class_params=op.class_params)
+    return DenseOperatorMatrix(op.spec, op._dense()[0], label=op.label, class_params=op.class_params)
 
 
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form, K[r, z] = k(x_r, x_r - z), shape (rows,) + sizes.
 
-    A PdoOperator has one row per distinct x over its x_axes, in C order
-    over those axes (representatives): a multiplier its one kernel row, which
-    serves every x, any other G times its dense matrix's representative rows
-    regathered by offset.  Any other operator has G rows.  ``box`` truncates
-    them to a centered lattice sub-box (box_filter).  The dense size guard
-    applies.
+    Every operator has one row per distinct x over its x_axes, in C order
+    over those axes (representatives): a multiplier its one kernel row, any
+    other operator G times its dense matrix's representative rows regathered
+    by offset.  ``box`` truncates them to a centered lattice sub-box
+    (box_filter).  The dense size guard applies.
     """
     _guard(op.spec)
     if isinstance(op, PdoOperator) and op.is_multiplier:
         K = op.kernel_rows()
     else:
-        reps = np.arange(op.spec.npoints)
-        if isinstance(op, PdoOperator):
-            reps = op._distinct_rows(reps)[0]
+        reps = _distinct_rows(np.arange(op.spec.npoints), op.spec, op.x_axes)[0]
         K = _swap_offset_axes(to_matrix(op).matrix, reps, op.spec, reps)  # fresh, scaled in place
         K *= op.spec.npoints
     return K if box is None else box_filter(K, box, op.spec)
@@ -402,6 +391,15 @@ def representatives(flat_rows, spec: GridSpec, axes):
         if ax in axes:
             index, rep = index * n + c, rep + c
     return index, rep
+
+
+def _distinct_rows(rows: np.ndarray, spec: GridSpec, axes):
+    """(reps, value_rows): the sorted distinct representatives over ``axes`` of
+    the flat grid ``rows`` and, for each row, the position of its
+    representative in reps; over every axis (rows, None), each row its own."""
+    if len(axes) == spec.dim:
+        return rows, None
+    return np.unique(representatives(rows, spec, axes)[1], return_inverse=True)
 
 
 def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec,
@@ -481,10 +479,20 @@ class ComposedOperator:
     s: float
 
     def __post_init__(self):
-        self.spec = self.inner.spec
+        self.spec, self.x_axes = self.inner.spec, self.inner.x_axes
         self.class_params = _shifted(self.inner.class_params, self.s)
         self.label = f"J^{self.s:g} o {self.inner.label}"
         self._bessel = _bessel_potential(self.spec, self.s)
+
+    def _dense(self):
+        """J^s of the inner matrix's columns, by stacks of _CHUNK columns, in
+        place when that matrix is fresh (a cached M or a given one is not)."""
+        M, fresh = self.inner._dense()
+        out = M if fresh else np.empty(M.shape, dtype=np.complex128)
+        for start in range(0, len(M), _CHUNK):
+            images = self._bessel.apply(M[:, start:start + _CHUNK].T.reshape((-1,) + self.spec.sizes))
+            out[:, start:start + _CHUNK] = images.reshape(-1, len(M)).T
+        return out, True
 
     def apply(self, f: GridFunction) -> GridFunction:
         return self._bessel.apply(self.inner.apply(f))
@@ -528,9 +536,14 @@ class AdjointOperator:
     inner: object
 
     def __post_init__(self):
-        self.spec = self.inner.spec
+        self.spec, self.x_axes = self.inner.spec, self.inner.x_axes
         self.class_params = self.inner.class_params
         self.label = f"adjoint({self.inner.label})"
+
+    def _dense(self):
+        """The conjugate transpose of the inner matrix, in C order as every other."""
+        M = self.inner._dense()[0]
+        return np.conj(M.T, out=np.empty(M.shape, dtype=np.complex128)), True
 
     def apply(self, f: GridFunction) -> GridFunction:
         return self.inner.apply_adjoint(f)

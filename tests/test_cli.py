@@ -400,7 +400,14 @@ class TestErrorsAndDeterminism:
          ('class={"m": -1, "rho": 1, "delta": null}', "class.delta"),
          ("weak11.lam_lo=0", "weak11.lam_lo"), ("weak11.lam_hi=-1", "weak11.lam_hi"),
          ("weak11.lam_count=-3", "weak11.lam_count"), ("weak11.lam_count=0", "weak11.lam_count"),
-         ("kernel.samples=0", "kernel.samples")],
+         ("kernel.samples=0", "kernel.samples"),
+         # a list of numbers by its default, p_values also "inf"; an integer exponent
+         ('norms.p_values=["x"]', "norms.p_values"), ('sweep.m_grid=["a"]', "sweep.m_grid"),
+         ('h1l1.radii=["a"]', "h1l1.radii"), ("sweep.n_grid=[64, null]", "sweep.n_grid"),
+         ('sweep.family_params={"c":[1]}', "sweep.family_params.c"),
+         ("sweep.family_params=5", "sweep.family_params"), ("sweep=5", "sweep"),
+         ("kernel.decay_exponent=1.5", "kernel.decay_exponent"),
+         ("kernel.decay_exponent=-1", "kernel.decay_exponent")],
     )
     def test_mistyped_setting_names_its_field(self, tmp_path, capsys, setting, field):
         # a field whose default is a number must hold a number, a bool field a bool
@@ -408,6 +415,21 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert err.startswith(f"error: {field}: must be ")
         assert not list(tmp_path.iterdir())
+
+    def test_non_numeric_family_param_exits_1(self, tmp_path, capsys):
+        code, out, err = run(["sweep", "--out", str(tmp_path), "--set", "sweep.family=exotic",
+                              "--set", 'sweep.family_params={"c":[1]}'], capsys)
+        assert code == 1
+        assert err.startswith("error: sweep.family_params.c: must be a number")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unknown_family_params_are_kept(self, tmp_path, capsys):
+        # exotic reads d and c; the default {"a": 0.5} is left as it is
+        code, out, err = run(["sweep", "--grid", "16", "--out", str(tmp_path),
+                              "--set", "sweep.family=exotic", "--set", "sweep.n_grid=[16,32,64]",
+                              "--set", "sweep.trials=1"], capsys)
+        assert code == 0, err
+        assert load_report(tmp_path, "sweep")["config"]["sweep"]["family_params"] == {"a": 0.5}
 
     def test_class_beside_a_raw_expression_is_the_nominal_class(self, tmp_path, capsys):
         code, out, _ = run(

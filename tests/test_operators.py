@@ -436,6 +436,18 @@ class TestKernelRows:
             tracemalloc.stop()
         assert peak < 33 * 2**20  # 32.0 MiB measured
 
+    def test_multiplier_matrix_memory(self):
+        # the one kernel row gathered to G x G (16 MiB at G = 1024), weighted
+        # in place; a weighted copy would be a second 16 MiB
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec((32, 32)))
+        tracemalloc.start()
+        try:
+            to_matrix(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2**20  # 16.4 MiB measured, 32.0 with a copy
+
 
 # symbols that read some of the grid axes, on grids where they skip others
 PARTIAL_SYMBOLS = [
@@ -593,6 +605,21 @@ def offset_rows_by_toroidal_symbol(op, box):
     return out.reshape((spec.npoints,) + spec.sizes)
 
 
+def _general(spec):
+    return PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
+
+
+# wrappers over a symbol that reads x1 only, and over a multiplier
+WRAPPERS = {
+    "left": lambda spec: compose_bessel(_general(spec), -0.5, "left"),
+    "adjoint": lambda spec: AdjointOperator(_general(spec)),
+    "adjoint-left": lambda spec: AdjointOperator(compose_bessel(_general(spec), -0.5, "left")),
+    "left-adjoint": lambda spec: ComposedOperator(AdjointOperator(_general(spec)), -0.5),
+    "left-multiplier": lambda spec: ComposedOperator(
+        PdoOperator.from_family(bessel(-1.0), spec), 0.5),
+}
+
+
 class TestOffsetRows:
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     def test_matches_definition(self, sizes):
@@ -628,13 +655,16 @@ class TestOffsetRows:
         assert np.array_equal(kernel_offset_rows(T, 4), whole)
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
-    @pytest.mark.parametrize("wrap", ["left", "adjoint"])
+    @pytest.mark.parametrize("wrap", list(WRAPPERS))
     def test_any_operator_can_be_truncated(self, sizes, wrap):
+        # a wrapper commutes with the translations its inner operator commutes
+        # with, so it has one row per distinct x over the inner x_axes
         spec = GridSpec(sizes)
-        T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
-        op = compose_bessel(T, -0.5, "left") if wrap == "left" else AdjointOperator(T)
+        op = WRAPPERS[wrap](spec)
+        K = kernel_offset_rows(op, 4)
+        assert len(K) == math.prod(sizes[ax] for ax in op.x_axes)
         want = offset_rows_by_toroidal_symbol(op, 4)
-        assert max_rel_diff(kernel_offset_rows(op, 4), want) <= 1e-12
+        assert max_rel_diff(every_row(K, spec.npoints), want) <= 1e-12
 
     @pytest.mark.parametrize("box", [0, -8, 1, 3, 2.5])
     def test_box_must_be_even_integer(self, box):
@@ -766,6 +796,86 @@ def operator_cases(spec=GridSpec((16,))):
         "adjoint": AdjointOperator(multiplier),
         "dense": to_matrix(general),
     }
+
+
+def basis_images(op):
+    """The dense matrix column by column: op applied to the grid basis, by
+    stacks of _CHUNK basis vectors."""
+    G = op.spec.npoints
+    matrix = np.empty((G, G), dtype=np.complex128)
+    for start in range(0, G, operators._CHUNK):
+        basis = np.eye(min(operators._CHUNK, G - start), G, start).reshape((-1,) + op.spec.sizes)
+        matrix[:, start:start + operators._CHUNK] = op.apply(basis).reshape(-1, G).T
+    return matrix
+
+
+class TestProtocol:
+    """Every operator carries x_axes, and to_matrix recurses through the wrappers."""
+
+    AXES = {"general": (0,), "multiplier": (), "stored": (), "composed": (0,),
+            "composed-multiplier": (), "adjoint": (), "dense": (0, 1)}
+
+    @pytest.mark.parametrize("kind", list(operator_cases()))
+    def test_every_operator_carries_its_axes(self, kind):
+        assert operator_cases(GridSpec((8, 4)))[kind].x_axes == self.AXES[kind]
+
+    @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
+    def test_nested_wrappers_take_the_inner_axes(self, text, sizes, axes):
+        T = PdoOperator.from_text(text, GridSpec(sizes))
+        nested = AdjointOperator(ComposedOperator(AdjointOperator(T), -0.5))
+        assert nested.x_axes == nested.inner.x_axes == axes
+        assert nested.on(GridSpec(sizes)).x_axes == axes
+        assert ComposedOperator(AdjointOperator(to_matrix(T)), 0.5).x_axes == tuple(range(len(sizes)))
+
+    @staticmethod
+    def cases(spec):
+        general = _general(spec)
+        return {
+            **operator_cases(spec),
+            "adjoint-general": AdjointOperator(general),
+            "adjoint-left": AdjointOperator(compose_bessel(general, -0.5, "left")),
+            "left-adjoint": ComposedOperator(AdjointOperator(general), -0.5),
+            "left-dense": ComposedOperator(to_matrix(general), -0.5),
+            "adjoint-dense": AdjointOperator(to_matrix(general)),
+        }
+
+    # the matrices built from a general operator's M or a given one, which
+    # are the basis images bit for bit; a multiplier's gathered row differs
+    # from its FFT apply in the last bits
+    EXACT = {"general", "composed", "dense", "adjoint-general", "left-adjoint", "left-dense",
+             "adjoint-dense"}
+
+    @pytest.mark.parametrize("sizes", [(64,), (8, 16), (4, 8, 4)])
+    @pytest.mark.parametrize("kind", list(cases(GridSpec((16,)))))
+    def test_matrix_is_the_basis_images(self, monkeypatch, sizes, kind):
+        monkeypatch.setattr(operators, "_CHUNK", 24)  # stacks of columns, the last one partial
+        op = self.cases(GridSpec(sizes))[kind]
+        want = basis_images(op)
+        chain = [op]  # no apply through the operator or the operators it wraps
+        while hasattr(chain[-1], "inner"):
+            chain.append(chain[-1].inner)
+        for link, name in product(chain, ("apply", "apply_adjoint")):
+            monkeypatch.setattr(link, name, None)
+        got = to_matrix(op).matrix
+        assert got.flags.c_contiguous
+        if kind in self.EXACT:
+            assert np.array_equal(got, want)
+        else:
+            assert max_rel_diff(got, want) <= 1e-13
+
+    def test_a_wrapper_leaves_a_given_matrix_alone(self):
+        spec = GridSpec((16,))
+        D = to_matrix(_general(spec))
+        D.matrix = D.matrix.copy()  # writeable, and the caller's
+        before = D.matrix.copy()
+        for op in (ComposedOperator(D, -0.5), AdjointOperator(ComposedOperator(D, 0.5)),
+                   ComposedOperator(AdjointOperator(D), 0.5)):
+            to_matrix(op)
+            kernel_offset_rows(op)
+        assert np.array_equal(D.matrix, before)
+        T = _general(spec)
+        to_matrix(ComposedOperator(T, -0.5))
+        assert np.array_equal(T._matrix, before) and not T._matrix.flags.writeable
 
 
 class TestGridMismatch:
