@@ -220,12 +220,12 @@ def _fit_guard(expr, shells, reach: int, dim: int, x_resolution: int):
             f"above the guard of {MATRIX_GUARD}^2 elements")
 
 
-def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
+def _shell_maxima(expr, beta, alphas, points, params, x_resolution, zeros):
     """max over the x-sample of |d^beta_x D^alpha_xi p(x, xi)| at each shell point.
 
-    ``points`` are the shells' ``shell_lattice_points``, built once per fit.
-    Returns the brackets <xi> of each shell's points and, per alpha, a list of
-    per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
+    ``points`` are the shells' ``shell_lattice_points`` and ``zeros`` one
+    zero array per shell, both built once per fit.  Returns, per alpha, a
+    list of per-shell maxima.  d^beta_x p is evaluated once per derivative, on the
     union of the shifted shells (xi + gamma for every shell point xi and every
     gamma of every alpha), and x is sampled at x_resolution points per axis
     along the axes the derivative reads only, with 0 on the others: the rest
@@ -235,13 +235,13 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
     views offset by gamma, accumulated in place in that order, so it matches
     the pointwise sum bit for bit.  Points outside the union are never
     evaluated: the inner hole may hold a singularity (1/abs(xi) at xi = 0).
-    A derivative that is the constant 0 is not evaluated at all.  The callers
-    run _fit_guard first.
+    A derivative that is the constant 0 is not evaluated at all: every
+    maximum is 0, and every alpha shares ``zeros``.  The callers run
+    _fit_guard first.
     """
     tree = diff_x_multi(expr, beta)
-    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
-    if tree == Const(0j):  # every maximum is 0
-        return brackets, {alpha: [np.zeros(len(p)) for p in points] for alpha in alphas}
+    if tree == Const(0j):
+        return dict.fromkeys(alphas, zeros)
     dim = points[0].shape[1]
     axes = read_axes(tree, dim)
     grids = [np.arange(x_resolution) / x_resolution if ax in axes else np.zeros(1)
@@ -284,8 +284,15 @@ def _shell_maxima(expr, beta, alphas, shells, points, params, x_resolution):
                     scratch = np.multiply(coef, offset(box, gamma), out=scratch)
                     total += scratch
             np.maximum(peaks[alpha], np.abs(total, out=modulus), out=peaks[alpha])
-    maxima = {alpha: [peak[cell] for cell in cells] for alpha, peak in peaks.items()}
-    return brackets, maxima
+    return {alpha: [peak[cell] for cell in cells] for alpha, peak in peaks.items()}
+
+
+def _shell_points(shells, dim: int):
+    """(points, brackets, zeros) per shell, built once per fit: the lattice
+    points, their brackets <xi>, and a zero array of their count."""
+    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
+    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
+    return points, brackets, [np.zeros(len(p)) for p in points]
 
 
 def _weighted_max(brackets, maxima, exponent) -> float:
@@ -312,8 +319,8 @@ def seminorm_constant(
     beta = mi_validate(beta, dim)
     shells = dyadic_shells(*shell_range)
     _fit_guard(expr, shells, max(alpha), dim, x_resolution)
-    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
-    brackets, maxima = _shell_maxima(expr, beta, [alpha], shells, points, params, x_resolution)
+    points, brackets, zeros = _shell_points(shells, dim)
+    maxima = _shell_maxima(expr, beta, [alpha], points, params, x_resolution, zeros)
     return _weighted_max(brackets, maxima[alpha], class_params.seminorm_exponent(alpha, beta))
 
 
@@ -402,11 +409,10 @@ def fit_order(
     indices = [mi for mi in product(range(max_order + 1), repeat=dim) if mi_abs(mi) <= max_order]
     zero = tuple([0] * dim)
     _fit_guard(expr, shells, max_order, dim, x_resolution)
-    points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
-    by_beta = {b: _shell_maxima(expr, b, indices, shells, points, params, x_resolution)
+    points, brackets, zeros = _shell_points(shells, dim)
+    by_beta = {b: _shell_maxima(expr, b, indices, points, params, x_resolution, zeros)
                for b in indices}
-    brackets = by_beta[zero][0]
-    maxima = {(a, b): by_beta[b][1][a] for a in indices for b in indices}
+    maxima = {(a, b): by_beta[b][a] for a in indices for b in indices}
     sups = {key: [float(np.max(m)) for m in ms] for key, ms in maxima.items()}
 
     floor = 1e-14 * max(max(sups[(zero, zero)]), 1e-300)

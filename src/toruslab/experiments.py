@@ -480,13 +480,16 @@ def _snap_index(point, spec: GridSpec):
 
 
 def _trig_profile(coeffs, spec: GridSpec) -> np.ndarray:
-    """Fixed-band random trigonometric field, identical across grid sizes."""
+    """Fixed-band random trigonometric fields, identical across grid sizes:
+    one per row of ``coeffs``, shape (..., 2K + 1), in one array of shape
+    (...) + sizes, each wave evaluated once for every row."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    c = coeffs.reshape(coeffs.shape[:-1] + (1,) * spec.dim + coeffs.shape[-1:])
     x1 = spec.mesh()[0]
-    out = np.full(spec.sizes, coeffs[0], dtype=np.complex128)
-    half = (len(coeffs) - 1) // 2
-    for k in range(1, half + 1):
-        out += coeffs[2 * k - 1] * np.cos(2 * np.pi * k * x1)
-        out += coeffs[2 * k] * np.sin(2 * np.pi * k * x1)
+    out = np.broadcast_to(c[..., 0], coeffs.shape[:-1] + spec.sizes).astype(np.complex128)
+    for k in range(1, (coeffs.shape[-1] - 1) // 2 + 1):
+        out += c[..., 2 * k - 1] * np.cos(2 * np.pi * k * x1)
+        out += c[..., 2 * k] * np.sin(2 * np.pi * k * x1)
     return out
 
 
@@ -515,7 +518,9 @@ def _weak11_trial_params(rng, trials: int, dim: int):
     return params
 
 
-def _realize_weak11_trial(param, spec: GridSpec):
+def _realize_weak11_trial(param, spec: GridSpec, bump_profiles):
+    """The trial's values on ``spec``, or None for a bump that makes no atom;
+    ``bump_profiles`` iterates over the bump trials' profiles in order."""
     kind, data = param
     G = spec.npoints
     if kind == "spike":
@@ -523,9 +528,9 @@ def _realize_weak11_trial(param, spec: GridSpec):
         v[_snap_index(data, spec)] = G
         return v
     if kind == "bump":
-        center, radius, coeffs = data
+        center, radius, _ = data
         try:
-            atom = make_atom(tuple(center), radius, GridFunction(spec, _trig_profile(coeffs, spec)))
+            atom = make_atom(tuple(center), radius, GridFunction(spec, next(bump_profiles)))
         except ValidationError:
             return None
         v = atom.values.values + np.where(
@@ -564,7 +569,10 @@ def weak11_experiment(
         best = 0.0
         # the finest truncation comes last: its level maxima and norms are kept
         per_lam = np.zeros(len(lams))
-        realized = [v for param in params if (v := _realize_weak11_trial(param, spec)) is not None]
+        bump_coeffs = [data[2] for kind, data in params if kind == "bump"]
+        bumps = iter(_trig_profile(bump_coeffs, spec) if bump_coeffs else ())
+        realized = [v for param in params
+                    if (v := _realize_weak11_trial(param, spec, bumps)) is not None]
         stack = np.array(realized).reshape((-1,) + spec.sizes)
         input_norms = _norms(stack, 1.0, G)
         magnitudes = np.sort(np.abs(op_N.apply(stack)).reshape(len(stack), G), axis=1)
@@ -641,24 +649,21 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
         raise ValidationError("needs at least one radius", field="atom_radii")
     _check_radius(min(atom_radii), truncations, op.spec.dim, "atom_radii")
     rng = np.random.default_rng(seed)
-    draws = {
-        radius: [(rng.random(op.spec.dim), rng.standard_normal(33)) for _ in range(trials)]
-        for radius in atom_radii
-    }
+    draws = [(radius, rng.random(op.spec.dim), rng.standard_normal(33))
+             for radius in atom_radii for _ in range(trials)]
     per_truncation = {}
     for N, op_N in _rebuilt(op, truncations):
         spec = op_N.spec
+        profiles = _trig_profile([coeffs for *_, coeffs in draws], spec) if draws else ()
         atoms = []  # (radius, values) of every atom made
-        for radius in atom_radii:
-            for center, coeffs in draws[radius]:
-                # amplify so the sup normalization saturates: every witness
-                # then carries the full 1/|B| peak its radius allows
-                profile = GridFunction(spec, 1e9 * _trig_profile(coeffs, spec))
-                try:
-                    atom = make_atom(tuple(center), radius, profile)
-                except ValidationError:
-                    continue
-                atoms.append((radius, atom.values.values))
+        for (radius, center, _), profile in zip(draws, profiles):
+            # amplify so the sup normalization saturates: every witness then
+            # carries the full 1/|B| peak its radius allows
+            try:
+                atom = make_atom(tuple(center), radius, GridFunction(spec, 1e9 * profile))
+            except ValidationError:
+                continue
+            atoms.append((radius, atom.values.values))
         stack = np.array([values for _, values in atoms]).reshape((-1,) + spec.sizes)
         per_radius = dict.fromkeys(atom_radii, 0.0)
         for (radius, _), norm1 in zip(atoms, _norms(op_N.apply(stack), 1.0, spec.npoints)):

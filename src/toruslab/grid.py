@@ -262,10 +262,6 @@ def _center_distance_grid(center, spec: GridSpec) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def constant_function(spec: GridSpec, value=1.0) -> GridFunction:
-    return GridFunction(spec, np.full(spec.sizes, value, dtype=np.complex128))
-
-
 def pure_wave(spec: GridSpec, xi0) -> GridFunction:
     """The character e^{2 pi i x.xi0} sampled on the grid."""
     xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))

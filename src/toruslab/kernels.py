@@ -6,10 +6,12 @@ The kernel of Op(p) on the truncated lattice is
 
 held as one offset row per distinct x over the operator's x_axes, the axes
 its symbol reads, which a composition J^s o T and an adjoint T* take from T
-(KernelMatrix).  The decay and log checks read it, a truncation filtering
-copies of its row blocks, and the sigma integrals read the grid-basis matrix
-M = k / G.  Three estimate families are probed empirically, always with
-finite-truncation stability diagnostics (never as certificates):
+(KernelMatrix).  A symbol's rows are made straight from it, with no dense
+matrix; a wrapper's are regathered from its dense matrix.  The decay and log
+checks read it, a truncation filtering copies of its row blocks, and the
+sigma integrals read the grid-basis matrix M = k / G.  Three estimate
+families are probed empirically, always with finite-truncation stability
+diagnostics (never as certificates):
 
   * polynomial off-diagonal decay: sup_{d(x,y) >= cutoff} d^N |k| stays
     bounded as the truncation grows, once N is large enough relative to the
@@ -30,7 +32,8 @@ zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -42,7 +45,7 @@ from .experiments import lp_threshold
 from .operators import (
     _CHUNK,
     PdoOperator,
-    _swap_offset_axes,
+    _offset_view,
     box_filter,
     kernel_offset_rows,
     offsets_to_full,
@@ -75,14 +78,9 @@ class KernelMatrix:
             raise ValidationError(f"{len(self.offset_rows)} offset rows for x axes {self.x_axes} "
                                   f"of the grid {self.spec.sizes}")
 
-    def _row_of(self, flat_rows):
-        """The offset row that each flat grid row reads."""
-        return representatives(flat_rows, self.spec, self.x_axes)[0]
-
     def full(self) -> np.ndarray:
         """Dense k(x, y)."""
-        return offsets_to_full(self.offset_rows, self.spec,
-                               self._row_of(np.arange(self.spec.npoints)))
+        return offsets_to_full(self.offset_rows, self.spec, self.x_axes)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.offset_rows)))
@@ -93,8 +91,9 @@ class KernelMatrix:
 
     def row(self, r: int) -> np.ndarray:
         """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
-        flat = np.array([r])
-        return _swap_offset_axes(self.offset_rows, flat, self.spec, self._row_of(flat)).reshape(-1)
+        point = tuple(slice(c, c + 1) for c in np.unravel_index(r, self.spec.sizes))
+        i = representatives(r, self.spec, self.x_axes)[0]
+        return _offset_view(self.offset_rows[i:i + 1], point, self.spec, self.x_axes).copy().reshape(-1)
 
     def supremum_per_offset(self, box: int = None) -> np.ndarray:
         """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``, of the
@@ -126,16 +125,9 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
 
 def _monomial_2pi_xi(nu, sign: float):
     """Expression for prod_j (sign * 2 pi i xi_j)^{nu_j}."""
-    factors = []
-    for ax, power in enumerate(nu):
-        for _ in range(power):
-            factors.append(BinOp("*", Const(sign * 2j * math.pi), XiVar(ax)))
-    if not factors:
-        return Const(1.0 + 0j)
-    out = factors[0]
-    for f in factors[1:]:
-        out = BinOp("*", out, f)
-    return out
+    factors = [BinOp("*", Const(sign * 2j * math.pi), XiVar(ax))
+               for ax, power in enumerate(nu) for _ in range(power)]
+    return reduce(lambda a, b: BinOp("*", a, b), factors) if factors else Const(1.0 + 0j)
 
 
 def derivative_kernel(op: PdoOperator, alpha, beta) -> KernelMatrix:
@@ -161,24 +153,13 @@ def derivative_kernel(op: PdoOperator, alpha, beta) -> KernelMatrix:
         )
     terms = []
     for omega in product(*[range(a + 1) for a in alpha]):
-        coef = 1.0
-        for a, w in zip(alpha, omega):
-            coef *= math.comb(a, w)
+        coef = math.prod((math.comb(a, w) for a, w in zip(alpha, omega)), start=1.0)
         residual = tuple(a - w for a, w in zip(alpha, omega))
         piece = BinOp("*", Const(complex(coef)), _monomial_2pi_xi(residual, +1.0))
-        piece = BinOp("*", piece, diff_x_multi(op.expr, omega))
-        terms.append(piece)
-    total = terms[0]
-    for t in terms[1:]:
-        total = BinOp("+", total, t)
-    total = BinOp("*", total, _monomial_2pi_xi(beta, -1.0))
-    shifted = PdoOperator(
-        total,
-        op.spec,
-        params=op.params,
-        class_params=None,
-        label=f"d^{list(alpha)}_x d^{list(beta)}_y {op.label}",
-    )
+        terms.append(BinOp("*", piece, diff_x_multi(op.expr, omega)))
+    total = BinOp("*", reduce(lambda a, b: BinOp("+", a, b), terms), _monomial_2pi_xi(beta, -1.0))
+    shifted = PdoOperator(total, op.spec, params=op.params, class_params=None,
+                          label=f"d^{list(alpha)}_x d^{list(beta)}_y {op.label}")
     return synthesize_kernel(shifted)
 
 
@@ -259,16 +240,7 @@ class LogBoundReport:
     far_slope: float
 
     def to_dict(self):
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual_ratio": self.residual_ratio,
-            "degenerate": self.degenerate,
-            "npoints": self.npoints,
-            "max_abs_kernel": self.max_abs_kernel,
-            "near_slope": self.near_slope,
-            "far_slope": self.far_slope,
-        }
+        return asdict(self)
 
 
 def log_bound_check(kernel: KernelMatrix, cutoff: float) -> LogBoundReport:
@@ -344,19 +316,7 @@ class SigmaEstimateReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "variant": self.variant,
-            "sigma_grid": list(self.sigma_grid),
-            "per_sigma": list(self.per_sigma),
-            "unit_scale": self.unit_scale,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "rho": self.rho,
-            "order": self.order,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "warnings": list(self.warnings),
-            "note": "sampled suprema are lower bounds for the true suprema",
-        }
+        return {**asdict(self), "note": "sampled suprema are lower bounds for the true suprema"}
 
 
 def sigma_estimates(
@@ -451,23 +411,3 @@ def sigma_estimates(
         warnings=warnings,
     )
 
-
-def dirichlet_kernel_closed_form(spec: GridSpec) -> np.ndarray:
-    """Closed form of sum over the full lattice box of e^{2 pi i z.xi}, per axis.
-
-    The geometric series over {-N/2, ..., N/2 - 1} evaluates to
-    e^{-pi i N z} (e^{2 pi i N z} - 1) / (e^{2 pi i z} - 1), with the limit N
-    at z = 0; the product over axes gives the n-dimensional kernel on grid
-    offsets.
-    """
-    out = np.ones(spec.sizes, dtype=np.complex128)
-    for ax, N in enumerate(spec.sizes):
-        z = np.arange(N) / N
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.exp(-1j * np.pi * N * z) * (np.exp(2j * np.pi * N * z) - 1.0)
-            den = np.exp(2j * np.pi * z) - 1.0
-            vals = np.where(np.abs(den) < 1e-15, N + 0j, num / np.where(den == 0, 1, den))
-        shape = [1] * spec.dim
-        shape[ax] = N
-        out = out * vals.reshape(shape)
-    return out

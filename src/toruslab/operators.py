@@ -21,14 +21,15 @@ PdoOperator's ``x_axes`` are the grid axes its symbol reads, and it has one
 kernel row per distinct x over them: grid row r shares the row of its
 representative, the grid point with r's coordinates on x_axes and 0 on every
 other axis (representatives).  A multiplier reads no axis and has one row,
-for every x; a symbol that reads every axis has G.  A grid-basis block makes
-kernel rows for its distinct representatives only and gathers each grid row
-by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G.  Every other
-PdoOperator's table is its grid-basis matrix M, 16 G^2 bytes, built so in
-blocks of grid rows.  apply is M @ f and the adjoint conj(conj(g) @ M), with
-no DFT and no transposed copy (DenseOperatorMatrix shares both).
-Above MATRIX_GUARD grid points nothing is stored; apply and adjoint
-recompute the row blocks on every call.
+for every x; a symbol that reads every axis has G.  Every other
+PdoOperator's table is its grid-basis matrix M, 16 G^2 bytes, filled in
+place box by box (_boxes): each box of at most _BLOCK_BYTES of kernel rows
+makes the rows of its distinct representatives only and copies every grid
+row of the box from them by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G,
+through one strided view (_offset_view).  apply is M @ f and the adjoint
+conj(conj(g) @ M), with no DFT and no transposed copy (DenseOperatorMatrix
+shares both).  Above MATRIX_GUARD grid points nothing is stored; apply and
+adjoint recompute blocks of at most _CHUNK grid rows on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
@@ -47,11 +48,13 @@ every axis.
 
 to_matrix is one recursion through the wrappers: a PdoOperator gives its
 cached M or a multiplier's one kernel row gathered, J^s o T maps the columns
-of T's matrix through J^s, T* conjugate-transposes T's matrix, and a
-DenseOperatorMatrix is its own.  Every operator's kernel rows are then one
-per distinct x over its x_axes: a multiplier's one row, or G times its
-dense matrix's representative rows regathered by offset, cut to a lattice
-sub-box in place by box_filter.
+of T's matrix through J^s, T* conjugate-transposes T's matrix (in place by
+tiles when that matrix is fresh), and a DenseOperatorMatrix is its own.
+Every operator's kernel rows are one per distinct x over its x_axes: a
+PdoOperator makes them straight from its symbol, R G entries for R rows, by
+the same boxes as M; a wrapper takes G times its dense matrix's
+representative rows regathered by offset.  box_filter cuts them to a
+lattice sub-box in place.
 
 The weight 1/G in M makes M @ f equal apply(T, f), and the numerical
 conjugate transpose is the exact adjoint under the uniform 1/G inner product.
@@ -59,7 +62,9 @@ conjugate transpose is the exact adjoint under the uniform 1/G inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -68,15 +73,14 @@ from .errors import SizeGuardError, ValidationError
 from .grid import MATRIX_GUARD, GridFunction, GridSpec, finite_values
 from .symbols import BinOp, Call, Const, XiVec, eval_expr, family_from_text, parse, read_axes
 
-# Grid rows per block of the grid-basis matrix, stored or streamed, and of a
-# kernel-row box filter: the transient memory of a block is a few times
-# 16 * _CHUNK * G bytes.
+# Grid rows per streamed block of the grid-basis matrix and per block of a
+# kernel-row box filter, columns per stack of a composition's matrix and the
+# side of a tile of an in-place transpose: the transient memory of a block is
+# a few times 16 * _CHUNK * G bytes.
 _CHUNK = 256
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> complex:
-    """Quadrature inner product (1/G) sum f conj(g)."""
-    return complex(np.sum(f.values * np.conj(g.values)) / f.spec.npoints)
+# Bytes of the kernel rows that one block of a stored matrix or of kernel
+# synthesis makes: its transient memory is a few times that.
+_BLOCK_BYTES = 2**20
 
 
 def _stacked(act):
@@ -240,9 +244,9 @@ class PdoOperator:
         axes = tuple(range(1, 1 + self.spec.dim))
         if self.is_multiplier:
             table = self._multiplier_table()[None]
-        else:
-            rows = self.symbol_rows(flat_rows).reshape((-1,) + self.lattice.sizes)
-            table = np.fft.ifftshift(rows, axes=axes)
+        else:  # the symbol rows live only until shifted
+            table = np.fft.ifftshift(self.symbol_rows(flat_rows).reshape((-1,) + self.lattice.sizes),
+                                     axes=axes)
         return np.fft.ifftn(table, axes=axes, norm="forward")  # the unweighted sum, G ifftn
 
     def apply(self, f: GridFunction) -> GridFunction:
@@ -250,37 +254,48 @@ class PdoOperator:
             return _multiply(self.spec, f, self._multiplier_table())
         return _dense_apply(self.spec, f, self._matrix_blocks())
 
+    def _kernel_boxes(self, axes, most: int):
+        """(box, K) over the boxes of _boxes that cut ``axes`` into at most
+        ``most`` points (at least one): K the kernel rows of the box's
+        distinct representatives, in C order over x_axes."""
+        for box in _boxes(self.spec.sizes, tuple(axes), most):
+            yield box, self.kernel_rows(_box_reps(box, self.spec, self.x_axes))
+
     def _matrix_rows(self):
-        """Successive blocks (rows, M[rows]) of the grid-basis matrix: kernel
-        rows of the block's distinct representatives, each grid row gathered
-        from its own by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G."""
+        """Successive blocks (rows, M[rows]) of the grid-basis matrix, over
+        boxes of at most _CHUNK grid rows, M[r, y] = K[rep(r), (x_r - y) mod N] / G."""
         G = self.spec.npoints
-        for start in range(0, G, _CHUNK):
-            rows = np.arange(start, min(start + _CHUNK, G))
-            reps, value_rows = _distinct_rows(rows, self.spec, self.x_axes)
-            block = _swap_offset_axes(self.kernel_rows(reps), rows, self.spec, value_rows)
-            block /= G  # a fresh gather, weighted in place
-            yield rows, block.reshape(rows.size, G)
+        flat = np.arange(G).reshape(self.spec.sizes)
+        for box, K in self._kernel_boxes(range(self.spec.dim), _CHUNK):
+            K /= G  # fresh, weighted in place
+            yield flat[box].ravel(), _offset_view(K, box, self.spec, self.x_axes).copy().reshape(-1, G)
+
+    def _build_matrix(self) -> np.ndarray:
+        """M[x, y] = (1/G) k(x, y), a fresh array filled in place: each box of
+        at most _BLOCK_BYTES of kernel rows makes the rows of its distinct
+        representatives and copies every grid row of the box from them."""
+        G = self.spec.npoints
+        matrix = np.empty((G, G), dtype=np.complex128)
+        grid = matrix.reshape(self.spec.sizes * 2)
+        for box, K in self._kernel_boxes(self.x_axes, _BLOCK_BYTES // (16 * G)):
+            K /= G
+            grid[box] = _offset_view(K, box, self.spec, self.x_axes)
+        return matrix
 
     def _grid_matrix(self) -> np.ndarray:
-        """M[x, y] = (1/G) k(x, y), the blocks of _matrix_rows stacked, built once, read-only."""
+        """The grid-basis matrix M, built once, read-only."""
         _guard(self.spec)
         if self._matrix is None:
-            matrix = np.empty((self.spec.npoints, self.spec.npoints), dtype=np.complex128)
-            for rows, block in self._matrix_rows():
-                matrix[rows] = block
-            matrix.flags.writeable = False
-            self._matrix = matrix
+            self._matrix = self._build_matrix()
+            self._matrix.flags.writeable = False
         return self._matrix
 
     def _dense(self):
-        """(M, fresh): a multiplier's one kernel row gathered, a fresh array
-        weighted in place, or the cached, read-only M."""
-        if not self.is_multiplier:
-            return self._grid_matrix(), False
-        matrix = offsets_to_full(self.kernel_rows(), self.spec)
-        matrix /= self.spec.npoints
-        return matrix, True
+        """(M, fresh): a multiplier's one kernel row gathered into a fresh
+        array, or the cached, read-only M."""
+        if self.is_multiplier:
+            return self._build_matrix(), True
+        return self._grid_matrix(), False
 
     def _matrix_blocks(self):
         """M as (rows, block) pairs, lazily: the cached matrix as one block up
@@ -348,19 +363,26 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     """Kernel rows in offset form, K[r, z] = k(x_r, x_r - z), shape (rows,) + sizes.
 
     Every operator has one row per distinct x over its x_axes, in C order
-    over those axes (representatives): a multiplier its one kernel row, any
-    other operator G times its dense matrix's representative rows regathered
-    by offset.  ``box`` truncates them to a centered lattice sub-box
-    (box_filter).  The dense size guard applies.
+    over those axes (representatives): a PdoOperator makes them from its
+    symbol, by boxes of at most _BLOCK_BYTES of rows (a multiplier its one kernel
+    row), any other operator takes G times its dense matrix's representative
+    rows regathered by offset.  ``box`` truncates them to a centered lattice
+    sub-box (box_filter).  The dense size guard applies.
     """
     _guard(op.spec)
-    if isinstance(op, PdoOperator) and op.is_multiplier:
-        K = op.kernel_rows()
+    spec = op.spec
+    if isinstance(op, PdoOperator):
+        K = np.empty((math.prod(spec.sizes[ax] for ax in op.x_axes),) + spec.sizes, dtype=complex)
+        start = 0
+        for _, rows in op._kernel_boxes(op.x_axes, _BLOCK_BYTES // (16 * spec.npoints)):
+            K[start:start + len(rows)] = rows
+            start += len(rows)
     else:
-        reps = _distinct_rows(np.arange(op.spec.npoints), op.spec, op.x_axes)[0]
-        K = _swap_offset_axes(to_matrix(op).matrix, reps, op.spec, reps)  # fresh, scaled in place
-        K *= op.spec.npoints
-    return K if box is None else box_filter(K, box, op.spec)
+        reps_box = tuple(slice(None) if ax in op.x_axes else slice(0, 1) for ax in range(spec.dim))
+        rows = to_matrix(op).matrix[_box_reps(reps_box, spec, op.x_axes)]
+        K = _offset_view(rows, reps_box, spec, op.x_axes).copy().reshape((-1,) + spec.sizes)
+        K *= spec.npoints  # fresh, scaled in place
+    return K if box is None else box_filter(K, box, spec)
 
 
 def box_filter(K: np.ndarray, box: int, spec: GridSpec) -> np.ndarray:
@@ -393,48 +415,60 @@ def representatives(flat_rows, spec: GridSpec, axes):
     return index, rep
 
 
-def _distinct_rows(rows: np.ndarray, spec: GridSpec, axes):
-    """(reps, value_rows): the sorted distinct representatives over ``axes`` of
-    the flat grid ``rows`` and, for each row, the position of its
-    representative in reps; over every axis (rows, None), each row its own."""
-    if len(axes) == spec.dim:
-        return rows, None
-    return np.unique(representatives(rows, spec, axes)[1], return_inverse=True)
+def _boxes(sizes: tuple, axes: tuple, most: int) -> list:
+    """Boxes of the grid, tuples of one slice per axis, in C order, that cut
+    only ``axes`` and hold at most ``most`` points over them (at least one):
+    the first of ``axes`` is cut into ranges, into single values if the rest
+    of ``axes`` hold more than ``most``, which are then cut the same way."""
+    if math.prod(sizes[ax] for ax in axes) <= most:
+        return [(slice(None),) * len(sizes)]
+    first, step = axes[0], max(1, most // math.prod(sizes[ax] for ax in axes[1:]))
+    return [box[:first] + (slice(lo, min(lo + step, sizes[first])),) + box[first + 1:]
+            for lo in range(0, sizes[first], step) for box in _boxes(sizes, axes[1:], most)]
 
 
-def _swap_offset_axes(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec,
-                      value_rows=None) -> np.ndarray:
-    """out[i, w] = values[value_rows[i], (x_r - w) mod N] for r = flat_rows[i]
-    and multi-indices w, shape (rows,) + sizes.  By default value row i
-    serves row i, or one value row serves every row (value_rows 0).
+def _box_reps(box: tuple, spec: GridSpec, axes) -> np.ndarray:
+    """The flat representatives of the grid rows of ``box`` over ``axes``,
+    distinct and in C order: the box's coordinates on ``axes``, 0 elsewhere."""
+    on_axes = tuple(s if ax in axes else slice(0, 1) for ax, s in enumerate(box))
+    return np.arange(spec.npoints).reshape(spec.sizes)[on_axes].ravel()
 
-    The map w -> (x_r - w) mod N is its own inverse, so one gather serves
-    both directions between dense rows k(x_r, y) and offset rows
-    k(x_r, x_r - z).  The index arrays broadcast per axis and hold
-    rows * sum_j N_j entries; axis sizes are powers of two, so the
-    reduction mod N is a bit mask.
+
+def _offset_view(values: np.ndarray, box: tuple, spec: GridSpec, axes) -> np.ndarray:
+    """out[x, w] = values[i(x), (x - w) mod N] for the grid points x of
+    ``box``, shape (box extents) + sizes, where i(x) is the C-order position
+    of x's coordinates on ``axes`` within the box: one value row per
+    distinct x over ``axes``.
+
+    The map w -> (x - w) mod N is its own inverse, so one view serves both
+    directions between dense rows k(x, y) and offset rows k(x, x - z).  It
+    is a read-only strided view of one fresh array W, the value rows
+    repeated twice along every axis, so out[x, w] = W[i(x), N + x - w] is
+    affine in (x, w) and every entry a copy.  A view may repeat entries of
+    W: copy it before writing.
     """
-    sizes, dim = spec.sizes, spec.dim
+    sizes = spec.sizes
     values = np.asarray(values, dtype=np.complex128).reshape((-1,) + sizes)
-    if value_rows is None:
-        value_rows = np.arange(len(flat_rows)) if len(values) > 1 else 0
-    index = [np.reshape(value_rows, (-1,) + (1,) * dim)]
-    for ax, (x, n) in enumerate(zip(np.unravel_index(flat_rows, sizes), sizes)):
-        offsets = (x.astype(np.int32)[:, None] - np.arange(n, dtype=np.int32)) & (n - 1)
-        index.append(offsets.reshape((-1,) + (1,) * ax + (n,) + (1,) * (dim - 1 - ax)))
-    return values[tuple(index)]
+    W = np.empty((len(values),) + tuple(2 * n for n in sizes), dtype=np.complex128)
+    for corner in product(*((0, n) for n in sizes)):
+        W[(slice(None),) + tuple(slice(c, c + n) for c, n in zip(corner, sizes))] = values
+    row_stride, *strides = W.strides
+    bounds = [s.indices(n)[:2] for s, n in zip(box, sizes)]
+    x_strides = [0] * spec.dim
+    for ax in reversed(range(spec.dim)):  # i(x) in C order over the box's extents on axes
+        x_strides[ax] = (row_stride if ax in axes else 0) + strides[ax]
+        row_stride *= bounds[ax][1] - bounds[ax][0] if ax in axes else 1
+    base = W[(slice(None),) + tuple(slice(n + lo, None) for n, (lo, _) in zip(sizes, bounds))]
+    return np.lib.stride_tricks.as_strided(base, tuple(hi - lo for lo, hi in bounds) + sizes,
+                                           x_strides + [-s for s in strides], writeable=False)
 
 
-def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec, value_rows=None) -> np.ndarray:
-    """Dense k(x, y) matrix from offset rows, grid row r read from offset row
-    value_rows[r] (by default row r, or one row that serves all)."""
+def offsets_to_full(K_offsets: np.ndarray, spec: GridSpec, x_axes=None) -> np.ndarray:
+    """Dense k(x, y) matrix from offset rows, one per distinct x over
+    ``x_axes`` (by default every axis)."""
+    axes = range(spec.dim) if x_axes is None else x_axes
     G = spec.npoints
-    return _swap_offset_axes(K_offsets, np.arange(G), spec, value_rows).reshape(G, G)
-
-
-def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Offset rows from the dense k(x, y) matrix."""
-    return _swap_offset_axes(kernel, np.arange(spec.npoints), spec)
+    return _offset_view(K_offsets, (slice(None),) * spec.dim, spec, axes).copy().reshape(G, G)
 
 
 class MultiplierOperator(PdoOperator):
@@ -541,9 +575,18 @@ class AdjointOperator:
         self.label = f"adjoint({self.inner.label})"
 
     def _dense(self):
-        """The conjugate transpose of the inner matrix, in C order as every other."""
-        M = self.inner._dense()[0]
-        return np.conj(M.T, out=np.empty(M.shape, dtype=np.complex128)), True
+        """The conjugate transpose of the inner matrix, in C order as every
+        other: in place by square tiles when that matrix is fresh, else new."""
+        M, fresh = self.inner._dense()
+        if not fresh:
+            return np.conj(M.T, out=np.empty(M.shape, dtype=np.complex128)), True
+        for i in range(0, len(M), _CHUNK):
+            for j in range(i, len(M), _CHUNK):
+                upper = np.conj(M[i:i + _CHUNK, j:j + _CHUNK].T)  # fresh
+                if j > i:
+                    np.conj(M[j:j + _CHUNK, i:i + _CHUNK].T, out=M[i:i + _CHUNK, j:j + _CHUNK])
+                M[j:j + _CHUNK, i:i + _CHUNK] = upper
+        return M, True
 
     def apply(self, f: GridFunction) -> GridFunction:
         return self.inner.apply_adjoint(f)

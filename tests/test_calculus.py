@@ -228,9 +228,9 @@ class TestSeminorm:
         x = tuple(m.ravel() for m in axes)
         for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
             tree = diff_x_multi(fam.expr, beta)
-            _, maxima = _shell_maxima(fam.expr, beta, alphas, [shell],
-                                      [shell_lattice_points(*shell, dim)], fam.parameters,
-                                      x_resolution)
+            points, _, zeros = calculus._shell_points([shell], dim)
+            maxima = _shell_maxima(fam.expr, beta, alphas, points, fam.parameters, x_resolution,
+                                   zeros)
             for alpha in alphas:
                 want = [
                     np.max(np.abs(difference(tree, alpha, x, tuple(xi), fam.parameters)))
@@ -277,14 +277,13 @@ class TestLatticeBox:
                "exotic(0, 0.75, 1)": exotic(0.0, 0.75, 1.0)}.get(symbol)
         expr, params = (fam.expr, fam.parameters) if fam else (parse(symbol), None)
         shells = dyadic_shells(*shell_range)
-        points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
+        points, got_br, zeros = calculus._shell_points(shells, dim)
         for max_order in (1, 2, 3):
             alphas = [a for a in product(range(max_order + 1), repeat=dim) if sum(a) <= max_order]
             for beta in [(0,) * dim, (1,) + (0,) * (dim - 1)]:
                 want_br, want = per_shift_shell_maxima(expr, beta, alphas, shells, dim, params,
                                                        x_resolution)
-                got_br, got = _shell_maxima(expr, beta, alphas, shells, points, params,
-                                            x_resolution)
+                got = _shell_maxima(expr, beta, alphas, points, params, x_resolution, zeros)
                 assert len(got_br) == len(want_br)
                 assert all(np.array_equal(g, w) for g, w in zip(got_br, want_br))
                 assert list(got) == list(want)
@@ -424,7 +423,8 @@ class TestFitOrder:
 
     def test_exotic_2d_fit_memory(self):
         # class-exotic-2d of the benchmark's analysis workload: one evaluation per
-        # derivative, differenced in one lattice box per x-sample
+        # derivative, differenced in one lattice box per x-sample; the shell
+        # brackets made once, and one zero array per shell for every vanishing term
         fam = exotic(0.0, 0.75, 1.0)
         tracemalloc.start()
         try:
@@ -433,7 +433,7 @@ class TestFitOrder:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 31 * 2**20  # 29.2 MiB measured
+        assert peak < 21 * 2**20  # 20.0 MiB measured
 
     @pytest.mark.parametrize("guard, fits", [(65, False), (66, True)])
     def test_size_guard_bounds_samples_times_box_cells(self, monkeypatch, guard, fits):
@@ -485,9 +485,8 @@ class TestFitOrder:
         original = calculus.eval_expr
         monkeypatch.setattr(calculus, "eval_expr", lambda *a: calls.append(a) or original(*a))
         shells = dyadic_shells(2.0, 8.0)
-        _shell_maxima(expr, beta, [(0,) * dim], shells,
-                      [shell_lattice_points(lo, hi, dim) for lo, hi in shells], params,
-                      x_resolution)
+        points, _, zeros = calculus._shell_points(shells, dim)
+        _shell_maxima(expr, beta, [(0,) * dim], points, params, x_resolution, zeros)
         (_, x, _, _), = calls
         got = np.stack([np.broadcast_to(c, x[0].shape).ravel() for c in x], axis=-1)
         grids = [np.arange(x_resolution) / x_resolution if ax in read else [0.0]

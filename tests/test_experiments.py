@@ -539,7 +539,7 @@ class TestH1L1:
 
     def test_whole_torus_atom_rejected(self):
         from toruslab.spaces import make_atom
-        from toruslab.grid import constant_function
+        from helpers import constant_function
 
         spec = GridSpec((32,))
         with pytest.raises(ValidationError):
@@ -592,6 +592,12 @@ class TestTruncationScan:
         assert both.per_truncation["64"] == finest.per_truncation["64"]
 
 
+def realize_alone(param, spec):
+    """One weak-(1,1) trial realized alone, a bump's profile made for it alone."""
+    profile = [experiments._trig_profile(param[1][2], spec)] if param[0] == "bump" else []
+    return experiments._realize_weak11_trial(param, spec, iter(profile))
+
+
 def trial_by_trial_weak11(op, trials, seed, truncations, lam_grid=None):
     """Reference: weak11_experiment applying one realized trial at a time."""
     if lam_grid is None:
@@ -602,7 +608,7 @@ def trial_by_trial_weak11(op, trials, seed, truncations, lam_grid=None):
         spec, G = op_N.spec, op_N.spec.npoints
         best, per_lam, input_norms = 0.0, [0.0] * len(lam_grid), []
         for param in params:
-            v = experiments._realize_weak11_trial(param, spec)
+            v = realize_alone(param, spec)
             if v is None:
                 continue
             f = GridFunction(spec, v)
@@ -665,6 +671,28 @@ def atom_by_atom_h1_l1(op, atom_radii, trials, seed, truncations):
             per_radius[radius] = best
         per_truncation[str(N)] = max(per_radius.values())
     return per_truncation, {f"{r:g}": v for r, v in per_radius.items()}
+
+
+def one_trig_profile(coeffs, spec):
+    """One trigonometric field, its waves added one at a time."""
+    x1 = spec.mesh()[0]
+    out = np.full(spec.sizes, coeffs[0], dtype=np.complex128)
+    for k in range(1, (len(coeffs) - 1) // 2 + 1):
+        out += coeffs[2 * k - 1] * np.cos(2 * np.pi * k * x1)
+        out += coeffs[2 * k] * np.sin(2 * np.pi * k * x1)
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(128,), (256,), (16, 32)])
+def test_trig_profiles_of_every_draw_in_one_call(sizes):
+    # each wave is evaluated once for all draws; every field keeps its bits
+    spec = GridSpec(sizes)
+    coeffs = np.random.default_rng(5).standard_normal((30, 33))
+    batch = experiments._trig_profile(coeffs, spec)
+    assert batch.shape == (30,) + sizes
+    for c, got in zip(coeffs, batch):
+        assert np.array_equal(got.view(np.uint64), one_trig_profile(c, spec).view(np.uint64))
+    assert np.array_equal(experiments._trig_profile(coeffs[3], spec), batch[3])
 
 
 class TestStackedTrials:
@@ -735,7 +763,7 @@ def test_weak11_levels_at_attained_values():
                         -0.625, "left")
     spec = op.spec
     param = experiments._weak11_trial_params(np.random.default_rng(6), 1, 1)[0]
-    Tf = np.abs(op.apply(GridFunction(spec, experiments._realize_weak11_trial(param, spec))).values)
+    Tf = np.abs(op.apply(GridFunction(spec, realize_alone(param, spec))).values)
     lam_grid = sorted(set(Tf[::5].tolist())) + [0.0]
     want = trial_by_trial_weak11(op, 4, 6, [32], lam_grid)
     rep = weak11_experiment(op, trials=4, lam_grid=lam_grid, seed=6, truncations=[32])

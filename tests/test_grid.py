@@ -8,13 +8,14 @@ from toruslab.grid import (
     SpectralFunction,
     ball,
     bracket,
-    constant_function,
     forward_dft,
     inverse_dft,
     offset_distance_grid,
     pure_wave,
     torus_distance,
 )
+
+from helpers import constant_function
 
 
 def dft_direct(f: GridFunction) -> np.ndarray:

@@ -6,18 +6,19 @@ import pytest
 
 from toruslab import kernels
 from toruslab.errors import EmptyDomainError, SizeGuardError, ValidationError
-from toruslab.grid import GridSpec, constant_function, offset_distance_grid, torus_distance
+from toruslab.grid import GridSpec, offset_distance_grid, torus_distance
 from toruslab.kernels import (
     KernelMatrix,
     decay_scan,
     derivative_kernel,
-    dirichlet_kernel_closed_form,
     log_bound_check,
     sigma_estimates,
     synthesize_kernel,
 )
 from toruslab.operators import AdjointOperator, PdoOperator, compose_bessel, to_matrix
 from toruslab.symbols import bessel, exotic, wainger
+
+from helpers import constant_function, dirichlet_kernel_closed_form
 
 FOUR_FAMILIES = [bessel(-1.0), wainger(0.5, 1.0), exotic(0.0, 0.75, 1.0), exotic(-0.5, 0.5, 2.0)]
 
@@ -226,8 +227,9 @@ class TestDecayScan:
         assert err.value.field == "truncations"
 
     def test_kernel_2d_memory(self):
-        # kernel-2d of the benchmark's analysis workload, G = 1024, so the
-        # operator's matrix is 16 MiB; the kernel is its 32 distinct x1 rows
+        # kernel-2d of the benchmark's analysis workload, G = 1024: the kernel
+        # is its 32 distinct x1 rows (512 KiB), made from the symbol with no
+        # 16 MiB matrix
         T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32, 32)))
         tracemalloc.start()
         try:
@@ -237,7 +239,7 @@ class TestDecayScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 26 * 2**20  # 24.5 MiB measured
+        assert peak < 3 * 2**20  # 2.0 MiB measured
 
     @pytest.mark.parametrize("sizes, truncations",
                              [((512,), [128, 256, 512]), ((32, 16), [8, 16])])

@@ -19,13 +19,13 @@ from toruslab.operators import (
     PdoOperator,
     bessel_apply,
     compose_bessel,
-    full_to_offsets,
-    inner_product,
     kernel_offset_rows,
     offsets_to_full,
     to_matrix,
 )
 from toruslab.symbols import bessel, eval_expr, exotic, parse, wainger
+
+from helpers import full_to_offsets, gather_offsets, inner_product
 
 FOUR_FAMILIES = [bessel(-1.0), wainger(0.5, 1.0), exotic(0.0, 0.75, 1.0), exotic(-0.5, 0.5, 2.0)]
 
@@ -229,6 +229,37 @@ class TestAdjoint:
         rhs = A.apply(g).values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
+    # fresh inner matrices: a multiplier's gathered row and a composition's
+    FRESH = {
+        "multiplier": lambda spec: PdoOperator.from_text("i*bracket(xi)^(-1) + xi1", spec),
+        "composed": lambda spec: ComposedOperator(PdoOperator.from_family(bessel(-1.0), spec), 0.5),
+        "composed-general": lambda spec: ComposedOperator(_general(spec), -0.5),
+    }
+
+    @pytest.mark.parametrize("sizes, tile", [((64,), 24), ((8, 16), 24), ((32, 32), None)])
+    @pytest.mark.parametrize("kind", list(FRESH))
+    def test_fresh_matrix_transposed_in_place(self, monkeypatch, sizes, tile, kind):
+        # tiles that do not divide G leave partial ones on the edges
+        if tile is not None:
+            monkeypatch.setattr(operators, "_CHUNK", tile)
+        inner = self.FRESH[kind](GridSpec(sizes))
+        want = np.conj(to_matrix(inner).matrix.T)
+        got = to_matrix(AdjointOperator(inner)).matrix
+        assert got.flags.c_contiguous
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_fresh_matrix_adjoint_memory(self):
+        # the multiplier's gathered matrix (16 MiB at G = 1024) transposed in
+        # place by 256 x 256 tiles; a second array would be 16 MiB more
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec((32, 32)))
+        tracemalloc.start()
+        try:
+            to_matrix(AdjointOperator(J))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20  # 18.1 MiB measured, 32.1 with a new array
+
 
 class TestCompose:
     def test_zero_shift_is_same_operator(self):
@@ -345,9 +376,10 @@ class TestPhaseSymbolTable:
             T.apply(random_function(spec, seed))
             T.apply_adjoint(random_function(spec, 10 + seed))
         to_matrix(T)
+        assert calls == [spec.npoints]  # one table for apply, adjoint and the matrix
         kernel_offset_rows(T)
         kernel_offset_rows(T, 4)
-        assert len(calls) == math.ceil(spec.npoints / operators._CHUNK)
+        assert calls == [spec.npoints] * 3  # each kernel made from the symbol, in one block
 
     def test_multiplier_profile_evaluated_once(self, monkeypatch):
         calls = []
@@ -425,8 +457,8 @@ class TestKernelRows:
         assert max_rel_diff(to_matrix(T).matrix, direct_matrix(T)) <= 1e-12
 
     def test_stored_matrix_build_memory(self):
-        # M (16 MiB at G = 1024) and one 256-row block's symbol rows, kernel
-        # rows and gather (4 MiB each); the 1/G weight is applied in place
+        # M (16 MiB at G = 1024), filled in place from blocks of 64 kernel
+        # rows (1 MiB each), their evaluation and their doubled copy
         T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((1024,)))
         tracemalloc.start()
         try:
@@ -434,11 +466,11 @@ class TestKernelRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 33 * 2**20  # 32.0 MiB measured
+        assert peak < 20 * 2**20  # M and 3.3 MiB measured
 
     def test_multiplier_matrix_memory(self):
-        # the one kernel row gathered to G x G (16 MiB at G = 1024), weighted
-        # in place; a weighted copy would be a second 16 MiB
+        # the one kernel row, weighted by 1/G, copied to G x G (16 MiB at
+        # G = 1024); a weighted copy of the matrix would be a second 16 MiB
         J = PdoOperator.from_family(bessel(-1.0), GridSpec((32, 32)))
         tracemalloc.start()
         try:
@@ -446,7 +478,7 @@ class TestKernelRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 2**20  # 16.4 MiB measured, 32.0 with a copy
+        assert peak < 17 * 2**20  # 16.2 MiB measured, 32.0 with a copy
 
 
 # symbols that read some of the grid axes, on grids where they skip others
@@ -458,12 +490,14 @@ PARTIAL_SYMBOLS = [
 
 
 def every_row_blocks(op):
-    """Blocks (rows, M[rows]) with kernel rows made for every grid row, each
-    gathered by offset, M[r, y] = K[r, (x_r - y) mod N] / G."""
+    """Blocks (rows, M[rows]) over the streamed boxes of at most _CHUNK grid
+    rows, with kernel rows made for every grid row, each gathered by offset,
+    M[r, y] = K[r, (x_r - y) mod N] / G."""
     G = op.spec.npoints
-    for start in range(0, G, operators._CHUNK):
-        rows = np.arange(start, min(start + operators._CHUNK, G))
-        block = operators._swap_offset_axes(op.kernel_rows(rows), rows, op.spec)
+    flat = np.arange(G).reshape(op.spec.sizes)
+    for box in operators._boxes(op.spec.sizes, tuple(range(op.spec.dim)), operators._CHUNK):
+        rows = flat[box].ravel()
+        block = gather_offsets(op.kernel_rows(rows), rows, op.spec)
         yield rows, block.reshape(rows.size, G) / G
 
 
@@ -509,20 +543,26 @@ class TestDistinctX:
 
     @pytest.mark.parametrize("text, sizes, axes", PARTIAL_SYMBOLS)
     def test_each_block_evaluates_its_distinct_rows(self, monkeypatch, text, sizes, axes):
-        monkeypatch.setattr(operators, "_CHUNK", 24)
         spec = GridSpec(sizes)
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", 3 * 16 * spec.npoints)  # 3 rows a block
         op = PdoOperator.from_text(text, spec)
         calls = []
         original = operators.eval_expr
         monkeypatch.setattr(operators, "eval_expr", lambda *a: calls.append(a) or original(*a))
-        to_matrix(op)
-        blocks = [np.arange(s, min(s + 24, spec.npoints)) for s in range(0, spec.npoints, 24)]
-        assert len(calls) == len(blocks)
-        for rows, (_, x, xi, _) in zip(blocks, calls):
-            want = np.unique(representative_points(rows, spec, axes), axis=0)
-            got = np.stack([c.ravel() for c in x], axis=-1)
-            assert np.array_equal(got, want)  # each distinct x once, in order
-            assert np.broadcast(*x, *xi).size == len(want) * spec.npoints
+        for build in (to_matrix, kernel_offset_rows):
+            calls.clear()
+            build(op)
+            boxes = list(operators._boxes(sizes, axes, 3))
+            assert len(calls) == len(boxes) > 1
+            flat = np.arange(spec.npoints).reshape(sizes)
+            for box, (_, x, xi, _) in zip(boxes, calls):
+                want = np.unique(representative_points(flat[box].ravel(), spec, axes), axis=0)
+                got = np.stack([c.ravel() for c in x], axis=-1)
+                assert np.array_equal(got, want)  # each distinct x of the box once, in order
+                assert len(want) <= 3
+                assert np.broadcast(*x, *xi).size == len(want) * spec.npoints
+            every = np.concatenate([np.stack([c.ravel() for c in x], axis=-1) for _, x, _, _ in calls])
+            assert np.array_equal(every, np.unique(every, axis=0))  # each distinct x once overall
 
     def test_a_symbol_that_reads_every_axis_makes_every_row(self, monkeypatch):
         spec = GridSpec((8, 16))
@@ -551,6 +591,97 @@ class TestDistinctX:
     def test_a_given_profile_reads_no_axis(self):
         M = MultiplierOperator(np.ones((8, 4)), GridSpec((8, 4)))
         assert M.x_axes == () and M.is_multiplier
+
+
+def previous_block_build(op):
+    """M built as blocks of _CHUNK grid rows: kernel rows of each block's
+    distinct representatives, every grid row gathered from its own by an
+    index array per axis, then weighted by 1/G."""
+    G, spec = op.spec.npoints, op.spec
+    blocks = []
+    for start in range(0, G, operators._CHUNK):
+        rows = np.arange(start, min(start + operators._CHUNK, G))
+        reps, value_rows = np.unique(operators.representatives(rows, spec, op.x_axes)[1],
+                                     return_inverse=True)
+        block = gather_offsets(op.kernel_rows(reps), rows, spec, value_rows)
+        block /= G
+        blocks.append(block.reshape(rows.size, G))
+    return np.concatenate(blocks)
+
+
+def dense_route_kernel(op, box):
+    """G times the representative rows of the dense matrix, regathered by offset."""
+    spec = op.spec
+    reps = np.unique(operators.representatives(np.arange(spec.npoints), spec, op.x_axes)[1])
+    K = gather_offsets(to_matrix(op).matrix[reps], reps, spec) * spec.npoints
+    return K if box is None else operators.box_filter(K, box, spec)
+
+
+# symbols and grids of the bit-for-bit checks of the table builds
+TABLE_CASES = [
+    ("exotic(0, 0.75, 1)", (256,)),
+    ("exotic(0, 0.75, 1)", (32, 32)),
+    ("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)*bracket(xi)^-1", (16, 32)),
+    ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)*bracket(xi)^-1", (8, 4, 8)),
+    ("exp(i*sin(2*pi*(x1+x2))*bracket(xi)^0.5)*bracket(xi)^-0.5", (16, 16)),
+]
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestTableBuilds:
+    """Every table is made from the symbol in blocks of bounded size, with
+    the same bits as the previous builds."""
+
+    @pytest.mark.parametrize("text, sizes", TABLE_CASES)
+    @pytest.mark.parametrize("box", [None, 4, 8])
+    def test_direct_kernel_rows_equal_the_dense_route(self, text, sizes, box):
+        op = PdoOperator.from_text(text, GridSpec(sizes))
+        assert np.array_equal(bits(kernel_offset_rows(op, box)), bits(dense_route_kernel(op, box)))
+
+    @pytest.mark.parametrize("text, sizes", TABLE_CASES)
+    def test_small_blocks_change_no_bit(self, monkeypatch, text, sizes):
+        op = PdoOperator.from_text(text, GridSpec(sizes))
+        K, M = kernel_offset_rows(op), to_matrix(op).matrix
+        monkeypatch.setattr(operators, "_BLOCK_BYTES", 3 * 16 * op.spec.npoints)  # 3 rows a block
+        again = PdoOperator.from_text(text, GridSpec(sizes))
+        assert np.array_equal(bits(kernel_offset_rows(again)), bits(K))
+        assert np.array_equal(bits(to_matrix(again).matrix), bits(M))
+
+    @pytest.mark.parametrize("sizes", [(1024,), (32, 32), (8, 4, 8)])
+    def test_matrix_in_place_equals_the_previous_block_build(self, sizes):
+        text = ("exp(i*sin(2*pi*x1)*cos(2*pi*x3)*bracket(xi)^0.5)*bracket(xi)^-1"
+                if len(sizes) == 3 else "exotic(0, 0.75, 1)")
+        op = PdoOperator.from_text(text, GridSpec(sizes))
+        assert np.array_equal(bits(to_matrix(op).matrix), bits(previous_block_build(op)))
+
+    @pytest.mark.parametrize("sizes, axes, most", [
+        ((64,), (0,), 24), ((16, 8), (0, 1), 24), ((16, 8), (1,), 3), ((8, 4, 8), (0, 2), 5),
+        ((8, 4, 8), (0, 1, 2), 256), ((8, 4, 8), (), 1), ((8, 4, 8), (1, 2), 16)])
+    def test_boxes_tile_the_grid_in_c_order(self, sizes, axes, most):
+        boxes = list(operators._boxes(sizes, axes, most))
+        flat = np.arange(math.prod(sizes)).reshape(sizes)
+        rows = np.concatenate([flat[box].ravel() for box in boxes])
+        assert np.array_equal(np.sort(rows), np.arange(flat.size))  # each grid row once
+        for box in boxes:
+            assert all(box[ax] == slice(None) for ax in range(len(sizes)) if ax not in axes)
+            assert math.prod(flat[box].shape[ax] for ax in axes) <= max(most, 1)
+        if axes == tuple(range(len(sizes))):  # over every axis, successive row ranges
+            assert np.array_equal(rows, np.arange(flat.size))
+
+    def test_kernel_synthesis_memory_64x64(self):
+        # the 64 distinct x1 rows (4 MiB), made in blocks of 16 from the
+        # symbol; regathered from the dense matrix they would cost its 256 MiB
+        T = PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((64, 64)))
+        tracemalloc.start()
+        try:
+            synthesize_kernel(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 2**20  # 8.0 MiB measured
 
 
 def random_kernel(spec, seed):

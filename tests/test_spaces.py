@@ -10,7 +10,7 @@ import pytest
 
 import toruslab
 from toruslab.errors import ValidationError
-from toruslab.grid import GridFunction, GridSpec, ball, constant_function, forward_dft
+from toruslab.grid import GridFunction, GridSpec, ball, forward_dft
 from toruslab.operators import PdoOperator, compose_bessel
 from toruslab import experiments, spaces
 from toruslab.spaces import (
@@ -25,6 +25,8 @@ from toruslab.spaces import (
     maximal_function,
     weak_lp,
 )
+
+from helpers import constant_function
 
 
 def random_function(spec, seed, real=False):
