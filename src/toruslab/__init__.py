@@ -72,7 +72,6 @@ from .spaces import (
 from .experiments import (
     NormEstimate,
     ThresholdSweepRecord,
-    WeakTypeReport,
     l2_norm,
     lp_lq_lower_bound,
     threshold_sweep,
@@ -105,7 +104,7 @@ __all__ = [
     "NormValue", "Atom", "CZDecomposition", "lp_norm", "weak_lp", "bmo_norm",
     "make_atom", "maximal_function", "cz_decompose",
     # experiments
-    "NormEstimate", "ThresholdSweepRecord", "WeakTypeReport", "l2_norm",
+    "NormEstimate", "ThresholdSweepRecord", "l2_norm",
     "lp_lq_lower_bound", "threshold_sweep", "weak11_experiment",
     "linf_bmo_experiment", "h1_l1_experiment", "lp_lq_admissibility",
     "lp_threshold", "effective_order",

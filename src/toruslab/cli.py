@@ -30,6 +30,7 @@ from . import __version__
 from .calculus import ClassParams, fit_order
 from .errors import NumericalError, ToruslabError, ValidationError
 from .experiments import (
+    admissible_order,
     h1_l1_experiment,
     linf_bmo_experiment,
     lp_lq_admissibility,
@@ -425,7 +426,7 @@ def cmd_kernel(config):
         payload["log_bound"] = log_bound_check(kernel, float(cutoff)).to_dict()
     if "sigma" in checks:
         rep = sigma_estimates(
-            op,
+            kernel,
             sub["variant"],
             [float(s) for s in sub["sigma_grid"]],
             sample_count=int(sub["samples"]),
@@ -565,8 +566,6 @@ def cmd_endpoint(config, command):
     op = build_operator(config)
     with _config_fields(command):
         rep = experiment(op, **kwargs)
-    if command == "weak11":
-        rep = rep.to_dict()
     print(f"max ratio={rep['max_ratio']:.6g} stability={rep['stability']:.4f}")
     notes = [] if rep["hypothesis_satisfied"] else ["operator order above the endpoint threshold"]
     return rep, notes
@@ -580,7 +579,7 @@ def cmd_admissible(config):
     dim = len(config["grid"])
     p, q = float(sub["p"]), float(sub["q"])
     out = lp_lq_admissibility(params, p, q)
-    out["threshold"] = dim * out["threshold_per_dim"]
+    out["threshold"] = admissible_order(params, p, q, dim)
     out["dim"] = dim
     if p == q:
         out["diagonal_threshold"] = lp_threshold(params, p, dim)

@@ -30,7 +30,7 @@ cell index), so results are independent of execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,18 +81,6 @@ class NormEstimate:
         G = self.witness.spec.npoints
         out = op.apply(self.witness)
         return _norm(out.values, self.q, G) / _norm(self.witness.values, self.p, G)
-
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "q": self.q,
-            "value": self.value,
-            "method": self.method,
-            "trials": self.trials,
-            "seed": self.seed,
-            "truncation": list(self.truncation),
-            "label": self.label,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -392,34 +380,14 @@ def threshold_sweep(
 # ---------------------------------------------------------------------------
 
 
-def weak11_hypothesis(rho: float, dim: int) -> dict:
-    """Exponent bookkeeping for the weak-(1,1) reduction.
+class EndpointReport(dict):
+    """An endpoint experiment's report: a JSON-ready dict whose keys read as attributes too."""
 
-    With alpha = rho and beta = n(1-rho)/2 the pairing exponent is
-    q = 2/(2-rho), and 1/q = 1/2 + beta/n holds identically.
-    """
-    alpha = rho
-    beta = dim * (1 - rho) / 2.0
-    q = 2.0 / (2.0 - rho)
-    residual = abs(1.0 / q - (0.5 + beta / dim))
-    return {"alpha": alpha, "beta": beta, "q": q, "identity_residual": residual}
-
-
-@dataclass
-class WeakTypeReport:
-    operator: str
-    lam_grid: list
-    per_lam: list  # max over trials of lam |{|Tf| > lam}|, finest truncation
-    per_truncation: dict  # str(N) -> max ratio over trials
-    max_ratio: float
-    stability: float  # relative change across the truncation pair
-    input_norms: list  # ||f||_1 per trial at the finest truncation
-    trials: int
-    seed: int
-    hypothesis_satisfied: bool
-
-    def to_dict(self):
-        return asdict(self)
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def _truncations(op, truncations=None) -> list:
@@ -453,8 +421,8 @@ def _rebuilt(op, truncations: list):
         yield N, op.on(GridSpec((N,) * op.spec.dim))
 
 
-def _endpoint_fields(op, per_truncation: dict, trials: int, seed: int) -> dict:
-    """The report fields every endpoint experiment carries.
+def _endpoint_report(op, per_truncation: dict, trials: int, seed: int, **fields) -> EndpointReport:
+    """The fields every endpoint experiment reports, and the experiment's own ``fields``.
 
     ``stability`` is the relative change from the coarsest to the finest
     truncation; the hypothesis holds when the order is at most the L^1
@@ -464,15 +432,16 @@ def _endpoint_fields(op, per_truncation: dict, trials: int, seed: int) -> dict:
     lo, hi = per_truncation[sizes[0]], per_truncation[sizes[-1]]
     cls = op.class_params
     hypothesis = cls is not None and cls.m <= lp_threshold(cls, 1, op.spec.dim) + 1e-12
-    return {
-        "operator": op.label,
-        "per_truncation": {str(N): v for N, v in per_truncation.items()},
-        "max_ratio": max(per_truncation.values()),
-        "stability": abs(hi - lo) / max(lo, 1e-300),
-        "trials": trials,
-        "seed": seed,
-        "hypothesis_satisfied": hypothesis,
-    }
+    return EndpointReport(
+        operator=op.label,
+        per_truncation={str(N): v for N, v in per_truncation.items()},
+        max_ratio=max(per_truncation.values()),
+        stability=abs(hi - lo) / max(lo, 1e-300),
+        trials=trials,
+        seed=seed,
+        hypothesis_satisfied=hypothesis,
+        **fields,
+    )
 
 
 def _snap_index(point, spec: GridSpec):
@@ -550,11 +519,14 @@ def weak11_experiment(
     lam_grid=None,
     seed: int = 0,
     truncations=None,
-) -> WeakTypeReport:
+) -> EndpointReport:
     """max over trial f and levels of lam |{|Tf| > lam}| / ||f||_1.
 
     Trial functions have unit L^1 mass; the experiment repeats at two
     truncations (N and 2N by default) and reports the relative change.
+    At the finest truncation it also reports ``per_lam``, the max over
+    trials of lam |{|Tf| > lam}| at each level of ``lam_grid``, and
+    ``input_norms``, the trials' ||f||_1.
     """
     truncations = _truncations(op, truncations)
     _check_radius(2.0**-WEAK11_FINEST_BUMP, truncations, op.spec.dim, "truncations")
@@ -582,11 +554,11 @@ def weak11_experiment(
             best = float(np.max(values / norm1, initial=best))
             np.maximum(per_lam, values, out=per_lam)
         per_truncation[N] = best
-    return WeakTypeReport(lam_grid=lam_grid, per_lam=per_lam.tolist(), input_norms=input_norms,
-                          **_endpoint_fields(op, per_truncation, trials, seed))
+    return _endpoint_report(op, per_truncation, trials, seed, lam_grid=lam_grid,
+                            per_lam=per_lam.tolist(), input_norms=input_norms)
 
 
-def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) -> dict:
+def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) -> EndpointReport:
     """max over sup-normalized trial f of ||Tf||_BMO, with truncation stability.
 
     Trials are random sign patterns and lacunary cosine sums normalized in
@@ -629,11 +601,11 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
                 v[...] = wave / np.max(np.abs(wave))
         scales = np.max(np.abs(stack), axis=tuple(range(1, dim + 1)))
         per_truncation[N] = bmo_sup(spec, op_N.apply(stack), scales).value
-    return _endpoint_fields(op, per_truncation, trials, seed)
+    return _endpoint_report(op, per_truncation, trials, seed)
 
 
 def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
-                     truncations=None) -> dict:
+                     truncations=None) -> EndpointReport:
     """max of ||Ta||_1 over atoms at dyadic radii with random profiles.
 
     Atoms carry H^1 norm at most 1 by construction, so every ratio is an
@@ -669,16 +641,15 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
         for (radius, _), norm1 in zip(atoms, _norms(op_N.apply(stack), 1.0, spec.npoints)):
             per_radius[radius] = max(per_radius[radius], norm1)
         per_truncation[N] = max(per_radius.values())
-    return {
-        **_endpoint_fields(op, per_truncation, trials, seed),
-        "per_radius": {f"{r:g}": v for r, v in per_radius.items()},
-        "small_scale_max": max(
+    return _endpoint_report(
+        op, per_truncation, trials, seed, per_radius={f"{r:g}": v for r, v in per_radius.items()},
+        small_scale_max=max(
             (v for r, v in per_radius.items() if r < H1_UNIT_SCALE), default=0.0
         ),
-        "large_scale_max": max(
+        large_scale_max=max(
             (v for r, v in per_radius.items() if r >= H1_UNIT_SCALE), default=0.0
         ),
-    }
+    )
 
 
 # ---------------------------------------------------------------------------

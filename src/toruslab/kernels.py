@@ -9,7 +9,7 @@ its symbol reads, which a composition J^s o T and an adjoint T* take from T
 (KernelMatrix).  A symbol's rows are made straight from it, with no dense
 matrix; a wrapper's are regathered from its dense matrix.  The decay and log
 checks read it, a truncation filtering copies of its row blocks, and the
-sigma integrals read the grid-basis matrix M = k / G.  Three estimate
+sigma integrals read rows and columns of k gathered from it.  Three estimate
 families are probed empirically, always with finite-truncation stability
 diagnostics (never as certificates):
 
@@ -38,19 +38,17 @@ from itertools import product
 
 import numpy as np
 
-from .calculus import mi_abs, mi_validate
+from .calculus import ClassParams, mi_abs, mi_validate
 from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, _center_distance_grid, offset_distance_grid
 from .experiments import lp_threshold
 from .operators import (
     _CHUNK,
     PdoOperator,
-    _offset_view,
     box_filter,
     kernel_offset_rows,
     offsets_to_full,
     representatives,
-    to_matrix,
 )
 from .symbols import BinOp, Const, XiVar, diff_x_multi
 
@@ -70,6 +68,7 @@ class KernelMatrix:
     offset_rows: np.ndarray  # shape (rows,) + sizes; K[r, z] = k(x_r, x_r - z)
     label: str = "kernel"
     x_axes: tuple = None
+    class_params: ClassParams = None  # the nominal class of the operator it came from
 
     def __post_init__(self):
         if self.x_axes is None:
@@ -91,9 +90,16 @@ class KernelMatrix:
 
     def row(self, r: int) -> np.ndarray:
         """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
-        point = tuple(slice(c, c + 1) for c in np.unravel_index(r, self.spec.sizes))
-        i = representatives(r, self.spec, self.x_axes)[0]
-        return _offset_view(self.offset_rows[i:i + 1], point, self.spec, self.x_axes).copy().reshape(-1)
+        return self.entries(r, np.arange(self.spec.npoints))
+
+    def entries(self, x, y) -> np.ndarray:
+        """full()[x, y] for flat grid indices x and y, broadcast together:
+        k(x, y) is the entry x - y of x's offset row."""
+        sizes = self.spec.sizes
+        x_coords, y_coords = np.unravel_index(x, sizes), np.unravel_index(y, sizes)
+        z = np.ravel_multi_index([(a - b) % n for a, b, n in zip(x_coords, y_coords, sizes)], sizes)
+        i = representatives(x, self.spec, self.x_axes)[0]
+        return self.offset_rows.reshape(len(self.offset_rows), -1)[i, z]
 
     def supremum_per_offset(self, box: int = None) -> np.ndarray:
         """sup over x of |k(x, x - z)| for each offset z, shape ``sizes``, of the
@@ -115,7 +121,8 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, op.x_axes)
+    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, op.x_axes,
+                        op.class_params)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +327,7 @@ class SigmaEstimateReport:
 
 
 def sigma_estimates(
-    op,
+    kernel,
     variant: str,
     sigma_grid,
     sample_count: int = 64,
@@ -343,12 +350,15 @@ def sigma_estimates(
     uniform-in-sigma behavior is visible.
 
     Variants a1 and b compare columns k(., y) - k(., z); a2 and c compare
-    rows k(y, .) - k(z, .).  The per-sigma maximum over samples is reported.
+    rows k(y, .) - k(z, .), all of a sigma's samples gathered at once from
+    the offset rows of ``kernel``: a KernelMatrix with class parameters, or
+    an operator, whose kernel is then synthesized.  The per-sigma maximum
+    over samples is reported.
     """
     if variant not in _VARIANTS:
         raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
     unit_scale = DEFAULT_UNIT_SCALE if variant in ("a1", "a2") else DEFAULT_SUB_UNIT_SCALE
-    spec = op.spec
+    spec = kernel.spec
     spacing = 1.0 / min(spec.sizes)
     sigma_grid = sorted(float(s) for s in sigma_grid)
     for s in sigma_grid:
@@ -356,7 +366,7 @@ def sigma_estimates(
             raise ValidationError(
                 f"sigma {s:g} outside (grid spacing {spacing:g}, 1/4]", field="sigma_grid"
             )
-    cls = op.class_params
+    cls = kernel.class_params
     if cls is None:
         raise ValidationError("operator needs class parameters for sigma estimates")
     rho = cls.rho
@@ -373,30 +383,33 @@ def sigma_estimates(
             )
 
     G = spec.npoints
-    M = to_matrix(op).matrix  # k(x, y) / G, the quadrature weight included
+    if not isinstance(kernel, KernelMatrix):
+        kernel = synthesize_kernel(kernel)
+    every = np.arange(G)
     points = spec.points()
     rng = np.random.default_rng(seed)
 
     per_sigma = []
     for s in sigma_grid:
         r = 2.0 * unit_scale * (s if variant in ("a1", "a2") else s**rho)
-        best = 0.0
+        ys, zs, outsides = [], [], []
         for _ in range(sample_count):
-            z = int(rng.integers(0, G))
-            dz = _center_distance_grid(points[z], spec).ravel()
+            zs.append(int(rng.integers(0, G)))
+            dz = _center_distance_grid(points[zs[-1]], spec).ravel()
             near = np.flatnonzero(dz <= s)
-            y = int(near[rng.integers(0, near.size)])
-            outside = dz > r
-            if not np.any(outside):
+            ys.append(int(near[rng.integers(0, near.size)]))
+            outsides.append(dz > r)
+            if not np.any(outsides[-1]):
                 raise EmptyDomainError(
                     f"excluded ball of radius {r:g} covers the whole torus at sigma={s:g}"
                 )
-            if variant in ("a1", "b"):
-                diff = np.abs(M[:, y] - M[:, z])
-            else:
-                diff = np.abs(M[y, :] - M[z, :])
-            best = max(best, float(np.sum(diff[outside])))
-        per_sigma.append(best)
+        y, z = np.array(ys, dtype=int)[:, None], np.array(zs, dtype=int)[:, None]
+        if variant in ("a1", "b"):
+            diff = np.abs(kernel.entries(every, y) - kernel.entries(every, z))
+        else:
+            diff = np.abs(kernel.entries(y, every) - kernel.entries(z, every))
+        diff /= G  # the quadrature weight
+        per_sigma.append(max([0.0, *(float(np.sum(d[out])) for d, out in zip(diff, outsides))]))
 
     return SigmaEstimateReport(
         variant=variant,

@@ -24,79 +24,16 @@ arrays, so a whole grid-by-lattice sampling is a single tree walk.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import DslError, TableRangeError, ValidationError
 
-FUNCTIONS = ("exp", "sin", "cos", "log", "bracket", "abs")
 MAX_DIM = 3
-
-# ---------------------------------------------------------------------------
-# Tokens
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | ident | op | paren | comma
-    lexeme: str
-    position: int
-
-
-def tokenize(source: str) -> list:
-    """Lex an expression string; errors carry the offending offset."""
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                exp_start = j + 1
-                k = exp_start
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k >= n or not source[k].isdigit():
-                    raise DslError("malformed number literal", exp_start)
-                while k < n and source[k].isdigit():
-                    k += 1
-                j = k
-            tokens.append(Token("number", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            tokens.append(Token("op", c, i))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(Token("paren", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(Token("comma", c, i))
-            i += 1
-            continue
-        raise DslError(f"unknown character {c!r}", i)
-    return tokens
-
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -142,7 +79,7 @@ class Neg:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # + - * / ^
+    op: str  # a key of _OPERATORS
     left: object
     right: object
     pos: int = field(default=0, compare=False)
@@ -150,16 +87,157 @@ class BinOp:
 
 @dataclass(frozen=True)
 class Call:
-    fn: str
+    fn: str  # a key of FUNCTIONS
     arg: object
     pos: int = field(default=0, compare=False)
 
 
-SymbolExpr = (Const, Param, XVar, XiVar, XiVec, Neg, BinOp, Call)
+# ---------------------------------------------------------------------------
+# The language tables: each operator, function and reserved name is one row,
+# read by the lexer, the parser, the printer, the evaluator and diff_x
+# ---------------------------------------------------------------------------
+# derivative trees are simplified where a factor is the constant 0 or 1
 
-_BP = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
-_UNARY_BP = 30
-_RIGHT_ASSOC = {"^"}
+_ZERO = Const(0j)
+_ONE = Const(complex(1.0))
+
+
+def _is_const(node, value=None):
+    return isinstance(node, Const) and (value is None or node.value == value)
+
+
+def _add(a, b):
+    if _is_const(a, 0):
+        return b
+    if _is_const(b, 0):
+        return a
+    return BinOp("+", a, b)
+
+
+def _mul(a, b):
+    if _is_const(a, 0) or _is_const(b, 0):
+        return _ZERO
+    if _is_const(a, 1):
+        return b
+    if _is_const(b, 1):
+        return a
+    return BinOp("*", a, b)
+
+
+def _div(a, b):
+    if _is_const(a, 0):
+        return _ZERO
+    return BinOp("/", a, b)
+
+
+def _power(a, b):
+    # principal branch throughout; integer exponents short-circuit so that
+    # negative real bases stay exact
+    if np.isscalar(b) or (isinstance(b, complex)):
+        bb = complex(b)
+        if bb.imag == 0 and bb.real == int(bb.real) and abs(bb.real) <= 64:
+            return np.asarray(a, dtype=np.complex128) ** int(bb.real)
+    a = np.asarray(a, dtype=np.complex128)
+    # a signed zero in the imaginary part must not flip the branch cut
+    a = np.where(a.imag == 0.0, a.real.astype(np.complex128), a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.power(a, b)
+
+
+def _diff_power(u, v, du, dv):
+    if _is_const(dv, 0):
+        # d(u^c) = c * u^(c-1) * u'
+        if _is_const(du, 0):
+            return _ZERO
+        return _mul(_mul(v, BinOp("^", u, BinOp("-", v, _ONE))), du)
+    if _is_const(du, 0):
+        return _mul(BinOp("^", u, v), _mul(dv, Call("log", u)))
+    return _mul(BinOp("^", u, v), _add(_mul(dv, Call("log", u)), _mul(v, _div(du, u))))
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """A binary operator: how tightly it binds, its value and its x-derivative."""
+
+    bp: int  # binding power
+    right_assoc: bool
+    value: object  # (a, b) -> a op b
+    derivative: object  # (u, v, du, dv) -> the tree of d(u op v)
+    zero: str = None  # the error when the right operand has a zero
+
+
+@dataclass(frozen=True)
+class _Function:
+    """A unary function: its value and the tree of its x-derivative."""
+
+    value: object  # scalar argument v -> f(v)
+    derivative: object  # (u, du) -> the tree of d f(u); None: not differentiable
+    vector: object = None  # |xi|^2 -> f(xi), for a function that accepts the bare xi
+    zero: str = None  # the error when the argument has a zero
+
+
+_OPERATORS = {
+    "+": _Operator(10, False, operator.add, lambda u, v, du, dv: _add(du, dv)),
+    "-": _Operator(10, False, operator.sub,
+                   lambda u, v, du, dv: du if _is_const(dv, 0) else BinOp("-", du, dv)),
+    "*": _Operator(20, False, operator.mul, lambda u, v, du, dv: _add(_mul(du, v), _mul(u, dv))),
+    "/": _Operator(20, False, operator.truediv,
+                   lambda u, v, du, dv: _div(BinOp("-", _mul(du, v), _mul(u, dv)), _mul(v, v)),
+                   zero="division by zero"),
+    "^": _Operator(40, True, _power, _diff_power),
+}
+_UNARY_BP = 30  # unary minus binds between * and ^
+
+FUNCTIONS = {
+    "exp": _Function(np.exp, lambda u, du: _mul(Call("exp", u), du)),
+    "sin": _Function(np.sin, lambda u, du: _mul(Call("cos", u), du)),
+    "cos": _Function(np.cos, lambda u, du: Neg(_mul(Call("sin", u), du))),
+    "log": _Function(np.log, lambda u, du: _div(du, u), zero="log of zero"),
+    "bracket": _Function(
+        lambda v: np.sqrt(1.0 + np.asarray(v * np.conj(v)).real).astype(np.complex128),
+        lambda u, du: _div(_mul(u, du), Call("bracket", u)),
+        vector=lambda square: np.sqrt(1.0 + square).astype(np.complex128)),
+    "abs": _Function(lambda v: np.abs(v).astype(np.complex128), None,
+                     vector=lambda square: np.sqrt(square).astype(np.complex128)),
+}
+_VECTOR_ONLY_IN = " or ".join(f"{name}()" for name in sorted(FUNCTIONS) if FUNCTIONS[name].vector)
+
+# reserved names, and the axis variables x<j> and xi<j> with their kind
+_NAMES = {"i": partial(Const, 1j, "i"), "pi": partial(Const, complex(math.pi), "pi"), "xi": XiVec}
+_AXIS_NAME = re.compile(r"(xi|x)(\d+)")
+_AXIS_VARS = {"x": (XVar, "space"), "xi": (XiVar, "frequency")}
+
+# one token after optional whitespace; \d is a decimal digit and \w a letter,
+# digit or underscore, and an identifier must start with a letter or "_"
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+|(?P<bad_exponent>[eE]))?)|(?P<ident>\w+)"
+    rf"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<paren>[()])|(?P<comma>,)|(?P<other>\S))"
+)
+
+# ---------------------------------------------------------------------------
+# Tokens
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # number | ident | op | paren | comma
+    lexeme: str
+    position: int
+
+
+def tokenize(source: str) -> list:
+    """Lex an expression string; errors carry the offending offset."""
+    tokens, end = [], 0
+    while match := _TOKEN.match(source, end):
+        kind, end = match.lastgroup, match.end()
+        lexeme, position = match[kind], match.start(kind)
+        if match["bad_exponent"]:
+            raise DslError("malformed number literal", match.end("bad_exponent"))
+        if kind in ("ident", "other") and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            raise DslError(f"unknown character {lexeme[0]!r}", position)
+        tokens.append(Token(kind, lexeme, position))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +263,8 @@ class _Stream:
         return tok
 
 
-def parse_tokens(tokens: list):
+def parse(source: str):
+    tokens = tokenize(source)
     if not tokens:
         raise DslError("empty expression", 0)
     stream = _Stream(tokens)
@@ -196,22 +275,18 @@ def parse_tokens(tokens: list):
     return expr
 
 
-def parse(source: str):
-    return parse_tokens(tokenize(source))
-
-
 def _parse_expr(stream, min_bp):
     lhs = _parse_atom(stream)
     while True:
         tok = stream.peek()
         if tok is None or tok.kind != "op":
             break
-        bp = _BP[tok.lexeme]
-        if bp < min_bp:
+        op = _OPERATORS[tok.lexeme]
+        if op.bp < min_bp:
             break
         stream.next()
         # right-assoc recurses at equal bp, left-assoc one above
-        rhs = _parse_expr(stream, bp if tok.lexeme in _RIGHT_ASSOC else bp + 1)
+        rhs = _parse_expr(stream, op.bp if op.right_assoc else op.bp + 1)
         lhs = BinOp(tok.lexeme, lhs, rhs, pos=tok.position)
     return lhs
 
@@ -251,22 +326,14 @@ def _ident_atom(stream, tok):
         return Call(name, arg, pos=tok.position)
     if name in FUNCTIONS:
         raise DslError(f"{name} requires an argument list", tok.position)
-    if name == "i":
-        return Const(1j, name="i", pos=tok.position)
-    if name == "pi":
-        return Const(complex(math.pi), name="pi", pos=tok.position)
-    if name == "xi":
-        return XiVec(pos=tok.position)
-    if name.startswith("xi") and name[2:].isdigit():
-        axis = int(name[2:])
+    if name in _NAMES:
+        return _NAMES[name](pos=tok.position)
+    if axis_name := _AXIS_NAME.fullmatch(name):
+        node, kind = _AXIS_VARS[axis_name[1]]
+        axis = int(axis_name[2])
         if not 1 <= axis <= MAX_DIM:
-            raise DslError(f"frequency variable index {axis} out of range", tok.position)
-        return XiVar(axis - 1, pos=tok.position)
-    if name.startswith("x") and name[1:].isdigit():
-        axis = int(name[1:])
-        if not 1 <= axis <= MAX_DIM:
-            raise DslError(f"space variable index {axis} out of range", tok.position)
-        return XVar(axis - 1, pos=tok.position)
+            raise DslError(f"{kind} variable index {axis} out of range", tok.position)
+        return node(axis - 1, pos=tok.position)
     return Param(name, pos=tok.position)
 
 
@@ -309,12 +376,10 @@ def _print(node, ctx):
         body = f"-{_print(node.operand, _UNARY_BP)}"
         return f"({body})" if ctx > _UNARY_BP else body
     if isinstance(node, BinOp):
-        bp = _BP[node.op]
-        if node.op in _RIGHT_ASSOC:
-            body = f"{_print(node.left, bp + 1)}{node.op}{_print(node.right, bp)}"
-        else:
-            body = f"{_print(node.left, bp)}{node.op}{_print(node.right, bp + 1)}"
-        return f"({body})" if ctx > bp else body
+        op = _OPERATORS[node.op]
+        left, right = (op.bp + 1, op.bp) if op.right_assoc else (op.bp, op.bp + 1)
+        body = f"{_print(node.left, left)}{node.op}{_print(node.right, right)}"
+        return f"({body})" if ctx > op.bp else body
     raise TypeError(f"not a symbol expression node: {node!r}")
 
 
@@ -324,7 +389,7 @@ def _print(node, ctx):
 
 
 class _VecVal:
-    """Value of the bare `xi` vector; only abs/bracket may consume it."""
+    """Value of the bare `xi` vector; only the functions with a vector value may consume it."""
 
     def __init__(self, components):
         self.components = components
@@ -366,14 +431,12 @@ def _eval(node, xs, xis, params):
         if node.name not in params:
             raise DslError(f"unbound parameter {node.name!r}", node.pos)
         return complex(params[node.name])
-    if isinstance(node, XVar):
-        if node.axis >= len(xs):
-            raise DslError(f"x{node.axis + 1} out of range for dimension {len(xs)}", node.pos)
-        return xs[node.axis].astype(np.complex128)
-    if isinstance(node, XiVar):
-        if node.axis >= len(xis):
-            raise DslError(f"xi{node.axis + 1} out of range for dimension {len(xis)}", node.pos)
-        return xis[node.axis].astype(np.complex128)
+    if isinstance(node, (XVar, XiVar)):
+        name, coords = ("x", xs) if isinstance(node, XVar) else ("xi", xis)
+        if node.axis >= len(coords):
+            raise DslError(f"{name}{node.axis + 1} out of range for dimension {len(coords)}",
+                           node.pos)
+        return coords[node.axis].astype(np.complex128)
     if isinstance(node, XiVec):
         return _VecVal(xis)
     if isinstance(node, Neg):
@@ -381,63 +444,27 @@ def _eval(node, xs, xis, params):
     if isinstance(node, BinOp):
         a = _scalar(_eval(node.left, xs, xis, params), node)
         b = _scalar(_eval(node.right, xs, xis, params), node)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(b == 0):
-                raise DslError("division by zero", node.pos)
-            return a / b
-        if node.op == "^":
-            return _power(a, b)
+        return _apply(_OPERATORS[node.op], node, a, b)
     if isinstance(node, Call):
+        fn = FUNCTIONS[node.fn]
         v = _eval(node.arg, xs, xis, params)
-        if node.fn == "bracket":
-            if isinstance(v, _VecVal):
-                sq = sum(np.asarray(c, dtype=float) ** 2 for c in v.components)
-                return np.sqrt(1.0 + sq).astype(np.complex128)
-            mag2 = np.asarray(v * np.conj(v)).real
-            return np.sqrt(1.0 + mag2).astype(np.complex128)
-        if node.fn == "abs":
-            if isinstance(v, _VecVal):
-                sq = sum(np.asarray(c, dtype=float) ** 2 for c in v.components)
-                return np.sqrt(sq).astype(np.complex128)
-            return np.abs(v).astype(np.complex128)
-        v = _scalar(v, node)
-        if node.fn == "exp":
-            return np.exp(v)
-        if node.fn == "sin":
-            return np.sin(v)
-        if node.fn == "cos":
-            return np.cos(v)
-        if node.fn == "log":
-            if np.any(v == 0):
-                raise DslError("log of zero", node.pos)
-            return np.log(v)
+        if isinstance(v, _VecVal) and fn.vector is not None:
+            return fn.vector(sum(np.asarray(c, dtype=float) ** 2 for c in v.components))
+        return _apply(fn, node, _scalar(v, node))
     raise TypeError(f"not a symbol expression node: {node!r}")
+
+
+def _apply(entry, node, *args):
+    """A table entry's value at ``args``, once its last argument is checked for zeros."""
+    if entry.zero is not None and np.any(args[-1] == 0):
+        raise DslError(entry.zero, node.pos)
+    return entry.value(*args)
 
 
 def _scalar(v, node):
     if isinstance(v, _VecVal):
-        raise DslError("the bare vector `xi` may only appear inside abs() or bracket()", node.pos)
+        raise DslError(f"the bare vector `xi` may only appear inside {_VECTOR_ONLY_IN}", node.pos)
     return v
-
-
-def _power(a, b):
-    # principal branch throughout; integer exponents short-circuit so that
-    # negative real bases stay exact
-    if np.isscalar(b) or (isinstance(b, complex)):
-        bb = complex(b)
-        if bb.imag == 0 and bb.real == int(bb.real) and abs(bb.real) <= 64:
-            return np.asarray(a, dtype=np.complex128) ** int(bb.real)
-    a = np.asarray(a, dtype=np.complex128)
-    # a signed zero in the imaginary part must not flip the branch cut
-    a = np.where(a.imag == 0.0, a.real.astype(np.complex128), a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.power(a, b)
 
 
 def depends_on_x(expr, axis=None) -> bool:
@@ -461,43 +488,12 @@ def read_axes(expr, dim: int) -> tuple:
 # Exact x-differentiation
 # ---------------------------------------------------------------------------
 
-_ZERO = Const(0j)
-_ONE = Const(complex(1.0))
-
-
-def _is_const(node, value=None):
-    return isinstance(node, Const) and (value is None or node.value == value)
-
-
-def _add(a, b):
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    return BinOp("+", a, b)
-
-
-def _mul(a, b):
-    if _is_const(a, 0) or _is_const(b, 0):
-        return _ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    if _is_const(a, 0):
-        return _ZERO
-    return BinOp("/", a, b)
-
 
 def diff_x(expr, axis: int):
     """Exact partial derivative with respect to x_{axis+1}.
 
-    Works on any expression tree; `abs` of an x-dependent argument is the
-    one unsupported case (no complex derivative exists).
+    Works on any expression tree; a function with no derivative rule (`abs`,
+    which has no complex derivative) of an x-dependent argument raises.
     """
     if isinstance(expr, (Const, Param, XiVar, XiVec)):
         return _ZERO
@@ -507,47 +503,17 @@ def diff_x(expr, axis: int):
         d = diff_x(expr.operand, axis)
         return _ZERO if _is_const(d, 0) else Neg(d)
     if isinstance(expr, BinOp):
-        u, v = expr.left, expr.right
-        du, dv = diff_x(u, axis), diff_x(v, axis)
-        if expr.op == "+":
-            return _add(du, dv)
-        if expr.op == "-":
-            if _is_const(dv, 0):
-                return du
-            return BinOp("-", du, dv)
-        if expr.op == "*":
-            return _add(_mul(du, v), _mul(u, dv))
-        if expr.op == "/":
-            num = BinOp("-", _mul(du, v), _mul(u, dv))
-            return _div(num, _mul(v, v))
-        if expr.op == "^":
-            if _is_const(dv, 0):
-                # d(u^c) = c * u^(c-1) * u'
-                if _is_const(du, 0):
-                    return _ZERO
-                cm1 = BinOp("-", v, _ONE)
-                return _mul(_mul(v, BinOp("^", u, cm1)), du)
-            if _is_const(du, 0):
-                return _mul(BinOp("^", u, v), _mul(dv, Call("log", u)))
-            inner = _add(_mul(dv, Call("log", u)), _mul(v, _div(du, u)))
-            return _mul(BinOp("^", u, v), inner)
+        du, dv = diff_x(expr.left, axis), diff_x(expr.right, axis)
+        return _OPERATORS[expr.op].derivative(expr.left, expr.right, du, dv)
     if isinstance(expr, Call):
         du = diff_x(expr.arg, axis)
         if _is_const(du, 0):
             return _ZERO
-        u = expr.arg
-        if expr.fn == "exp":
-            return _mul(Call("exp", u), du)
-        if expr.fn == "sin":
-            return _mul(Call("cos", u), du)
-        if expr.fn == "cos":
-            return Neg(_mul(Call("sin", u), du))
-        if expr.fn == "log":
-            return _div(du, u)
-        if expr.fn == "bracket":
-            return _div(_mul(u, du), Call("bracket", u))
-        if expr.fn == "abs":
-            raise DslError("abs() of an x-dependent argument is not differentiable", expr.pos)
+        rule = FUNCTIONS[expr.fn].derivative
+        if rule is None:
+            raise DslError(f"{expr.fn}() of an x-dependent argument is not differentiable",
+                           expr.pos)
+        return rule(expr.arg, du)
     raise TypeError(f"not a symbol expression node: {expr!r}")
 
 

@@ -9,6 +9,7 @@ import pytest
 from toruslab.cli import main, read_function_csv, write_function_csv
 from toruslab.errors import ValidationError
 from toruslab.grid import GridFunction, GridSpec
+from toruslab.operators import PdoOperator
 
 
 def run(args, capsys):
@@ -148,6 +149,23 @@ class TestKernelCommand:
         payload = load_report(tmp_path, "kernel")["payload"]
         assert 0.5 <= payload["decay"]["stability_ratio"] <= 2.0
 
+    def test_sigma_check_reads_the_synthesized_kernel(self, tmp_path, capsys, monkeypatch):
+        # the decay and sigma checks share one evaluation of the symbol on grid x lattice
+        values = []
+        symbol_rows = PdoOperator.symbol_rows
+
+        def counted(op, flat_rows):
+            values.append(len(flat_rows) * op.spec.npoints)
+            return symbol_rows(op, flat_rows)
+
+        monkeypatch.setattr(PdoOperator, "symbol_rows", counted)
+        code, out, err = run(["kernel", "--symbol", "exotic(-0.625, 0.75, 1)", "--grid", "64",
+                              "--out", str(tmp_path), "--set", 'kernel.checks=["decay","sigma"]',
+                              "--set", "kernel.samples=4"], capsys)
+        assert code == 0, err
+        assert sum(values) == 64 * 64
+        assert load_report(tmp_path, "kernel")["payload"]["sigma"]["hypothesis_satisfied"]
+
     @pytest.mark.parametrize(
         "setting, field",
         [("kernel.dump_rows=[64]", "kernel.dump_rows"),
@@ -246,6 +264,14 @@ class TestErrorsAndDeterminism:
         assert err.strip().endswith(
             "invalid choice: 'frobnicate' (choose from 'symbol-class', 'quantize', 'kernel', "
             "'norms', 'cz', 'sweep', 'weak11', 'bmo', 'h1l1', 'admissible')")
+
+    @pytest.mark.parametrize("symbol,message", [("2²", "unknown character '²' (at offset 1)"),
+                                                ("x²", "unbound parameter 'x²' (at offset 0)")])
+    def test_non_decimal_digit_in_a_symbol_exits_1(self, tmp_path, capsys, symbol, message):
+        code, out, err = run(["quantize", "--symbol", symbol, "--grid", "16",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     def test_invalid_config_field_path(self, tmp_path, capsys):
         code, out, err = run(

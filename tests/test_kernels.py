@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from toruslab import kernels
+from toruslab.calculus import ClassParams
 from toruslab.errors import EmptyDomainError, SizeGuardError, ValidationError
-from toruslab.grid import GridSpec, offset_distance_grid, torus_distance
+from toruslab.grid import GridSpec, _center_distance_grid, offset_distance_grid, torus_distance
 from toruslab.kernels import (
     KernelMatrix,
     decay_scan,
@@ -92,6 +93,7 @@ class TestSynthesize:
         monkeypatch.setattr(kernels, "_CHUNK", 5)  # blocks of 5 rows, the last one partial
         assert np.array_equal(k.supremum_per_offset(), want)
         assert all(np.array_equal(k.row(r), k.full()[r]) for r in range(G))
+        assert np.array_equal(k.entries(np.arange(G)[:, None], np.arange(G)), k.full())
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     @pytest.mark.parametrize("box", [None, 4])
@@ -105,6 +107,8 @@ class TestSynthesize:
         assert k.max_abs() == repeated.max_abs()
         assert k.circulant_defect() == repeated.circulant_defect() == 0.0
         assert all(np.array_equal(k.row(r), repeated.row(r)) for r in range(spec.npoints))
+        G = spec.npoints
+        assert np.array_equal(k.entries(np.arange(G)[:, None], np.arange(G)), k.full())
         assert np.array_equal(k.full(), repeated.full())
         for trunc in (None, 2, 4):
             assert np.array_equal(k.supremum_per_offset(trunc), repeated.supremum_per_offset(trunc))
@@ -128,6 +132,8 @@ class TestSynthesize:
         assert k.max_abs() == expanded.max_abs()
         assert k.circulant_defect() == expanded.circulant_defect() > 0.0
         assert all(np.array_equal(k.row(r), expanded.row(r)) for r in range(spec.npoints))
+        G = spec.npoints
+        assert np.array_equal(k.entries(np.arange(G)[:, None], np.arange(G)), k.full())
         assert np.array_equal(k.full(), expanded.full())
         for trunc in (None, 2, 4):
             assert np.array_equal(k.supremum_per_offset(trunc), expanded.supremum_per_offset(trunc))
@@ -382,6 +388,37 @@ class TestSigmaEstimates:
                 diff = np.abs(k[:, y] - k[:, z]) if variant == "a1" else np.abs(k[y] - k[z])
                 best = max(best, float(np.sum(diff[d > r]) / spec.npoints))
             assert got == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: PdoOperator.from_family(exotic(-0.625, 0.75, 1.0), GridSpec((128,))),
+        lambda: PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), GridSpec((16, 16))),
+        lambda: PdoOperator.from_text("exp(i*sin(2*pi*x2)*bracket(xi)^0.5)*bracket(xi)^-1",
+                                      GridSpec((8, 32)), class_params=ClassParams(-1, 0.5, 0.5)),
+        lambda: PdoOperator.from_family(wainger(0.5, 1.0), GridSpec((64,))),
+        lambda: AdjointOperator(compose_bessel(
+            PdoOperator.from_family(exotic(0.0, 0.75, 1.0), GridSpec((32,))), -0.625, "left")),
+    ], ids=["exotic-128", "exotic-16x16", "x2-only-8x32", "multiplier", "adjoint-composed"])
+    @pytest.mark.parametrize("variant", ["a1", "a2", "b", "c"])
+    def test_offset_rows_equal_the_dense_matrix_reference(self, make, variant):
+        # the kernel's rows and columns over G are bit for bit those of M = k / G
+        T = make()
+        kernel = synthesize_kernel(T)
+        assert kernel.class_params == T.class_params
+        sigmas = [1 / 4] if T.spec.sizes == (8, 32) else [1 / 8, 1 / 4]
+        rep = sigma_estimates(kernel, variant, sigmas, sample_count=16, seed=7)
+        M, points = to_matrix(T).matrix, T.spec.points()
+        rng = np.random.default_rng(7)
+        for s, got in zip(rep.sigma_grid, rep.per_sigma):
+            r = 2.0 * rep.unit_scale * (s if variant in ("a1", "a2") else s**rep.rho)
+            best = 0.0
+            for _ in range(16):
+                z = int(rng.integers(0, T.spec.npoints))
+                d = _center_distance_grid(points[z], T.spec).ravel()
+                near = np.flatnonzero(d <= s)
+                y = int(near[rng.integers(0, near.size)])
+                diff = np.abs(M[:, y] - M[:, z]) if variant in ("a1", "b") else np.abs(M[y] - M[z])
+                best = max(best, float(np.sum(diff[d > r])))
+            assert got == best
 
     def test_sigma_grid_validation(self):
         J = PdoOperator.from_family(bessel(-2.0), GridSpec((64,)))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from toruslab import symbols
 from toruslab.errors import DslError, TableRangeError, ValidationError
 from toruslab.grid import GridSpec
 from toruslab.symbols import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
     Neg,
+    Param,
     TableSymbol,
     XVar,
     XiVar,
@@ -61,9 +64,10 @@ class TestTokenize:
             ("number", "2"),
         ]
 
-    def test_malformed_exponent(self):
-        with pytest.raises(DslError) as err:
-            tokenize("1e--3")
+    @pytest.mark.parametrize("source", ["1e--3", "2E+", "3Ex"])
+    def test_malformed_exponent(self, source):
+        with pytest.raises(DslError, match="malformed number literal") as err:
+            tokenize(source)
         assert err.value.position == 2
 
     def test_exp_i_pi(self):
@@ -83,13 +87,59 @@ class TestTokenize:
         toks = tokenize("1.5e-3")
         assert len(toks) == 1 and float(toks[0].lexeme) == 1.5e-3
 
+    @pytest.mark.parametrize("source,offset", [("2²", 1), ("½", 0), ("x1+③", 3)])
+    def test_non_decimal_digit_is_an_unknown_character(self, source, offset):
+        with pytest.raises(DslError) as err:
+            tokenize(source)
+        assert str(err.value) == f"unknown character {source[offset]!r} (at offset {offset})"
+
+    def test_non_decimal_digit_in_a_name_is_a_parameter(self):
+        assert parse("x²") == Param("x²")
+        with pytest.raises(DslError, match="unbound parameter 'x²'"):
+            eval_expr(parse("x²"), 0.5, 0)
+
+    def test_non_decimal_digit_in_an_exponent_is_malformed(self):
+        with pytest.raises(DslError) as err:
+            tokenize("1e²")
+        assert err.value.position == 2
+
+    def test_decimal_digits_of_any_script(self):
+        assert parse("٣*xi٢") == BinOp("*", Const(3 + 0j), XiVar(1))
+
+    def test_lexemes_and_whitespace_rebuild_the_source(self):
+        rng = np.random.default_rng(22)
+        pieces = ["exp", "bracket", "(", ")", ",", "xi", "x1", "xi2", "m", "_a1", "i", "pi",
+                  "7", "1.5e-3", "2.", "3E+2", "+", "-", "*", "/", "^"]
+        lexed = 0
+        for _ in range(2000):
+            source = "".join(rng.choice(pieces) + rng.choice(["", "", " ", "\t", " \n "])
+                             for _ in range(rng.integers(0, 12)))
+            try:
+                toks = tokenize(source)
+            except DslError:  # pieces that join into a malformed literal, like 2.exp
+                continue
+            lexed += 1
+            positions = [t.position for t in toks]
+            assert all(a < b for a, b in zip(positions, positions[1:]))
+            rebuilt, end = "", 0
+            for t in toks:
+                gap = source[end:t.position]
+                assert gap.strip() == ""
+                rebuilt += gap + t.lexeme
+                end = t.position + len(t.lexeme)
+            assert source[end:].strip() == ""
+            assert rebuilt + source[end:] == source
+        assert lexed > 1000
+
 
 class TestParse:
     def evaluate(self, src, **params):
         return eval_expr(parse(src), 0.0, 0, params or None)
 
-    def test_precedence(self):
-        assert self.evaluate("1+2*3") == 7
+    @pytest.mark.parametrize("src,value", [("1+2*3", 7), ("1-2*3", -5), ("2*3-1", 5),
+                                           ("2-3-4", -5), ("12/2/3", 2), ("2*3^2", 18)])
+    def test_precedence(self, src, value):
+        assert self.evaluate(src) == value
 
     def test_power_right_assoc(self):
         assert self.evaluate("2^3^2") == 512
@@ -256,6 +306,7 @@ class TestPrinter:
     STRINGS = [
         "1+2*3",
         "2^3^2",
+        "(2^3)^2",
         "-2^2",
         "-x1*xi1",
         "(1+x1)*(2-xi1)",
@@ -347,6 +398,52 @@ class TestDiffX:
     def test_abs_of_x_not_differentiable(self):
         with pytest.raises(DslError):
             diff_x(parse("abs(x1)"), 0)
+
+
+class TestFunctionTable:
+    """Every row of the function table parses, prints, evaluates and differentiates."""
+
+    ARG = "0.3+0.2*x1+0.1*i*xi1"  # no zero and off the branch cut of log on the samples
+    REAL_ARG = "0.5+0.2*x1+0.1*xi1"  # bracket's rule u u' / bracket(u) needs a real u
+
+    def test_grammar_lists_the_table(self):
+        assert f"functions  {', '.join(FUNCTIONS)}  " in symbols.__doc__
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_round_trip(self, name):
+        tree = parse(f"{name}({self.ARG})")
+        assert tree == Call(name, parse(self.ARG))
+        assert parse(to_source(tree)) == tree
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_scalar_and_array_values_agree(self, name):
+        tree = parse(f"{name}({self.ARG})")
+        x, xi = np.linspace(0.05, 0.95, 7), np.arange(-3, 4)
+        got = eval_expr(tree, (x[:, None],), (xi[None, :],))
+        want = [[eval_expr(tree, a, k) for k in xi] for a in x]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_derivative_matches_centred_difference(self, name):
+        tree, h = parse(f"{name}({self.REAL_ARG})"), 1e-6
+        if FUNCTIONS[name].derivative is None:
+            with pytest.raises(DslError, match=f"^{name}\\(\\) of an x-dependent argument"):
+                diff_x(tree, 0)
+            return
+        d = diff_x(tree, 0)
+        for x in (0.1, 0.45, 0.8):
+            for xi in (-2, 0, 3):
+                want = (eval_expr(tree, x + h, xi) - eval_expr(tree, x - h, xi)) / (2 * h)
+                assert abs(eval_expr(d, x, xi) - want) <= 1e-6 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    def test_bare_vector_only_where_the_row_accepts_it(self, name):
+        tree = parse(f"{name}(xi)")
+        if FUNCTIONS[name].vector is None:
+            with pytest.raises(DslError, match="only appear inside abs\\(\\) or bracket\\(\\)"):
+                eval_expr(tree, (0.0, 0.0), (3, 4))
+        else:  # |xi| = 5 at xi = (3, 4)
+            assert eval_expr(tree, (0.0, 0.0), (3, 4)) == eval_expr(parse(f"{name}(5)"), 0.0, 0)
 
 
 class TestTableSymbol:
