@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .errors import (EmptyDomainError, NumericalError, SizeGuardError, SpectralTailError,
                      ValidationError)
-from .grid import MATRIX_GUARD, GridFunction, GridSpec
+from .grid import MATRIX_GUARD, GridFunction, GridSpec, bracket
 from .symbols import Const, TableSymbol, depends_on_x, diff_x_multi, eval_expr, read_axes
 
 # fraction of per-axis frequencies counted as the spectral tail, and the
@@ -138,12 +139,9 @@ def x_derivative(expr, beta, xi, spec: GridSpec, params=None) -> GridFunction:
 
     coeffs = np.fft.fftn(values)
     total = float(np.sum(np.abs(coeffs) ** 2))
-    tail_mask = np.zeros(spec.sizes, dtype=bool)
-    freq_axes = [np.fft.fftfreq(n, d=1.0 / n) for n in spec.sizes]
-    for ax, freqs in enumerate(freq_axes):
-        shape = [1] * spec.dim
-        shape[ax] = spec.sizes[ax]
-        tail_mask |= (np.abs(freqs) >= TAIL_FRACTION * spec.sizes[ax]).reshape(shape)
+    freqs = spec.fft_frequencies()
+    tail_mask = reduce(np.logical_or,
+                       [np.abs(f) >= TAIL_FRACTION * n for f, n in zip(freqs, spec.sizes)])
     tail = float(np.sum(np.abs(coeffs[tail_mask]) ** 2))
     if total > 0 and tail > TAIL_TOLERANCE * total:
         raise SpectralTailError(
@@ -152,12 +150,9 @@ def x_derivative(expr, beta, xi, spec: GridSpec, params=None) -> GridFunction:
         )
 
     mult = np.ones(spec.sizes, dtype=np.complex128)
-    for ax, freqs in enumerate(freq_axes):
-        if beta[ax] == 0:
-            continue
-        shape = [1] * spec.dim
-        shape[ax] = spec.sizes[ax]
-        mult = mult * (2j * np.pi * freqs.reshape(shape)) ** beta[ax]
+    for f, b in zip(freqs, beta):
+        if b:
+            mult = mult * (2j * np.pi * f) ** b
     out = np.fft.ifftn(coeffs * mult)
     return GridFunction(spec, out)
 
@@ -196,7 +191,7 @@ def shell_lattice_points(lo: float, hi: float, dim: int) -> np.ndarray:
     else:
         axes = [np.arange(-rmax, rmax + 1)] * dim
         xi = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    br = np.sqrt(1.0 + np.sum(xi.astype(float) ** 2, axis=-1))
+    br = bracket(xi)
     pts = xi[(br >= lo) & (br < hi)]
     if pts.size == 0:
         raise EmptyDomainError(f"shell [{lo:g}, {hi:g}) contains no lattice points")
@@ -291,8 +286,7 @@ def _shell_points(shells, dim: int):
     """(points, brackets, zeros) per shell, built once per fit: the lattice
     points, their brackets <xi>, and a zero array of their count."""
     points = [shell_lattice_points(lo, hi, dim) for lo, hi in shells]
-    brackets = [np.sqrt(1.0 + np.sum(p.astype(float) ** 2, axis=-1)) for p in points]
-    return points, brackets, [np.zeros(len(p)) for p in points]
+    return points, [bracket(p) for p in points], [np.zeros(len(p)) for p in points]
 
 
 def _weighted_max(brackets, maxima, exponent) -> float:

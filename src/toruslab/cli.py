@@ -40,9 +40,10 @@ from .experiments import (
 )
 from .grid import GridFunction, GridSpec
 from .kernels import decay_scan, log_bound_check, sigma_estimates, synthesize_kernel
-from .operators import AdjointOperator, PdoOperator, compose_bessel, resolve_family
+from .operators import (AdjointOperator, PdoOperator, compose_bessel, resolve_family,
+                        resolve_symbol)
 from .spaces import bmo_norm, cz_decompose, lp_norm, weak_lp
-from .symbols import eval_expr, family_from_text, parse
+from .symbols import eval_expr, parse
 
 DEFAULT_CONFIG = {
     "grid": [128],
@@ -162,6 +163,7 @@ _TYPE_CHECKS = {
     "an object": lambda value: isinstance(value, dict),
     "a number > 0": lambda value: _is_number(value) and value > 0,
     "a number >= 1": lambda value: _is_number(value) and value >= 1,
+    "an integer": lambda value: type(value) is int,
     "an integer >= 0": lambda value: type(value) is int and value >= 0,
     'a list of numbers or "inf"': lambda value: isinstance(value, list) and all(
         _is_number(p) or p in ("inf", "Inf") for p in value),
@@ -174,7 +176,8 @@ _FIELD_TYPES = {
     **{f"class.{key}": "a number" for key in ("m", "rho", "delta")},
     "compose": "an object",
     "compose.s": "a number",
-    "symbol_class.max_order": "a number",
+    "symbol_class.max_order": "an integer",
+    "symbol_class.x_resolution": "an integer",
     "quantize.input": "a string",
     "kernel.cutoff": "a number",
     "norms.input": "a string",
@@ -263,15 +266,6 @@ def config_class(config: dict):
     return ClassParams(cls["m"], cls["rho"], cls["delta"]) if cls else None
 
 
-def resolve_symbol(config: dict):
-    """(expr, params, class) of the configured symbol: a built-in family with
-    its own class, or the raw expression with the config ``class``."""
-    family = family_from_text(config["symbol"])
-    if family is not None:
-        return family.expr, family.parameters, ClassParams(family.order, family.rho, family.delta)
-    return parse(config["symbol"]), None, config_class(config)
-
-
 def build_operator(config: dict):
     spec = GridSpec(tuple(config["grid"]))
     op = PdoOperator.from_text(config["symbol"], spec, class_params=config_class(config))
@@ -340,6 +334,13 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def output_dir(config: dict) -> Path:
+    """The configured output directory, made if missing."""
+    path = Path(config["out"])
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_report(config: dict, command: str, payload: dict, notes=None) -> Path:
     envelope = {
         "tool": "toruslab",
@@ -350,9 +351,7 @@ def write_report(config: dict, command: str, payload: dict, notes=None) -> Path:
         "payload": payload,
         "provenance": list(notes or []),
     }
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{command.replace('-', '_')}_report.json"
+    path = output_dir(config) / f"{command.replace('-', '_')}_report.json"
     path.write_text(json.dumps(envelope, sort_keys=True, indent=2, default=_json_default) + "\n")
     return path
 
@@ -373,16 +372,17 @@ def write_plot_data(out_dir: Path, name: str, columns, manifest: dict):
 
 def cmd_symbol_class(config):
     sub = config["symbol_class"]
-    expr, params, nominal = resolve_symbol(config)
-    est = fit_order(
-        expr,
-        dim=len(config["grid"]),
-        params=params,
-        nominal=nominal,
-        max_order=sub["max_order"],
-        shell_range=(float(sub["shell_lo"]), float(sub["shell_hi"])),
-        x_resolution=int(sub["x_resolution"]),
-    )
+    expr, params, nominal, _ = resolve_symbol(config["symbol"], config_class(config))
+    with _config_fields("symbol_class"):
+        est = fit_order(
+            expr,
+            dim=len(config["grid"]),
+            params=params,
+            nominal=nominal,
+            max_order=sub["max_order"],
+            shell_range=(float(sub["shell_lo"]), float(sub["shell_hi"])),
+            x_resolution=sub["x_resolution"],
+        )
     payload = est.to_dict()
     print(
         f"fitted m={est.fitted_m:.4f} rho={est.fitted_rho:.4f} delta={est.fitted_delta:.4f}"
@@ -394,9 +394,7 @@ def cmd_quantize(config):
     op = build_operator(config)
     f = load_grid_function(config, "quantize")
     out = op.apply(f)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / config["quantize"]["output"]
+    out_path = output_dir(config) / config["quantize"]["output"]
     write_function_csv(out_path, out)
     print(f"wrote {out_path}")
     payload = {
@@ -434,11 +432,9 @@ def cmd_kernel(config):
         )
         payload["sigma"] = rep.to_dict()
         notes.extend(rep.warnings)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     for row in sub["dump_rows"]:
-        values = GridFunction(op.spec, kernel.row(row))
-        write_function_csv(out_dir / f"kernel_row_{row}.csv", values)
+        write_function_csv(output_dir(config) / f"kernel_row_{row}.csv",
+                           GridFunction(op.spec, kernel.row(row)))
     print(f"kernel checks done: {', '.join(checks)}")
     return payload, notes
 
@@ -461,10 +457,8 @@ def cmd_cz(config):
     f = load_grid_function(config, "cz")
     level = float(config["cz"]["level"])
     dec = cz_decompose(f, level)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    good_path = out_dir / "cz_good.csv"
-    bad_path = out_dir / "cz_bad.csv"
+    out = output_dir(config)
+    good_path, bad_path = out / "cz_good.csv", out / "cz_bad.csv"
     write_function_csv(good_path, dec.good)
     write_function_csv(bad_path, dec.bad_sum())
     payload = {
@@ -511,11 +505,10 @@ def cmd_sweep(config):
         dim=len(config["grid"]),
     )
     payload = record.to_dict()
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = output_dir(config)
     manifest = {"kind": "sweep", "files": []}
     # CSV matrix: rows m, columns N
-    matrix_path = out_dir / "sweep_matrix.csv"
+    matrix_path = out / "sweep_matrix.csv"
     with matrix_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m"] + [str(N) for N in record.n_grid])
@@ -526,8 +519,8 @@ def cmd_sweep(config):
             )
     for m in record.m_grid:
         rows = [(N, record.estimates[(m, N)].value) for N in record.n_grid]
-        write_plot_data(out_dir, f"sweep_m{m:+g}.dat", rows, manifest)
-    (out_dir / "sweep_manifest.json").write_text(
+        write_plot_data(out, f"sweep_m{m:+g}.dat", rows, manifest)
+    (out / "sweep_manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
     for m, cls in record.classifications.items():
@@ -536,7 +529,8 @@ def cmd_sweep(config):
 
 
 # the config field, in the command's section, behind each library parameter
-_LIBRARY_FIELDS = {"truncations": "truncations", "atom_radii": "radii", "box": "truncations"}
+_LIBRARY_FIELDS = {"truncations": "truncations", "atom_radii": "radii", "box": "truncations",
+                   "max_order": "max_order", "x_resolution": "x_resolution"}
 
 
 @contextlib.contextmanager
@@ -573,7 +567,7 @@ def cmd_endpoint(config, command):
 
 def cmd_admissible(config):
     sub = config["admissible"]
-    params = resolve_symbol(config)[2]
+    params = resolve_symbol(config["symbol"], config_class(config))[2]
     if params is None:
         raise ValidationError("admissible needs class parameters or a family", field="class")
     dim = len(config["grid"])

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ClassParams
+from .calculus import ClassParams, dyadic_shells
 from .errors import ConvergenceError, ValidationError
-from .grid import GridFunction, GridSpec, pure_wave
+from .grid import GridFunction, GridSpec, bracket, pure_wave
 from .operators import PdoOperator
-from .spaces import bmo_sup, dyadic_radii, make_atom
+from .spaces import bmo_sup, dyadic_radii, lp_norm, lp_norms, make_atom
 
 SLOPE_BOUNDED = 0.05
 SLOPE_GROWTH = 0.15
@@ -46,20 +46,6 @@ ASCENT_STEPS = 50
 H1_UNIT_SCALE = 0.125  # h1_l1_experiment: atom radii below it count as small scale
 WEAK11_FINEST_BUMP = 5  # weak11 bump radii are 2^-2 ... 2^-WEAK11_FINEST_BUMP
 EFFECTIVE_ORDER_SHELL_LO = 2.0  # effective_order: lower edge of the first dyadic shell
-
-
-def _norms(stack: np.ndarray, p: float, G: int, a: np.ndarray = None) -> list:
-    """The L^p norm of each row of a stack, given its modulus ``a`` or not:
-    the rows summed in one reduction, each sum powered on its own, as the
-    array power can differ from the scalar one in the last bit."""
-    a = (np.abs(stack) if a is None else a).reshape(len(stack), G)
-    if math.isinf(p):
-        return a.max(axis=1).tolist()
-    return [float((total / G) ** (1.0 / p)) for total in (a**p).sum(axis=1)]
-
-
-def _norm(values: np.ndarray, p: float, G: int) -> float:
-    return _norms(values[None], p, G)[0]
 
 
 @dataclass
@@ -78,9 +64,7 @@ class NormEstimate:
 
     def verify(self, op) -> float:
         """Re-achieve the stored ratio from the stored witness."""
-        G = self.witness.spec.npoints
-        out = op.apply(self.witness)
-        return _norm(out.values, self.q, G) / _norm(self.witness.values, self.p, G)
+        return lp_norm(op.apply(self.witness), self.q).value / lp_norm(self.witness, self.p).value
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +200,12 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     def scored(stack):
         """(ratios, images, |images|) of a value stack; a row of norm 0 scores
         0, with image 0."""
-        norms = _norms(stack, p, G)
+        norms = lp_norms(stack, p)
         images = op.apply(stack)
         if 0 in norms:
             images[np.array(norms) == 0] = 0
         a = np.abs(images)
-        return [r / nv if nv else 0.0 for r, nv in zip(_norms(images, q, G, a), norms)], images, a
+        return [r / nv if nv else 0.0 for r, nv in zip(lp_norms(images, q, a), norms)], images, a
 
     best = [(0.0, None)] * 5  # (ratio, witness): the battery's best, then each chain's
 
@@ -546,7 +530,7 @@ def weak11_experiment(
         realized = [v for param in params
                     if (v := _realize_weak11_trial(param, spec, bumps)) is not None]
         stack = np.array(realized).reshape((-1,) + spec.sizes)
-        input_norms = _norms(stack, 1.0, G)
+        input_norms = lp_norms(stack, 1.0)
         magnitudes = np.sort(np.abs(op_N.apply(stack)).reshape(len(stack), G), axis=1)
         for norm1, Tf in zip(input_norms, magnitudes):
             # |{|Tf| > lam}| for every level, from the one sorted |Tf|
@@ -638,7 +622,7 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
             atoms.append((radius, atom.values.values))
         stack = np.array([values for _, values in atoms]).reshape((-1,) + spec.sizes)
         per_radius = dict.fromkeys(atom_radii, 0.0)
-        for (radius, _), norm1 in zip(atoms, _norms(op_N.apply(stack), 1.0, spec.npoints)):
+        for (radius, _), norm1 in zip(atoms, lp_norms(op_N.apply(stack), 1.0)):
             per_radius[radius] = max(per_radius[radius], norm1)
         per_truncation[N] = max(per_radius.values())
     return _endpoint_report(
@@ -700,25 +684,19 @@ def effective_order(op) -> dict:
     """
     spec = op.spec
     hi = min(spec.sizes) / 2.0
-    shells = []
-    r = EFFECTIVE_ORDER_SHELL_LO
-    while 2 * r <= hi:
-        shells.append((r, 2 * r))
-        r *= 2
-    if len(shells) < 2:
+    if hi < 4 * EFFECTIVE_ORDER_SHELL_LO:
         raise ValidationError("need at least 2 dyadic shells for an effective order")
+    shells = dyadic_shells(EFFECTIVE_ORDER_SHELL_LO, hi)
     centers, sups = [], []
-    G = spec.npoints
     for s_lo, s_hi in shells:
         best = 0.0
         for mag in sorted({int(s_lo), int(math.sqrt(s_lo * s_hi)), int(s_hi) - 1}):
             for signed in (mag, -mag):
                 xi0 = (signed,) + (0,) * (spec.dim - 1)
-                br = math.sqrt(1.0 + mag * mag)
-                if not (s_lo <= br < s_hi):
+                if not (s_lo <= bracket(mag) < s_hi):
                     continue
                 wave = pure_wave(spec, xi0)
-                best = max(best, _norm(op.apply(wave).values, 2.0, G))
+                best = max(best, lp_norm(op.apply(wave), 2.0).value)
         if best > 0:
             centers.append(math.sqrt(s_lo * s_hi))
             sups.append(best)

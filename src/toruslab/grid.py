@@ -42,10 +42,34 @@ def _is_pow2(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform periodic grid on [0,1)^n."""
+class _Box:
+    """A box of points, one ``axes()`` array of values per axis; ``noun``
+    names the box in messages."""
 
     sizes: tuple
+
+    @property
+    def dim(self) -> int:
+        return len(self.sizes)
+
+    @property
+    def npoints(self) -> int:
+        return math.prod(self.sizes)
+
+    def mesh(self):
+        """Coordinate arrays of shape ``sizes``, one per axis."""
+        return np.meshgrid(*self.axes(), indexing="ij")
+
+    def points(self) -> np.ndarray:
+        """All points as an (npoints, dim) array in flat C order."""
+        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
+
+
+@dataclass(frozen=True)
+class GridSpec(_Box):
+    """Uniform periodic grid on [0,1)^n."""
+
+    noun = "grid"
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.sizes)
@@ -58,64 +82,36 @@ class GridSpec:
                     f"axis size {n} must be a power of two >= 4", field="grid.sizes"
                 )
 
-    @property
-    def dim(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def npoints(self) -> int:
-        return math.prod(self.sizes)
-
     def axes(self):
         """Per-axis coordinate arrays k/N."""
         return [np.arange(n) / n for n in self.sizes]
 
-    def mesh(self):
-        """Coordinate arrays of shape ``sizes``, one per axis."""
-        return np.meshgrid(*self.axes(), indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All grid points as an (G, dim) array in flat C order."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
+    def fft_frequencies(self):
+        """Per-axis integer frequencies in FFT order (np.fft.fftfreq), each
+        shaped to broadcast over ``sizes``."""
+        return np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in self.sizes],
+                           indexing="ij", sparse=True)
 
     def lattice(self) -> "FrequencyLattice":
         return FrequencyLattice(self.sizes)
 
 
 @dataclass(frozen=True)
-class FrequencyLattice:
+class FrequencyLattice(_Box):
     """Truncated frequency box {-N_j/2, ..., N_j/2 - 1} per axis."""
 
-    sizes: tuple
+    noun = "lattice"
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-
-    @property
-    def dim(self) -> int:
-        return len(self.sizes)
-
-    @property
-    def npoints(self) -> int:
-        return math.prod(self.sizes)
 
     def axes(self):
         """Per-axis frequency values in enumeration order (ascending)."""
         return [np.arange(-(n // 2), n // 2) for n in self.sizes]
 
-    def mesh(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
-    def points(self) -> np.ndarray:
-        """All lattice points as an (L, dim) integer array in flat C order."""
-        return np.stack([m.ravel() for m in self.mesh()], axis=-1)
-
     def bracket_grid(self) -> np.ndarray:
         """<xi> evaluated on the whole lattice, shape ``sizes``."""
-        sq = np.zeros(self.sizes)
-        for m in self.mesh():
-            sq = sq + m.astype(float) ** 2
-        return np.sqrt(1.0 + sq)
+        return bracket(np.stack(self.mesh(), axis=-1))
 
 
 def finite_values(values: np.ndarray) -> np.ndarray:
@@ -123,6 +119,19 @@ def finite_values(values: np.ndarray) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValidationError("grid function contains non-finite values")
     return values
+
+
+def _checked(values, box: _Box, counted: str, kind: str) -> np.ndarray:
+    """``values`` as complex128 of shape ``box.sizes``: a flat array of
+    ``box.npoints`` is reshaped, any other count or a non-finite value raises."""
+    v = np.asarray(values, dtype=np.complex128)
+    if v.shape != box.sizes:
+        if v.size != box.npoints:
+            raise ValidationError(f"{counted} count {v.size} != {box.noun} size {box.npoints}")
+        v = v.reshape(box.sizes)
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{kind} function contains non-finite values")
+    return v
 
 
 @dataclass
@@ -133,15 +142,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.spec.sizes:
-            if v.size == self.spec.npoints:
-                v = v.reshape(self.spec.sizes)
-            else:
-                raise ValidationError(
-                    f"value count {v.size} != grid size {self.spec.npoints}"
-                )
-        self.values = finite_values(v)
+        self.values = _checked(self.values, self.spec, "value", "grid")
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.spec, self.values.copy())
@@ -155,17 +156,7 @@ class SpectralFunction:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != self.lattice.sizes:
-            if c.size == self.lattice.npoints:
-                c = c.reshape(self.lattice.sizes)
-            else:
-                raise ValidationError(
-                    f"coefficient count {c.size} != lattice size {self.lattice.npoints}"
-                )
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("spectral function contains non-finite values")
-        self.coefficients = c
+        self.coefficients = _checked(self.coefficients, self.lattice, "coefficient", "spectral")
 
 
 def bracket(xi) -> float:
@@ -253,13 +244,7 @@ def ball(center, radius: float, spec: GridSpec) -> np.ndarray:
 
 def _center_distance_grid(center, spec: GridSpec) -> np.ndarray:
     """Geodesic distance from ``center`` to every grid point, shape ``sizes``."""
-    sq = np.zeros(spec.sizes)
-    for ax, m in enumerate(spec.mesh()):
-        d = np.abs(m - center[ax])
-        d = d - np.floor(d)
-        d = np.minimum(d, 1.0 - d)
-        sq = sq + d * d
-    return np.sqrt(sq)
+    return torus_distance(np.stack(spec.mesh(), axis=-1), center)
 
 
 def pure_wave(spec: GridSpec, xi0) -> GridFunction:

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -155,6 +156,16 @@ def resolve_family(text: str, class_params=None):
     return family
 
 
+def resolve_symbol(text: str, class_params=None) -> tuple:
+    """(expr, params, class_params, label) of ``text``: a built-in family with
+    its own class, or the raw expression with the nominal ``class_params``."""
+    family = resolve_family(text, class_params)
+    if family is None:
+        return parse(text), None, class_params, text
+    return (family.expr, family.parameters, ClassParams(family.order, family.rho, family.delta),
+            family.label())
+
+
 @dataclass(eq=False)
 class PdoOperator:
     """Operator Op(p) for a symbol given as an expression tree.
@@ -180,21 +191,14 @@ class PdoOperator:
 
     @classmethod
     def from_family(cls, family, spec: GridSpec) -> "PdoOperator":
-        return cls(
-            expr=family.expr,
-            spec=spec,
-            params=family.parameters,
-            class_params=ClassParams(family.order, family.rho, family.delta),
-            label=family.label(),
-        )
+        return cls(family.expr, spec, family.parameters,
+                   ClassParams(family.order, family.rho, family.delta), family.label())
 
     @classmethod
     def from_text(cls, text: str, spec: GridSpec, class_params=None) -> "PdoOperator":
         """Op of a built-in family, or of a raw expression with the nominal ``class_params``."""
-        family = resolve_family(text, class_params)
-        if family is not None:
-            return cls.from_family(family, spec)
-        return cls(expr=parse(text), spec=spec, class_params=class_params, label=text)
+        expr, params, class_params, label = resolve_symbol(text, class_params)
+        return cls(expr, spec, params, class_params, label)
 
     @property
     def is_multiplier(self) -> bool:
@@ -392,8 +396,8 @@ def box_filter(K: np.ndarray, box: int, spec: GridSpec) -> np.ndarray:
     if box < 2 or box % 2:
         raise ValidationError(f"lattice box {box!r} must be an even integer >= 2", field="box")
     axes = tuple(range(1, 1 + spec.dim))
-    xis = np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n) for n in spec.sizes], indexing="ij")
-    inside = np.all([(xi >= -(box // 2)) & (xi < box // 2) for xi in xis], axis=0)
+    inside = reduce(np.logical_and,
+                    [(xi >= -(box // 2)) & (xi < box // 2) for xi in spec.fft_frequencies()])
     for block in np.split(K, range(_CHUNK, len(K), _CHUNK)):  # views
         np.fft.fftn(block, axes=axes, out=block)
         block *= inside

@@ -1,6 +1,7 @@
 """Function-space norms and decompositions on the discrete torus.
 
-Everything is quadrature-exact on the grid: L^p norms with the 1/G weight,
+Everything is quadrature-exact on the grid: L^p norms with the 1/G weight
+(``lp_norms`` of a stack of rows in one reduction, ``lp_norm`` its one-row case),
 the weak-L^p seminorm through the sorted rearrangement, BMO over the family
 of geodesic balls with all grid centers and dyadic radii, mean-zero atoms
 on balls, the Hardy-Littlewood maximal function over the same ball family,
@@ -62,14 +63,23 @@ class NormValue:
 
 
 def lp_norm(f: GridFunction, p: float) -> NormValue:
-    """((1/G) sum |f|^p)^(1/p); p = inf gives max |f|."""
+    """((1/G) sum |f|^p)^(1/p); p = inf gives max |f|.  The one-row case of
+    ``lp_norms``."""
     if p < 1:
         raise ValidationError(f"exponent p={p:g} must be >= 1")
-    a = np.abs(f.values)
+    value = lp_norms(f.values[None], p)[0]
+    return NormValue("Lp", p, value, "max of samples" if math.isinf(p) else "grid quadrature")
+
+
+def lp_norms(stack: np.ndarray, p: float, a: np.ndarray = None) -> list:
+    """The L^p norm of each row of a stack (B,) + sizes, given its modulus
+    ``a`` or not: the rows summed in one reduction, each sum powered on its
+    own, as the array power can differ from the scalar one in the last bit."""
+    G = math.prod(stack.shape[1:])
+    a = (np.abs(stack) if a is None else a).reshape(len(stack), G)
     if math.isinf(p):
-        return NormValue("Lp", math.inf, float(a.max()), "max of samples")
-    G = f.spec.npoints
-    return NormValue("Lp", p, float((np.sum(a**p) / G) ** (1.0 / p)), "grid quadrature")
+        return a.max(axis=1).tolist()
+    return [float((total / G) ** (1.0 / p)) for total in (a**p).sum(axis=1)]
 
 
 def weak_lp(f: GridFunction, p: float) -> NormValue:

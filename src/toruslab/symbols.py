@@ -8,13 +8,14 @@ Grammar
 -------
     atoms      numbers, `i`, `pi`, x1..x3, xi1..xi3, `xi` (the whole
                frequency vector), named parameters
-    functions  exp, sin, cos, log, bracket, abs     (all unary)
+    functions  exp, sin, cos, log, conj, bracket, abs     (all unary)
     operators  + - * / ^   with ^ tightest and right-associative,
                unary minus between * and ^
 
-`bracket(e)` is (1 + |e|^2)^(1/2) and `abs(e)` is |e|; both accept the bare
-vector `xi` or any scalar subexpression.  `^` on a complex base uses the
-principal branch.  `i` is reserved and cannot be shadowed by a parameter.
+`conj(e)` is the complex conjugate of e, `bracket(e)` is (1 + |e|^2)^(1/2)
+and `abs(e)` is |e|; the last two accept the bare vector `xi` or any scalar
+subexpression.  `^` on a complex base uses the principal branch.  `i` is
+reserved and cannot be shadowed by a parameter.
 
 Evaluation wraps each x_j into [0, 1) (points on the torus are identified
 with their fundamental-domain representatives) and broadcasts over numpy
@@ -193,9 +194,12 @@ FUNCTIONS = {
     "sin": _Function(np.sin, lambda u, du: _mul(Call("cos", u), du)),
     "cos": _Function(np.cos, lambda u, du: Neg(_mul(Call("sin", u), du))),
     "log": _Function(np.log, lambda u, du: _div(du, u), zero="log of zero"),
+    "conj": _Function(np.conj, lambda u, du: Call("conj", du)),
+    # d<u> = Re(conj(u) u') / <u>, the real part written as a half-sum with its conjugate
     "bracket": _Function(
         lambda v: np.sqrt(1.0 + np.asarray(v * np.conj(v)).real).astype(np.complex128),
-        lambda u, du: _div(_mul(u, du), Call("bracket", u)),
+        lambda u, du: _div(_add(_mul(Call("conj", u), du), _mul(u, Call("conj", du))),
+                           _mul(Const(complex(2.0)), Call("bracket", u))),
         vector=lambda square: np.sqrt(1.0 + square).astype(np.complex128)),
     "abs": _Function(lambda v: np.abs(v).astype(np.complex128), None,
                      vector=lambda square: np.sqrt(square).astype(np.complex128)),

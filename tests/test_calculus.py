@@ -23,7 +23,7 @@ from toruslab.errors import (
     TableRangeError,
     ValidationError,
 )
-from toruslab.grid import GridSpec
+from toruslab.grid import GridSpec, bracket
 from toruslab.symbols import (
     TableSymbol,
     bessel,
@@ -114,6 +114,31 @@ class TestXDerivative:
         out = x_derivative(expr, (1,), (7,), spec)
         x = spec.axes()[0]
         want = 2 * np.pi * np.cos(2 * np.pi * x) * np.sqrt(50.0)
+        assert np.max(np.abs(out.values - want)) <= 1e-10 * np.max(np.abs(want))
+
+    # each factor is band-limited on its axis; d^b of sin(2 pi k x), cos(2 pi k x)
+    # and exp(2 pi i k x) is (2 pi k)^b, (2 pi k)^b and (2 pi i k)^b times the
+    # factor with its phase advanced by b pi / 2, b pi / 2 and 0
+    FACTORS = [
+        ("sin(2*pi*x1)", lambda x, b: (2 * np.pi) ** b * np.sin(2 * np.pi * x + b * np.pi / 2)),
+        ("cos(4*pi*x2)", lambda x, b: (4 * np.pi) ** b * np.cos(4 * np.pi * x + b * np.pi / 2)),
+        ("exp(2*pi*i*x3)", lambda x, b: (2j * np.pi) ** b * np.exp(2j * np.pi * x)),
+    ]
+
+    @pytest.mark.parametrize(
+        "sizes, beta",
+        [((16, 32), (1, 0)), ((16, 32), (0, 1)), ((16, 32), (1, 2)),
+         ((8, 16, 8), (1, 0, 0)), ((8, 16, 8), (0, 1, 0)), ((8, 16, 8), (0, 0, 1)),
+         ((8, 16, 8), (2, 1, 1))],
+    )
+    def test_band_limited_symbol_in_2d_and_3d(self, sizes, beta):
+        spec, xi = GridSpec(sizes), (3, -2, 5)[:len(sizes)]
+        factors = self.FACTORS[:len(sizes)]
+        expr = parse("*".join(text for text, _ in factors) + "*bracket(xi)^0.5")
+        out = x_derivative(expr, beta, xi, spec)
+        want = np.sqrt(bracket(xi))
+        for m, (_, d), b in zip(spec.mesh(), factors, beta):
+            want = want * d(m, b)
         assert np.max(np.abs(out.values - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_seam_symbol_rejected(self):

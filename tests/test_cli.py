@@ -402,6 +402,21 @@ class TestErrorsAndDeterminism:
         assert err.startswith("error: kernel.truncations: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "setting, field",
+        [("symbol_class.max_order=2.5", "max_order"), ("symbol_class.max_order=2.0", "max_order"),
+         ("symbol_class.max_order=0", "max_order"), ("symbol_class.x_resolution=0.5", "x_resolution"),
+         ("symbol_class.x_resolution=0", "x_resolution")],
+    )
+    def test_symbol_class_setting_errors_name_the_config_field(self, tmp_path, capsys, setting,
+                                                               field):
+        # a type error from the config check, a range error from fit_order
+        code, out, err = run(["symbol-class", "--symbol", "bessel(-1)", "--out", str(tmp_path),
+                              "--set", setting], capsys)
+        assert code == 1
+        assert err.startswith(f"error: symbol_class.{field}: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
         # a built-in family carries its own class; a config class beside it

@@ -31,7 +31,7 @@ from toruslab.experiments import (
     threshold_sweep,
     weak11_experiment,
 )
-from toruslab.spaces import bmo_norm, make_atom
+from toruslab.spaces import bmo_norm, lp_norm, lp_norms, make_atom
 from toruslab.symbols import bessel, exotic, wainger
 
 
@@ -402,12 +402,12 @@ class TestAscentPasses:
     def test_norms_are_the_sequential_norms(self, p, sizes):
         stack, G = self.stack(sizes, 1), math.prod(sizes)
         want = [sequential_norm(row, p, G) for row in stack]
-        assert experiments._norms(stack, p, G) == want
-        assert experiments._norms(stack, p, G, np.abs(stack)) == want
+        assert lp_norms(stack, p) == want
+        assert lp_norms(stack, p, np.abs(stack)) == want
 
     @pytest.mark.parametrize("p", EXPONENTS)
     def test_norms_of_an_empty_stack(self, p):
-        assert experiments._norms(np.zeros((0, 4, 8), dtype=complex), p, 32) == []
+        assert lp_norms(np.zeros((0, 4, 8), dtype=complex), p) == []
 
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("q", EXPONENTS)
@@ -610,7 +610,7 @@ def trial_by_trial_weak11(op, trials, seed, truncations, lam_grid=None):
             if v is None:
                 continue
             f = GridFunction(spec, v)
-            norm1 = experiments._norm(f.values, 1.0, G)
+            norm1 = lp_norm(f, 1.0).value
             input_norms.append(norm1)
             Tf = np.abs(op_N.apply(f).values)
             for k, lam in enumerate(lam_grid):
@@ -665,7 +665,7 @@ def atom_by_atom_h1_l1(op, atom_radii, trials, seed, truncations):
                 except ValidationError:
                     continue
                 out = op_N.apply(atom.values)
-                best = max(best, experiments._norm(out.values, 1.0, spec.npoints))
+                best = max(best, lp_norm(out, 1.0).value)
             per_radius[radius] = best
         per_truncation[str(N)] = max(per_radius.values())
     return per_truncation, {f"{r:g}": v for r, v in per_radius.items()}
@@ -828,6 +828,22 @@ class TestEffectiveOrder:
         C = compose_bessel(T, 0.375, "left")  # s = n(1 - rho)/2
         out = effective_order(C)
         assert out["order"] == pytest.approx(-1.0 + 0.375, abs=0.15)
+
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_fewer_than_two_shells(self, N):
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec((N,)))
+        with pytest.raises(ValidationError,
+                           match="^need at least 2 dyadic shells for an effective order$"):
+            effective_order(J)
+
+    @pytest.mark.parametrize("sizes", [(16,), (512,), (64, 32)])
+    def test_shells_double_from_two_to_half_the_smallest_axis(self, sizes):
+        want, r = [], 2.0
+        while 2 * r <= min(sizes) / 2:
+            want.append((r, 2 * r))
+            r *= 2
+        J = PdoOperator.from_family(bessel(-1.0), GridSpec(sizes))
+        assert effective_order(J)["shells"] == want
 
     def test_composition_consistency_across_truncations(self):
         for fam in (bessel(0.0), wainger(0.5, 0.0), exotic(0.0, 0.75, 1.0)):

@@ -71,6 +71,35 @@ class TestGridSpec:
         assert np.all(lat.bracket_grid() >= 1.0)
 
 
+class TestValueChecks:
+    @pytest.mark.parametrize("values", [np.zeros(6), np.zeros((4, 4)), np.zeros((2, 8))])
+    def test_value_count(self, values):
+        with pytest.raises(ValidationError, match=rf"^value count {values.size} != grid size 8$"):
+            GridFunction(GridSpec((8,)), values)
+
+    def test_flat_values_are_reshaped(self):
+        f = GridFunction(GridSpec((4, 8)), np.arange(32))
+        assert f.values.shape == (4, 8) and f.values.dtype == np.complex128
+        assert f.values[1, 0] == 8
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_values(self, bad):
+        v = np.ones(16, dtype=complex)
+        v[5] = bad
+        with pytest.raises(ValidationError, match="^grid function contains non-finite values$"):
+            GridFunction(GridSpec((4, 4)), v)
+        with pytest.raises(ValidationError,
+                           match="^spectral function contains non-finite values$"):
+            SpectralFunction(GridSpec((4, 4)).lattice(), v)
+
+    @pytest.mark.parametrize("values", [np.zeros(6), np.zeros((4, 4))])
+    def test_coefficient_count(self, values):
+        lattice = GridSpec((8,)).lattice()
+        with pytest.raises(ValidationError,
+                           match=rf"^coefficient count {values.size} != lattice size 8$"):
+            SpectralFunction(lattice, values)
+
+
 class TestTransforms:
     def test_constant_is_delta_at_zero(self):
         spec = GridSpec((16,))

@@ -21,6 +21,7 @@ from toruslab.spaces import (
     cz_decompose,
     dyadic_radii,
     lp_norm,
+    lp_norms,
     make_atom,
     maximal_function,
     weak_lp,
@@ -76,6 +77,17 @@ class TestLp:
     def test_rejects_small_p(self):
         with pytest.raises(ValidationError):
             lp_norm(constant_function(GridSpec((8,))), 0.5)
+
+    @pytest.mark.parametrize("sizes", [(64,), (8, 16), (4, 8, 4)])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 4, math.inf])
+    def test_one_row_of_the_stack_norm(self, p, sizes):
+        # bit for bit the quadrature over the whole array, and the stack's row
+        f = random_function(GridSpec(sizes), 3)
+        a = np.abs(f.values)
+        want = float(a.max()) if math.isinf(p) else float((np.sum(a**p) / a.size) ** (1.0 / p))
+        norm = lp_norm(f, p)
+        assert norm.value == want == lp_norms(np.stack([f.values, 2 * f.values]), p)[0]
+        assert norm.method == ("max of samples" if math.isinf(p) else "grid quadrature")
 
 
 class TestWeakLp:

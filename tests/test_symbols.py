@@ -404,7 +404,6 @@ class TestFunctionTable:
     """Every row of the function table parses, prints, evaluates and differentiates."""
 
     ARG = "0.3+0.2*x1+0.1*i*xi1"  # no zero and off the branch cut of log on the samples
-    REAL_ARG = "0.5+0.2*x1+0.1*xi1"  # bracket's rule u u' / bracket(u) needs a real u
 
     def test_grammar_lists_the_table(self):
         assert f"functions  {', '.join(FUNCTIONS)}  " in symbols.__doc__
@@ -425,7 +424,7 @@ class TestFunctionTable:
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_derivative_matches_centred_difference(self, name):
-        tree, h = parse(f"{name}({self.REAL_ARG})"), 1e-6
+        tree, h = parse(f"{name}({self.ARG})"), 1e-6
         if FUNCTIONS[name].derivative is None:
             with pytest.raises(DslError, match=f"^{name}\\(\\) of an x-dependent argument"):
                 diff_x(tree, 0)
@@ -435,6 +434,23 @@ class TestFunctionTable:
             for xi in (-2, 0, 3):
                 want = (eval_expr(tree, x + h, xi) - eval_expr(tree, x - h, xi)) / (2 * h)
                 assert abs(eval_expr(d, x, xi) - want) <= 1e-6 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("text, want", [("bracket(i*x1)", 0.287348),
+                                            ("bracket(0.3+0.2*x1+0.1*i*xi1)", 0.061299)])
+    def test_bracket_derivative_of_a_complex_argument(self, text, want):
+        # d<u> = Re(conj(u) u') / <u> is real; u u' / <u> is not for a complex u
+        tree, h, x, xi = parse(text), 1e-6, 0.3, 5
+        got = eval_expr(diff_x(tree, 0), x, xi)
+        centred = (eval_expr(tree, x + h, xi) - eval_expr(tree, x - h, xi)) / (2 * h)
+        assert abs(got.imag) <= 1e-15 * abs(got)
+        assert abs(got - centred) <= 1e-6 * abs(centred)
+        assert got.real == pytest.approx(want, abs=1e-6)
+
+    def test_conj_is_the_conjugate(self):
+        x, xi = np.linspace(0.05, 0.95, 7)[:, None], np.arange(-3, 4)[None, :]
+        got = eval_expr(parse(f"conj({self.ARG})"), (x,), (xi,))
+        assert np.array_equal(got, np.conj(eval_expr(parse(self.ARG), (x,), (xi,))))
+        assert eval_expr(diff_x(parse("conj(i*x1)"), 0), 0.3, 5) == -1j  # conj(u'), not u'
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_bare_vector_only_where_the_row_accepts_it(self, name):
