@@ -165,7 +165,8 @@ def x_derivative(expr, beta, xi, spec: GridSpec, params=None) -> GridFunction:
 def dyadic_shells(lo: float, hi: float):
     """Dyadic shells [2^k, 2^{k+1}) covering [lo, hi] in bracket values."""
     if not (1.0 <= lo < hi):
-        raise ValidationError(f"shell range ({lo:g}, {hi:g}) must satisfy 1 <= lo < hi")
+        raise ValidationError(f"shell range ({lo:g}, {hi:g}) must satisfy 1 <= lo < hi",
+                              field="lo" if not 1.0 <= lo else "hi")
     shells = []
     k = math.floor(math.log2(lo) + 1e-12)
     if 2.0**k < lo - 1e-12:
@@ -396,7 +397,7 @@ def fit_order(
         raise ValidationError(f"must be >= 1, got {max_order}", field="max_order")
     shells = dyadic_shells(*shell_range)
     if len(shells) < 4:
-        raise ValidationError(f"need >= 4 dyadic shells, got {len(shells)}")
+        raise ValidationError(f"need >= 4 dyadic shells, got {len(shells)}", field="hi")
     fit_shells = shells[2:]
     centers = [math.sqrt(lo * hi) for lo, hi in fit_shells]
 

@@ -525,12 +525,17 @@ def cmd_sweep(config):
     )
     for m, cls in record.classifications.items():
         print(f"m={m:+.4f}: slope={record.slopes[m]:+.4f} {cls}")
-    return payload, [record.calibration_note]
+    notes = [record.calibration_note]
+    if record.p == 2:  # at any other p every cell is a battery+ascent lower bound
+        methods = ", ".join(sorted({est.method for est in record.estimates.values()}))
+        notes.append(f"p = 2 cells are exact L2 norms (method: {methods})")
+    return payload, notes
 
 
 # the config field, in the command's section, behind each library parameter
 _LIBRARY_FIELDS = {"truncations": "truncations", "atom_radii": "radii", "box": "truncations",
-                   "max_order": "max_order", "x_resolution": "x_resolution"}
+                   "max_order": "max_order", "x_resolution": "x_resolution",
+                   "lo": "shell_lo", "hi": "shell_hi"}
 
 
 @contextlib.contextmanager

@@ -406,11 +406,13 @@ class TestErrorsAndDeterminism:
         "setting, field",
         [("symbol_class.max_order=2.5", "max_order"), ("symbol_class.max_order=2.0", "max_order"),
          ("symbol_class.max_order=0", "max_order"), ("symbol_class.x_resolution=0.5", "x_resolution"),
-         ("symbol_class.x_resolution=0", "x_resolution")],
+         ("symbol_class.x_resolution=0", "x_resolution"), ("symbol_class.shell_lo=0.5", "shell_lo"),
+         ("symbol_class.shell_hi=64", "shell_hi")],
     )
     def test_symbol_class_setting_errors_name_the_config_field(self, tmp_path, capsys, setting,
                                                                field):
         # a type error from the config check, a range error from fit_order
+        # or from its dyadic shells
         code, out, err = run(["symbol-class", "--symbol", "bessel(-1)", "--out", str(tmp_path),
                               "--set", setting], capsys)
         assert code == 1

@@ -458,6 +458,80 @@ class TestThresholdSweep:
         assert rec.threshold_order() == pytest.approx(-0.125)
 
 
+def cell_ops(rec, builder):
+    """(m, N, op, cell seed) for every cell of a 1D sweep record, seeded as
+    threshold_sweep seeds it."""
+    for i, m in enumerate(rec.m_grid):
+        for j, N in enumerate(rec.n_grid):
+            op = PdoOperator.from_family(builder(m), GridSpec((N,)))
+            yield m, N, op, int(np.random.default_rng([rec.seed, i, j]).integers(2**31))
+
+
+class TestSweepCellsAtTwo:
+    """At p = 2 a sweep cell is the exact L^2 norm; at other p the lower bound."""
+
+    def test_multiplier_cells_are_max_sigma(self):
+        builder = lambda m: wainger(0.5, -m)
+        rec = threshold_sweep(builder, 2.0, [-0.25, 0.25], [64, 128, 256, 512], trials=12, seed=7)
+        for m, N, op, cell_seed in cell_ops(rec, builder):
+            est = rec.estimates[(m, N)]
+            want = float(np.max(np.abs(op.multiplier_profile())))
+            assert est.value == want
+            assert est.method == "multiplier-max"
+            assert est.value >= lp_lq_lower_bound(op, 2.0, 2.0, trials=12, seed=cell_seed).value
+            assert abs(est.verify(op) - est.value) <= 1e-12 * est.value
+            if N <= 256:
+                sigma = la.svd(to_matrix(op).matrix, compute_uv=False)[0]
+                assert abs(est.value - sigma) <= 1e-12 * sigma
+        assert rec.slopes[-0.25] == 0.0
+
+    def test_witness_is_the_first_argmax_wave(self):
+        # bessel(0) has |sigma| = 1 everywhere: the first lattice point wins
+        rec = threshold_sweep(lambda m: bessel(m), 2.0, [0.0], [8, 16, 32], seed=0)
+        for N in (8, 16, 32):
+            est = rec.estimates[(0.0, N)]
+            want = np.exp(-2j * np.pi * (N // 2) * np.arange(N) / N)
+            assert np.array_equal(est.witness.values, want)
+
+    def test_general_cells_are_golub_kahan(self):
+        builder = lambda m: exotic(m, 0.75, 1.0)
+        rec = threshold_sweep(builder, 2.0, [-0.5], [64, 128, 256], trials=12, seed=5)
+        for m, N, op, cell_seed in cell_ops(rec, builder):
+            est = rec.estimates[(m, N)]
+            assert est.value == l2_norm(op, seed=cell_seed).value
+            assert est.method == "golub-kahan"
+            sigma = la.svd(to_matrix(op).matrix, compute_uv=False)[0]
+            assert abs(est.value - sigma) <= 1e-10 * sigma
+
+    @pytest.mark.parametrize(
+        "builder", [lambda m: wainger(0.5, -m), lambda m: exotic(m, 0.75, 1.0)],
+        ids=["wainger", "exotic"],
+    )
+    def test_other_p_cells_are_the_lower_bound(self, builder):
+        rec = threshold_sweep(builder, 4.0, [-0.375, 0.125], [64, 128, 256], trials=9, seed=11)
+        got, want = [], []
+        for m, N, op, cell_seed in cell_ops(rec, builder):
+            got.append(rec.estimates[(m, N)].value)
+            want.append(lp_lq_lower_bound(op, 4, 4, trials=9, seed=cell_seed).value)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_multiplier_sweep_makes_no_apply(self, monkeypatch):
+        calls = {"apply": 0, "apply_adjoint": 0}
+        for name in calls:
+            method = getattr(PdoOperator, name)
+
+            def counted(self, f, name=name, method=method):
+                calls[name] += 1
+                return method(self, f)
+
+            monkeypatch.setattr(PdoOperator, name, counted)
+        threshold_sweep(lambda m: wainger(0.5, -m), 2.0, [-0.25, 0.25], [64, 128, 256], seed=7)
+        assert calls == {"apply": 0, "apply_adjoint": 0}
+        # the counters do count: a p = 4 sweep applies
+        threshold_sweep(lambda m: wainger(0.5, -m), 4.0, [0.0], [64, 128, 256], trials=3, seed=7)
+        assert calls["apply"] > 0 and calls["apply_adjoint"] > 0
+
+
 class TestWeak11:
     def test_identity_chebyshev(self):
         spec = GridSpec((64,))
