@@ -24,20 +24,15 @@ from .symbols import (
     parse,
     tokenize,
     eval_expr,
-    to_source,
     diff_x,
     bessel,
     wainger,
     exotic,
     SymbolFamily,
-    TableSymbol,
 )
 from .calculus import (
     ClassParams,
     ClassEstimate,
-    difference,
-    x_derivative,
-    seminorm_constant,
     fit_order,
 )
 from .operators import (
@@ -53,7 +48,6 @@ from .operators import (
 from .kernels import (
     KernelMatrix,
     synthesize_kernel,
-    derivative_kernel,
     decay_scan,
     log_bound_check,
     sigma_estimates,
@@ -66,7 +60,6 @@ from .spaces import (
     weak_lp,
     bmo_norm,
     make_atom,
-    maximal_function,
     cz_decompose,
 )
 from .experiments import (
@@ -80,7 +73,6 @@ from .experiments import (
     h1_l1_experiment,
     lp_lq_admissibility,
     lp_threshold,
-    effective_order,
 )
 
 __all__ = [
@@ -89,23 +81,22 @@ __all__ = [
     "GridSpec", "FrequencyLattice", "GridFunction", "SpectralFunction",
     "bracket", "forward_dft", "inverse_dft", "torus_distance", "ball",
     # symbol language
-    "parse", "tokenize", "eval_expr", "to_source", "diff_x",
-    "bessel", "wainger", "exotic", "SymbolFamily", "TableSymbol",
+    "parse", "tokenize", "eval_expr", "diff_x",
+    "bessel", "wainger", "exotic", "SymbolFamily",
     # symbol calculus
-    "ClassParams", "ClassEstimate", "difference", "x_derivative",
-    "seminorm_constant", "fit_order",
+    "ClassParams", "ClassEstimate", "fit_order",
     # operators
     "PdoOperator", "MultiplierOperator", "ComposedOperator", "AdjointOperator",
     "DenseOperatorMatrix", "bessel_apply", "to_matrix", "compose_bessel",
     # kernels
-    "KernelMatrix", "synthesize_kernel", "derivative_kernel", "decay_scan",
-    "log_bound_check", "sigma_estimates",
+    "KernelMatrix", "synthesize_kernel", "decay_scan", "log_bound_check",
+    "sigma_estimates",
     # function spaces
     "NormValue", "Atom", "CZDecomposition", "lp_norm", "weak_lp", "bmo_norm",
-    "make_atom", "maximal_function", "cz_decompose",
+    "make_atom", "cz_decompose",
     # experiments
     "NormEstimate", "ThresholdSweepRecord", "l2_norm",
     "lp_lq_lower_bound", "threshold_sweep", "weak11_experiment",
     "linf_bmo_experiment", "h1_l1_experiment", "lp_lq_admissibility",
-    "lp_threshold", "effective_order",
+    "lp_threshold",
 ]

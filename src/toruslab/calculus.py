@@ -1,7 +1,7 @@
 """Discrete symbol calculus: difference operators, seminorms, class fitting.
 
 The regularity of a symbol p(x, xi) is measured through iterated forward
-differences in xi and derivatives in x.  The quantities
+differences in xi and exact symbolic derivatives in x.  The quantities
 
     sup_x | d^beta_x D^alpha_xi p(x, xi) |
 
@@ -11,37 +11,25 @@ first differences) and the spatial-loss exponent delta (from first
 x-derivatives).  Fits are least squares in log-log coordinates with the two
 innermost shells excluded.
 
-seminorm_constant and fit_order share one evaluation, in which each
-x-derivative d^beta_x p is evaluated once, on the union of the shifted shells
-and at the x-samples along the axes it reads, and every difference D^alpha
-reads offset views of that one lattice box; so a fit's constants are
-seminorm_constant at its reference class.  Both refuse a fit above the size
-guard before any lattice point is built.
-
-x-derivatives come in two flavours: exact symbolic differentiation of the
-expression tree (always available, used by the fitting machinery) and
-spectral differentiation on a grid, which requires the symbol to be
-x-band-limited and refuses to proceed otherwise.
+fit_order reads one evaluation, in which each x-derivative d^beta_x p is
+evaluated once, on the union of the shifted shells and at the x-samples
+along the axes it reads, and every difference D^alpha reads offset views of
+that one lattice box; a fit's constants, the seminorm constants at its
+reference class, come from the same evaluation.  A fit above the size guard
+is refused before any lattice point is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .errors import (EmptyDomainError, NumericalError, SizeGuardError, SpectralTailError,
-                     ValidationError)
-from .grid import MATRIX_GUARD, GridFunction, GridSpec, bracket
-from .symbols import Const, TableSymbol, depends_on_x, diff_x_multi, eval_expr, read_axes
-
-# fraction of per-axis frequencies counted as the spectral tail, and the
-# relative tail mass above which spectral differentiation refuses to run
-TAIL_FRACTION = 3.0 / 8.0
-TAIL_TOLERANCE = 1e-8
+from .errors import EmptyDomainError, NumericalError, SizeGuardError, ValidationError
+from .grid import MATRIX_GUARD, bracket
+from .symbols import Const, depends_on_x, diff_x_multi, eval_expr, read_axes
 
 
 @dataclass(frozen=True)
@@ -72,15 +60,6 @@ def mi_abs(alpha) -> int:
     return int(sum(alpha))
 
 
-def mi_validate(alpha, dim) -> tuple:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != dim:
-        raise ValidationError(f"multi-index {alpha} has length {len(alpha)}, expected {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValidationError(f"multi-index {alpha} has negative entries")
-    return alpha
-
-
 def difference_terms(alpha):
     """Expansion coefficients of the iterated forward difference.
 
@@ -94,67 +73,6 @@ def difference_terms(alpha):
             coef *= math.comb(a, g)
         sign = (-1) ** (mi_abs(alpha) - mi_abs(gamma))
         yield gamma, sign * coef
-
-
-def difference(sym, alpha, x, xi, params=None):
-    """Exact iterated forward difference D^alpha_xi p at (x, xi).
-
-    Accepts an expression tree or a TableSymbol; the latter raises when a
-    shift would leave its stored box.  Broadcasts over array-valued x, xi
-    for analytic symbols.
-    """
-    if isinstance(sym, TableSymbol):
-        alpha = mi_validate(alpha, sym.lattice.dim)
-        xi = tuple(int(v) for v in np.atleast_1d(xi))
-        total = 0j
-        for gamma, coef in difference_terms(alpha):
-            shifted = tuple(v + g for v, g in zip(xi, gamma))
-            total += coef * sym.eval(x, shifted)
-        return total
-    xi_arr = [np.asarray(c, dtype=float) for c in (xi if isinstance(xi, (tuple, list)) else [xi])]
-    alpha = mi_validate(alpha, len(xi_arr))
-    total = None
-    for gamma, coef in difference_terms(alpha):
-        shifted = tuple(c + g for c, g in zip(xi_arr, gamma))
-        term = coef * eval_expr(sym, x, shifted if len(shifted) > 1 else shifted[0], params)
-        total = term if total is None else total + term
-    return total
-
-
-def x_derivative(expr, beta, xi, spec: GridSpec, params=None) -> GridFunction:
-    """Spectral x-derivative of x -> p(x, xi) at fixed xi, on the given grid.
-
-    Transforms in x, multiplies by (2 pi i xi')^beta, transforms back.  The
-    symbol must be x-band-limited on this grid: if the top-quarter spectral
-    mass exceeds TAIL_TOLERANCE of the total, SpectralTailError is raised
-    rather than returning a polluted derivative.
-    """
-    beta = mi_validate(beta, spec.dim)
-    mesh = spec.mesh()
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x_tuple = tuple(mesh)
-    xi_tuple = tuple(np.full((), v) for v in xi)
-    values = eval_expr(expr, x_tuple, xi_tuple, params)
-    values = np.broadcast_to(np.asarray(values, dtype=np.complex128), spec.sizes)
-
-    coeffs = np.fft.fftn(values)
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    freqs = spec.fft_frequencies()
-    tail_mask = reduce(np.logical_or,
-                       [np.abs(f) >= TAIL_FRACTION * n for f, n in zip(freqs, spec.sizes)])
-    tail = float(np.sum(np.abs(coeffs[tail_mask]) ** 2))
-    if total > 0 and tail > TAIL_TOLERANCE * total:
-        raise SpectralTailError(
-            f"spectral tail mass {tail / total:.3e} exceeds {TAIL_TOLERANCE:g}; "
-            "symbol too rough in x for this grid"
-        )
-
-    mult = np.ones(spec.sizes, dtype=np.complex128)
-    for f, b in zip(freqs, beta):
-        if b:
-            mult = mult * (2j * np.pi * f) ** b
-    out = np.fft.ifftn(coeffs * mult)
-    return GridFunction(spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -295,37 +213,15 @@ def _weighted_max(brackets, maxima, exponent) -> float:
     return max(float(np.max(m * br ** (-exponent))) for br, m in zip(brackets, maxima))
 
 
-def seminorm_constant(
-    expr,
-    alpha,
-    beta,
-    class_params: ClassParams,
-    shell_range=(8.0, 512.0),
-    dim: int = 1,
-    params=None,
-    x_resolution: int = 64,
-) -> float:
-    """Best constant for the class bound over the given shell range.
-
-    Returns max over sampled x and shell frequencies of
-    |d^beta_x D^alpha_xi p| <xi>^{-(m - rho|alpha| + delta|beta|)}.
-    """
-    alpha = mi_validate(alpha, dim)
-    beta = mi_validate(beta, dim)
-    shells = dyadic_shells(*shell_range)
-    _fit_guard(expr, shells, max(alpha), dim, x_resolution)
-    points, brackets, zeros = _shell_points(shells, dim)
-    maxima = _shell_maxima(expr, beta, [alpha], points, params, x_resolution, zeros)
-    return _weighted_max(brackets, maxima[alpha], class_params.seminorm_exponent(alpha, beta))
-
-
 @dataclass
 class ClassEstimate:
     """Fitted class parameters with per-(alpha, beta) diagnostics.
 
     ``params`` is the reference class: the nominal one when given, else the
-    fitted one.  ``constants[(alpha, beta)]`` is seminorm_constant at that
-    class over the fit's whole shell range, floored at 1e-300.
+    fitted one.  ``constants[(alpha, beta)]`` is the seminorm constant at that
+    class over the fit's whole shell range, max over the x-sample and the
+    shell points of |d^beta_x D^alpha_xi p| <xi>^{-(m - rho|alpha| +
+    delta|beta|)}, floored at 1e-300.
     """
 
     params: ClassParams
@@ -387,9 +283,10 @@ def fit_order(
     still compete) and those are dropped from every fit.  A derivative that
     vanishes identically contributes the best possible exponent of its kind
     (rho = 1, delta = 0), which never masks a worse direction.  The constants
-    are seminorm_constant at the reference class (nominal, else fitted), each
-    from the same evaluation as the slopes: each x-derivative is evaluated
-    once, on the union of the shifted shells, and serves every alpha.
+    are the seminorm constants at the reference class (nominal, else fitted),
+    each from the same evaluation as the slopes: each x-derivative is
+    evaluated once, on the union of the shifted shells, and serves every
+    alpha.
     """
     if max_order is None:
         max_order = math.ceil(dim / 2) + 1

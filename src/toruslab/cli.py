@@ -159,18 +159,21 @@ _TYPE_CHECKS = {
     "true or false": lambda value: isinstance(value, bool),
     "a number": _is_number,
     "a list of numbers": lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    "a list of integers": lambda value: isinstance(value, list) and all(
+        type(v) is int for v in value),
     "a string": lambda value: isinstance(value, str),
     "an object": lambda value: isinstance(value, dict),
     "a number > 0": lambda value: _is_number(value) and value > 0,
-    "a number >= 1": lambda value: _is_number(value) and value >= 1,
     "an integer": lambda value: type(value) is int,
     "an integer >= 0": lambda value: type(value) is int and value >= 0,
+    "an integer >= 1": lambda value: type(value) is int and value >= 1,
     'a list of numbers or "inf"': lambda value: isinstance(value, list) and all(
         _is_number(p) or p in ("inf", "Inf") for p in value),
 }
 # the type a field must have where its default does not tell: a set field
-# whose default is null or that sits in one, a number with a bound, a list
-# that may hold "inf", and each field of the free-form family_params
+# whose default is null or that sits in one, a number with a bound, a count,
+# a list of truncations, a list that may hold "inf", and each field of the
+# free-form family_params
 _FIELD_TYPES = {
     "class": "an object",
     **{f"class.{key}": "a number" for key in ("m", "rho", "delta")},
@@ -182,11 +185,12 @@ _FIELD_TYPES = {
     "kernel.cutoff": "a number",
     "norms.input": "a string",
     "cz.input": "a string",
-    **{f"{section}.truncations": "a list of numbers" for section in ("kernel", "weak11", "bmo", "h1l1")},
+    **{f"{section}.truncations": "a list of integers" for section in ("kernel", "weak11", "bmo", "h1l1")},
+    **{f"{section}.trials": "an integer >= 1" for section in ("sweep", "weak11", "bmo", "h1l1")},
     "weak11.lam_lo": "a number > 0",
     "weak11.lam_hi": "a number > 0",
-    "weak11.lam_count": "a number >= 1",
-    "kernel.samples": "a number >= 1",
+    "weak11.lam_count": "an integer >= 1",
+    "kernel.samples": "an integer >= 1",
     "kernel.decay_exponent": "an integer >= 0",
     "norms.p_values": 'a list of numbers or "inf"',
     "sweep.family_params.*": "a number",
@@ -194,12 +198,17 @@ _FIELD_TYPES = {
 
 
 def _default_kind(default):
-    """The type a field must hold by its default: a bool, a number, a list of
-    numbers or an object; None where the default does not tell."""
+    """The type a field must hold by its default: a bool, an integer, a
+    number, a list of integers (a nonempty list of ints), a list of numbers
+    or an object; None where the default does not tell."""
     if isinstance(default, bool):
         return "true or false"
+    if type(default) is int:
+        return "an integer"
     if _is_number(default):
         return "a number"
+    if isinstance(default, list) and default and all(type(v) is int for v in default):
+        return "a list of integers"
     if isinstance(default, list) and all(map(_is_number, default)):
         return "a list of numbers"
     return "an object" if isinstance(default, dict) else None
@@ -495,15 +504,16 @@ def _sweep_family_builder(config):
 def cmd_sweep(config):
     sub = config["sweep"]
     builder = _sweep_family_builder(config)
-    record = threshold_sweep(
-        builder,
-        float(sub["p"]),
-        [float(m) for m in sub["m_grid"]],
-        [int(n) for n in sub["n_grid"]],
-        trials=int(sub["trials"]),
-        seed=int(config["seed"]),
-        dim=len(config["grid"]),
-    )
+    with _config_fields("sweep"):
+        record = threshold_sweep(
+            builder,
+            float(sub["p"]),
+            sub["m_grid"],
+            sub["n_grid"],
+            trials=sub["trials"],
+            seed=config["seed"],
+            dim=len(config["grid"]),
+        )
     payload = record.to_dict()
     out = output_dir(config)
     manifest = {"kind": "sweep", "files": []}
@@ -535,7 +545,7 @@ def cmd_sweep(config):
 # the config field, in the command's section, behind each library parameter
 _LIBRARY_FIELDS = {"truncations": "truncations", "atom_radii": "radii", "box": "truncations",
                    "max_order": "max_order", "x_resolution": "x_resolution",
-                   "lo": "shell_lo", "hi": "shell_hi"}
+                   "lo": "shell_lo", "hi": "shell_hi", "m_grid": "m_grid", "n_grid": "n_grid"}
 
 
 @contextlib.contextmanager

@@ -44,10 +44,6 @@ class DegenerateBallError(NumericalError):
     """A requested ball contains no grid points."""
 
 
-class SpectralTailError(NumericalError):
-    """Symbol too rough in x for the grid: high-frequency tail above tolerance."""
-
-
 class EmptyDomainError(NumericalError):
     """An integration domain or shell range contains no points."""
 
@@ -60,7 +56,3 @@ class ConvergenceError(NumericalError):
         if final_gap is not None:
             message = f"{message} (final gap {final_gap:.3e})"
         super().__init__(message)
-
-
-class TableRangeError(NumericalError):
-    """Table-backed symbol evaluated outside its stored frequency box."""

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ClassParams, dyadic_shells
+from .calculus import ClassParams
 from .errors import ConvergenceError, ValidationError
-from .grid import GridFunction, GridSpec, bracket, pure_wave
+from .grid import GridFunction, GridSpec, pure_wave
 from .operators import PdoOperator
 from .spaces import bmo_sup, dyadic_radii, lp_norm, lp_norms, make_atom
 
@@ -46,7 +46,6 @@ SLOPE_GROWTH = 0.15
 ASCENT_STEPS = 50
 H1_UNIT_SCALE = 0.125  # h1_l1_experiment: atom radii below it count as small scale
 WEAK11_FINEST_BUMP = 5  # weak11 bump radii are 2^-2 ... 2^-WEAK11_FINEST_BUMP
-EFFECTIVE_ORDER_SHELL_LO = 2.0  # effective_order: lower edge of the first dyadic shell
 
 
 @dataclass
@@ -337,6 +336,14 @@ def _exact_l2_norm(op, seed: int) -> NormEstimate:
     )
 
 
+def _powers_of_two(sizes, field: str) -> list:
+    """``sizes`` in ascending order, once each is checked to be a power of two >= 4."""
+    for N in sizes:
+        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 4 or N & (N - 1):
+            raise ValidationError(f"{N!r} must be a power of two >= 4", field=field)
+    return sorted(sizes)
+
+
 def threshold_sweep(
     family_builder,
     p: float,
@@ -353,12 +360,15 @@ def threshold_sweep(
     any other p each cell is the battery+ascent lower bound of
     ``lp_lq_lower_bound`` with ``trials`` witnesses.  ``family_builder`` maps
     an order m to a SymbolFamily; per-cell seeds are derived from (seed, cell
-    index) so the sweep is order-independent.
+    index) so the sweep is order-independent.  Before any work, ``m_grid``
+    must hold an order and ``n_grid`` three or more powers of two >= 4.
     """
-    n_grid = sorted(int(N) for N in n_grid)
-    if len(n_grid) < 3:
-        raise ValidationError("need at least 3 truncations for a slope")
     m_grid = [float(m) for m in m_grid]
+    if not m_grid:
+        raise ValidationError("needs at least one order", field="m_grid")
+    n_grid = [int(N) for N in _powers_of_two(n_grid, "n_grid")]
+    if len(n_grid) < 3:
+        raise ValidationError("need at least 3 truncations for a slope", field="n_grid")
     probe = family_builder(m_grid[0])
     estimates, slopes, classifications = {}, {}, {}
     for i, m in enumerate(m_grid):
@@ -422,19 +432,27 @@ def _truncations(op, truncations=None) -> list:
         return [base, 2 * base]
     if not isinstance(truncations, (list, tuple)) or len(truncations) == 0:
         raise ValidationError("needs at least one truncation", field="truncations")
-    for N in truncations:
-        if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 4 or N & (N - 1):
-            raise ValidationError(f"{N!r} must be a power of two >= 4", field="truncations")
-    return sorted(truncations)
+    return _powers_of_two(truncations, "truncations")
 
 
-def _check_radius(radius: float, truncations: list, dim: int, field: str):
-    """Raise before any work if a ball of ``radius`` can miss every point of the
-    coarsest grid: below half its spacing times sqrt(n)."""
+def _check_trials(trials: int):
+    """Raise before any work if there is no trial: the maxima would read 0, as if bounded."""
+    if trials < 1:
+        raise ValidationError(f"must be >= 1, got {trials}", field="trials")
+
+
+def _check_radii(radii, truncations: list, dim: int, field: str):
+    """Raise before any work if a ball of one of ``radii`` can miss every point
+    of the coarsest grid, below half its spacing times sqrt(n), or is no
+    proper ball, at sqrt(n)/2 or above, where a ball is the whole torus."""
     N, reach = truncations[0], math.sqrt(dim) / (2 * truncations[0])
-    if radius < reach:
-        raise ValidationError(f"a ball of radius {radius:g} can miss every point of the {N}^{dim} "
-                              f"grid (half its spacing x sqrt({dim}) is {reach:g})", field=field)
+    if min(radii) < reach:
+        raise ValidationError(f"a ball of radius {min(radii):g} can miss every point of the "
+                              f"{N}^{dim} grid (half its spacing x sqrt({dim}) is {reach:g})",
+                              field=field)
+    if max(radii) >= math.sqrt(dim) / 2:
+        raise ValidationError(f"a ball of radius {max(radii):g} is the whole torus, not a proper "
+                              f"ball (sqrt({dim})/2 is {math.sqrt(dim) / 2:g})", field=field)
 
 
 def _rebuilt(op, truncations: list):
@@ -552,8 +570,9 @@ def weak11_experiment(
     trials of lam |{|Tf| > lam}| at each level of ``lam_grid``, and
     ``input_norms``, the trials' ||f||_1.
     """
+    _check_trials(trials)
     truncations = _truncations(op, truncations)
-    _check_radius(2.0**-WEAK11_FINEST_BUMP, truncations, op.spec.dim, "truncations")
+    _check_radii([2.0**-WEAK11_FINEST_BUMP], truncations, op.spec.dim, "truncations")
     if lam_grid is None:
         lam_grid = list(np.geomspace(1e-3, 1e3, 61))
     lams = np.asarray(lam_grid, dtype=float)
@@ -592,6 +611,7 @@ def linf_bmo_experiment(op, trials: int = 100, seed: int = 0, truncations=None) 
     coarsest of the grid and the truncations must be at least 8.
     """
     dim = op.spec.dim
+    _check_trials(trials)
     truncations = _truncations(op, truncations)
     coarse = min([*op.spec.sizes, *truncations])
     if coarse < 8:  # a lacunary trial has log2(coarse) - 2 terms
@@ -638,12 +658,13 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     H1_UNIT_SCALE (the desk-scale stand-in for the sigma < 1 / sigma >= 1
     dichotomy).
     """
+    _check_trials(trials)
     truncations = _truncations(op, truncations)
     if atom_radii is None:
         atom_radii = [2.0**-k for k in range(2, 7)]
     if len(atom_radii) == 0:
         raise ValidationError("needs at least one radius", field="atom_radii")
-    _check_radius(min(atom_radii), truncations, op.spec.dim, "atom_radii")
+    _check_radii(atom_radii, truncations, op.spec.dim, "atom_radii")
     rng = np.random.default_rng(seed)
     draws = [(radius, rng.random(op.spec.dim), rng.standard_normal(33))
              for radius in atom_radii for _ in range(trials)]
@@ -709,37 +730,3 @@ def lp_lq_admissibility(params: ClassParams, p: float, q: float) -> dict:
 
 def admissible_order(params: ClassParams, p: float, q: float, dim: int) -> float:
     return dim * lp_lq_admissibility(params, p, q)["threshold_per_dim"]
-
-
-# ---------------------------------------------------------------------------
-# Effective order of a composed operator from its action on pure waves
-# ---------------------------------------------------------------------------
-
-
-def effective_order(op) -> dict:
-    """Slope of log ||T e_xi||_2 against log <xi> over dyadic shells.
-
-    The shells run from EFFECTIVE_ORDER_SHELL_LO up to half the smallest
-    axis.  Pure waves are L^2-normalized, so the shell suprema of the
-    response norms trace the effective multiplier profile of the operator.
-    """
-    spec = op.spec
-    hi = min(spec.sizes) / 2.0
-    if hi < 4 * EFFECTIVE_ORDER_SHELL_LO:
-        raise ValidationError("need at least 2 dyadic shells for an effective order")
-    shells = dyadic_shells(EFFECTIVE_ORDER_SHELL_LO, hi)
-    centers, sups = [], []
-    for s_lo, s_hi in shells:
-        best = 0.0
-        for mag in sorted({int(s_lo), int(math.sqrt(s_lo * s_hi)), int(s_hi) - 1}):
-            for signed in (mag, -mag):
-                xi0 = (signed,) + (0,) * (spec.dim - 1)
-                if not (s_lo <= bracket(mag) < s_hi):
-                    continue
-                wave = pure_wave(spec, xi0)
-                best = max(best, lp_norm(op.apply(wave), 2.0).value)
-        if best > 0:
-            centers.append(math.sqrt(s_lo * s_hi))
-            sups.append(best)
-    slope = float(np.polyfit(np.log(centers), np.log(sups), 1)[0])
-    return {"order": slope, "shells": shells, "responses": sups}

@@ -144,9 +144,6 @@ class GridFunction:
     def __post_init__(self):
         self.values = _checked(self.values, self.spec, "value", "grid")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.values.copy())
-
 
 @dataclass
 class SpectralFunction:

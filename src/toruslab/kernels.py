@@ -33,28 +33,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from itertools import product
 
 import numpy as np
 
-from .calculus import ClassParams, mi_abs, mi_validate
+from .calculus import ClassParams
 from .errors import EmptyDomainError, ValidationError
 from .grid import GridSpec, _center_distance_grid, offset_distance_grid
 from .experiments import lp_threshold
-from .operators import (
-    _CHUNK,
-    PdoOperator,
-    box_filter,
-    kernel_offset_rows,
-    offsets_to_full,
-    representatives,
-)
-from .symbols import BinOp, Const, XiVar, diff_x_multi
+from .operators import _CHUNK, box_filter, kernel_offset_rows, offsets_to_full, representatives
 
 DEFAULT_UNIT_SCALE = 0.125  # desk-scale stand-in for the sigma >= 1 threshold
 DEFAULT_SUB_UNIT_SCALE = 0.03125  # excluded-ball scale in the sigma < 1 regime
-MAX_KERNEL_DERIVATIVE = 2
 
 
 @dataclass
@@ -83,10 +72,6 @@ class KernelMatrix:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.offset_rows)))
-
-    def circulant_defect(self) -> float:
-        """max over x of |K[x] - K[0]|; zero for x-independent symbols."""
-        return float(np.max(np.abs(self.offset_rows - self.offset_rows[0])))
 
     def row(self, r: int) -> np.ndarray:
         """full()[r], the dense row k(x_r, .), gathered from its offset row alone."""
@@ -123,51 +108,6 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     """
     return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, op.x_axes,
                         op.class_params)
-
-
-# ---------------------------------------------------------------------------
-# Derivative kernels via the order-shifted symbol
-# ---------------------------------------------------------------------------
-
-
-def _monomial_2pi_xi(nu, sign: float):
-    """Expression for prod_j (sign * 2 pi i xi_j)^{nu_j}."""
-    factors = [BinOp("*", Const(sign * 2j * math.pi), XiVar(ax))
-               for ax, power in enumerate(nu) for _ in range(power)]
-    return reduce(lambda a, b: BinOp("*", a, b), factors) if factors else Const(1.0 + 0j)
-
-
-def derivative_kernel(op: PdoOperator, alpha, beta) -> KernelMatrix:
-    """Kernel of d^alpha_x d^beta_y k, synthesized from the shifted symbol.
-
-    The mixed derivative of the kernel is itself the kernel of the symbol
-
-        sum_{w <= alpha} C(alpha, w) (2 pi i xi)^{alpha - w} d^w_x p(x, xi)
-        * (-2 pi i xi)^beta,
-
-    of order m + |alpha + beta|.  Orders beyond |alpha + beta| = 2 amplify
-    truncation noise beyond usefulness and are rejected.
-    """
-    if not isinstance(op, PdoOperator) or op.expr is None:
-        raise ValidationError("derivative kernels need an expression-backed operator")
-    dim = op.spec.dim
-    alpha = mi_validate(alpha, dim)
-    beta = mi_validate(beta, dim)
-    if mi_abs(alpha) + mi_abs(beta) > MAX_KERNEL_DERIVATIVE:
-        raise ValidationError(
-            f"kernel derivative order {mi_abs(alpha) + mi_abs(beta)} exceeds "
-            f"{MAX_KERNEL_DERIVATIVE}"
-        )
-    terms = []
-    for omega in product(*[range(a + 1) for a in alpha]):
-        coef = math.prod((math.comb(a, w) for a, w in zip(alpha, omega)), start=1.0)
-        residual = tuple(a - w for a, w in zip(alpha, omega))
-        piece = BinOp("*", Const(complex(coef)), _monomial_2pi_xi(residual, +1.0))
-        terms.append(BinOp("*", piece, diff_x_multi(op.expr, omega)))
-    total = BinOp("*", reduce(lambda a, b: BinOp("+", a, b), terms), _monomial_2pi_xi(beta, -1.0))
-    shifted = PdoOperator(total, op.spec, params=op.params, class_params=None,
-                          label=f"d^{list(alpha)}_x d^{list(beta)}_y {op.label}")
-    return synthesize_kernel(shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ Everything is quadrature-exact on the grid: L^p norms with the 1/G weight
 (``lp_norms`` of a stack of rows in one reduction, ``lp_norm`` its one-row case),
 the weak-L^p seminorm through the sorted rearrangement, BMO over the family
 of geodesic balls with all grid centers and dyadic radii, mean-zero atoms
-on balls, the Hardy-Littlewood maximal function over the same ball family,
-and the Calderon-Zygmund decomposition on the dyadic cube tree (the natural
-tree on a power-of-two grid; balls and cubes are both kept, balls for
-atoms/BMO and cubes for the stopping-time argument).
+on balls, and the Calderon-Zygmund decomposition on the dyadic cube tree
+(the natural tree on a power-of-two grid; balls and cubes are both kept,
+balls for atoms/BMO and cubes for the stopping-time argument).
 
 The BMO inner infimum over the centering constant is attained at the median
 for real data; complex data uses the coordinatewise median (real and
@@ -26,8 +25,7 @@ once for all rows, bounds a group of rows by one batched correlation per
 radius, and orders their (row, center) pairs by bound / scale, so a row
 with a large ratio spares the reads of the others.  ``bmo_norm`` is its
 one-row case.  Memory is bounded by one slab of balls and one group of
-wrap-padded rows, not by all G x |B| values.  The maximal function reads
-its ball means of |f| through the same FFT correlation.
+wrap-padded rows, not by all G x |B| values.
 """
 
 from __future__ import annotations
@@ -264,26 +262,6 @@ def _oscillation_bounds(f, balls) -> list:
                  + np.sqrt(square.imag - mean.imag**2 + slack))
         out.append(bound.reshape(len(values), -1))
     return out
-
-
-def maximal_function(f: GridFunction) -> GridFunction:
-    """Hardy-Littlewood maximal function over the dyadic-radius ball family.
-
-    Mf(x) is the largest ball average of |f| over family balls containing x.
-    Radii go all the way down to a single cell, so Mf >= |f| pointwise.  The
-    ball means come from the FFT correlation the BMO bounds use; the balls
-    of one radius that contain x are centered at x - o for its offsets o, so
-    their largest mean is the maximum of the means rolled by each offset.
-    """
-    a = np.abs(f.values)
-    out = np.array(a)  # the single-cell ball contributes |f| itself
-    spectrum = np.fft.fftn(a)
-    axes = tuple(range(a.ndim))
-    for offsets in _ball_offsets(f.spec):
-        means = np.fft.ifftn(spectrum * _mask_spectrum(offsets, a.shape)).real
-        for shift in zip(*offsets):
-            np.maximum(out, np.roll(means, shift, axis=axes), out=out)
-    return GridFunction(f.spec, out)
 
 
 # ---------------------------------------------------------------------------

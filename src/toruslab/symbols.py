@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import DslError, TableRangeError, ValidationError
+from .errors import DslError, ValidationError
 
 MAX_DIM = 3
 
@@ -45,7 +45,6 @@ MAX_DIM = 3
 @dataclass(frozen=True)
 class Const:
     value: complex
-    name: str = field(default=None, compare=False)
     pos: int = field(default=0, compare=False)
 
 
@@ -95,7 +94,7 @@ class Call:
 
 # ---------------------------------------------------------------------------
 # The language tables: each operator, function and reserved name is one row,
-# read by the lexer, the parser, the printer, the evaluator and diff_x
+# read by the lexer, the parser, the evaluator and diff_x
 # ---------------------------------------------------------------------------
 # derivative trees are simplified where a factor is the constant 0 or 1
 
@@ -207,7 +206,7 @@ FUNCTIONS = {
 _VECTOR_ONLY_IN = " or ".join(f"{name}()" for name in sorted(FUNCTIONS) if FUNCTIONS[name].vector)
 
 # reserved names, and the axis variables x<j> and xi<j> with their kind
-_NAMES = {"i": partial(Const, 1j, "i"), "pi": partial(Const, complex(math.pi), "pi"), "xi": XiVec}
+_NAMES = {"i": partial(Const, 1j), "pi": partial(Const, complex(math.pi)), "xi": XiVec}
 _AXIS_NAME = re.compile(r"(xi|x)(\d+)")
 _AXIS_VARS = {"x": (XVar, "space"), "xi": (XiVar, "frequency")}
 
@@ -339,52 +338,6 @@ def _ident_atom(stream, tok):
             raise DslError(f"{kind} variable index {axis} out of range", tok.position)
         return node(axis - 1, pos=tok.position)
     return Param(name, pos=tok.position)
-
-
-# ---------------------------------------------------------------------------
-# Canonical printer
-# ---------------------------------------------------------------------------
-
-
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def to_source(expr) -> str:
-    """Canonical text form; parse(to_source(t)) reproduces t for parser output."""
-    return _print(expr, 0)
-
-
-def _print(node, ctx):
-    if isinstance(node, Const):
-        if node.name is not None:
-            return node.name
-        v = node.value
-        if v.imag == 0:
-            return _fmt_number(v.real)
-        # parser-level complex constants only arise as i itself
-        return f"({_fmt_number(v.real)}+{_fmt_number(v.imag)}*i)"
-    if isinstance(node, Param):
-        return node.name
-    if isinstance(node, XVar):
-        return f"x{node.axis + 1}"
-    if isinstance(node, XiVar):
-        return f"xi{node.axis + 1}"
-    if isinstance(node, XiVec):
-        return "xi"
-    if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg, 0)})"
-    if isinstance(node, Neg):
-        body = f"-{_print(node.operand, _UNARY_BP)}"
-        return f"({body})" if ctx > _UNARY_BP else body
-    if isinstance(node, BinOp):
-        op = _OPERATORS[node.op]
-        left, right = (op.bp + 1, op.bp) if op.right_assoc else (op.bp, op.bp + 1)
-        body = f"{_print(node.left, left)}{node.op}{_print(node.right, right)}"
-        return f"({body})" if ctx > op.bp else body
-    raise TypeError(f"not a symbol expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +483,6 @@ def diff_x_multi(expr, beta):
     return out
 
 
-def bind(expr, params):
-    """Substitute parameter values into the tree, yielding a closed expression."""
-    if isinstance(expr, Param):
-        if expr.name not in params:
-            raise DslError(f"unbound parameter {expr.name!r}", expr.pos)
-        return Const(complex(params[expr.name]), pos=expr.pos)
-    if isinstance(expr, Neg):
-        return replace(expr, operand=bind(expr.operand, params))
-    if isinstance(expr, BinOp):
-        return replace(expr, left=bind(expr.left, params), right=bind(expr.right, params))
-    if isinstance(expr, Call):
-        return replace(expr, arg=bind(expr.arg, params))
-    return expr
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -560,9 +498,6 @@ class SymbolFamily:
     order: float
     rho: float
     delta: float
-
-    def eval(self, x, xi):
-        return eval_expr(self.expr, x, xi, self.parameters)
 
     def label(self) -> str:
         args = ", ".join(f"{v:g}" for v in self.parameters.values())
@@ -620,44 +555,3 @@ def family_from_text(text: str):
             except TypeError:
                 raise ValidationError(f"wrong argument count in family spec {text!r}")
     return None
-
-
-# ---------------------------------------------------------------------------
-# Table-backed symbols
-# ---------------------------------------------------------------------------
-
-
-class TableSymbol:
-    """Symbol stored as samples over grid x lattice.
-
-    Difference operators may only step within the stored frequency box;
-    anything else raises TableRangeError.
-    """
-
-    def __init__(self, spec, lattice, values):
-        values = np.asarray(values, dtype=np.complex128)
-        expected = tuple(spec.sizes) + tuple(lattice.sizes)
-        if values.shape != expected:
-            raise ValidationError(f"table shape {values.shape} != grid x lattice {expected}")
-        self.spec = spec
-        self.lattice = lattice
-        self.values = values
-
-    def eval(self, x, xi):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=int))
-        gi = []
-        for ax, n in enumerate(self.spec.sizes):
-            k = x[ax] * n
-            if abs(k - round(k)) > 1e-9:
-                raise ValidationError(f"x[{ax}]={x[ax]:g} is not a grid point")
-            gi.append(int(round(k)) % n)
-        li = []
-        for ax, n in enumerate(self.lattice.sizes):
-            v = int(xi[ax])
-            if not -(n // 2) <= v < n // 2:
-                raise TableRangeError(
-                    f"xi[{ax}]={v} outside stored box [{-(n // 2)}, {n // 2 - 1}]"
-                )
-            li.append(v + n // 2)
-        return complex(self.values[tuple(gi) + tuple(li)])

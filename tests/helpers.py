@@ -1,10 +1,14 @@
 """Reference helpers shared by the tests: quadrature inner products, constant
-functions, the closed-form Dirichlet kernel and an index-array gather of
-kernel rows by offset, independent of the strided views in toruslab."""
+functions, the closed-form Dirichlet kernel, an index-array gather of
+kernel rows by offset, independent of the strided views in toruslab, and
+the pointwise iterated forward difference of a symbol, independent of the
+lattice box of the class fit."""
 
 import numpy as np
 
+from toruslab.calculus import difference_terms
 from toruslab.grid import GridFunction, GridSpec
+from toruslab.symbols import eval_expr
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
@@ -57,3 +61,17 @@ def gather_offsets(values: np.ndarray, flat_rows: np.ndarray, spec: GridSpec,
 def full_to_offsets(kernel: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Offset rows from the dense k(x, y) matrix."""
     return gather_offsets(kernel, np.arange(spec.npoints), spec)
+
+
+def difference(expr, alpha, x, xi, params=None):
+    """Exact iterated forward difference D^alpha_xi p at (x, xi), summed
+    pointwise over the shifted symbols p(x, xi + gamma); broadcasts over
+    array-valued x and xi."""
+    xi_arr = [np.asarray(c, dtype=float) for c in (xi if isinstance(xi, (tuple, list)) else [xi])]
+    assert len(alpha) == len(xi_arr), (alpha, len(xi_arr))
+    total = None
+    for gamma, coef in difference_terms(alpha):
+        shifted = tuple(c + g for c, g in zip(xi_arr, gamma))
+        term = coef * eval_expr(expr, x, shifted if len(shifted) > 1 else shifted[0], params)
+        total = term if total is None else total + term
+    return total

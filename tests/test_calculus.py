@@ -8,33 +8,23 @@ from toruslab import calculus
 from toruslab.calculus import (
     ClassParams,
     _shell_maxima,
-    difference,
     dyadic_shells,
     fit_order,
-    seminorm_constant,
     shell_lattice_points,
-    x_derivative,
 )
-from toruslab.errors import (
-    DslError,
-    EmptyDomainError,
-    SizeGuardError,
-    SpectralTailError,
-    TableRangeError,
-    ValidationError,
-)
-from toruslab.grid import GridSpec, bracket
+from toruslab.errors import DslError, EmptyDomainError, SizeGuardError, ValidationError
 from toruslab.symbols import (
-    TableSymbol,
     bessel,
-    bind,
     depends_on_x,
+    diff_x,
     diff_x_multi,
     eval_expr,
     exotic,
     parse,
     wainger,
 )
+
+from helpers import difference
 
 
 class TestClassParams:
@@ -83,87 +73,31 @@ class TestDifference:
             assert a == pytest.approx(b, abs=1e-13)
             assert d12 == pytest.approx(a, abs=1e-13)
 
-    def test_table_symbol_edge(self):
-        spec = GridSpec((8,))
-        lat = spec.lattice()
-        vals = np.ones((8, 8), dtype=complex)
-        tab = TableSymbol(spec, lat, vals)
-        assert difference(tab, (1,), (0.0,), (0,)) == 0.0
-        with pytest.raises(TableRangeError):
-            difference(tab, (1,), (0.0,), (3,))  # steps to xi = 4, outside
-
 
 class TestXDerivative:
-    def test_constant_in_x(self):
-        spec = GridSpec((32,))
-        fam = bessel(-1.0)
-        out = x_derivative(fam.expr, (1,), (5,), spec, fam.parameters)
-        assert np.max(np.abs(out.values)) < 1e-10
-
-    def test_pure_wave(self):
-        spec = GridSpec((64,))
-        expr = parse("exp(2*pi*i*x1)")
-        out = x_derivative(expr, (1,), (0,), spec)
-        x = spec.axes()[0]
-        want = 2j * np.pi * np.exp(2j * np.pi * x)
-        assert np.max(np.abs(out.values - want)) < 1e-10
-
-    def test_band_limited_product(self):
-        spec = GridSpec((64,))
-        expr = parse("sin(2*pi*x1)*bracket(xi1)")
-        out = x_derivative(expr, (1,), (7,), spec)
-        x = spec.axes()[0]
-        want = 2 * np.pi * np.cos(2 * np.pi * x) * np.sqrt(50.0)
-        assert np.max(np.abs(out.values - want)) <= 1e-10 * np.max(np.abs(want))
-
-    # each factor is band-limited on its axis; d^b of sin(2 pi k x), cos(2 pi k x)
-    # and exp(2 pi i k x) is (2 pi k)^b, (2 pi k)^b and (2 pi i k)^b times the
-    # factor with its phase advanced by b pi / 2, b pi / 2 and 0
-    FACTORS = [
-        ("sin(2*pi*x1)", lambda x, b: (2 * np.pi) ** b * np.sin(2 * np.pi * x + b * np.pi / 2)),
-        ("cos(4*pi*x2)", lambda x, b: (4 * np.pi) ** b * np.cos(4 * np.pi * x + b * np.pi / 2)),
-        ("exp(2*pi*i*x3)", lambda x, b: (2j * np.pi) ** b * np.exp(2j * np.pi * x)),
-    ]
-
-    @pytest.mark.parametrize(
-        "sizes, beta",
-        [((16, 32), (1, 0)), ((16, 32), (0, 1)), ((16, 32), (1, 2)),
-         ((8, 16, 8), (1, 0, 0)), ((8, 16, 8), (0, 1, 0)), ((8, 16, 8), (0, 0, 1)),
-         ((8, 16, 8), (2, 1, 1))],
-    )
-    def test_band_limited_symbol_in_2d_and_3d(self, sizes, beta):
-        spec, xi = GridSpec(sizes), (3, -2, 5)[:len(sizes)]
-        factors = self.FACTORS[:len(sizes)]
-        expr = parse("*".join(text for text, _ in factors) + "*bracket(xi)^0.5")
-        out = x_derivative(expr, beta, xi, spec)
-        want = np.sqrt(bracket(xi))
-        for m, (_, d), b in zip(spec.mesh(), factors, beta):
-            want = want * d(m, b)
-        assert np.max(np.abs(out.values - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_seam_symbol_rejected(self):
-        # the non-integer x-frequency of the oscillating family leaves a
-        # seam at x = 0 ~ 1; the tail check must refuse, never mangle
-        spec = GridSpec((64,))
+    def test_exotic_phase_jumps_at_the_seam(self):
+        # evaluation wraps x1 into [0, 1), so the phase c x1 <xi>^d of the
+        # oscillating family jumps by c <xi>^d at x1 = 0 ~ 1: the symbol is
+        # not smooth in x on the torus, on any grid
         fam = exotic(0.0, 0.5, 1.0)
-        with pytest.raises(SpectralTailError):
-            x_derivative(fam.expr, (1,), (10,), spec, fam.parameters)
+        for xi in (10, 100):
+            phase = np.sqrt(1.0 + xi**2) ** 0.5
+            at = eval_expr(fam.expr, 0.0, xi, fam.parameters)
+            before = eval_expr(fam.expr, 1.0 - 1e-12, xi, fam.parameters)
+            assert at == 1.0
+            assert abs(before - np.exp(1j * phase)) <= 1e-9
+            assert abs(before - at) > 1.0
 
     def test_exotic_exact_derivative_closed_form(self):
-        # exact-tree derivative realizes i c <xi>^d p where the spectral
-        # route is unavailable
-        from toruslab.symbols import diff_x
-
+        # the exact-tree derivative realizes i c <xi>^d p off the seam
         fam = exotic(0.0, 0.5, 1.0)
-        tree = diff_x(bind(fam.expr, fam.parameters), 0)
+        tree = diff_x(fam.expr, 0)
         rng = np.random.default_rng(3)
         for _ in range(50):
             x, xi = rng.random(), int(rng.integers(-200, 200))
             br = np.sqrt(1.0 + xi**2)
-            want = 1j * br**0.5 * fam.eval(x, xi)
-            from toruslab.symbols import eval_expr
-
-            got = eval_expr(tree, x, xi)
+            want = 1j * br**0.5 * eval_expr(fam.expr, x, xi, fam.parameters)
+            got = eval_expr(tree, x, xi, fam.parameters)
             assert abs(got - want) <= 1e-8 * abs(want)
 
 
@@ -204,21 +138,20 @@ class TestShells:
 
 
 class TestSeminorm:
+    """The seminorm constants a fit reports at its nominal class."""
+
+    def constant(self, fam, alpha, beta, cls, shell_range):
+        est = fit_order(fam.expr, params=fam.parameters, nominal=cls, shell_range=shell_range)
+        return est.constants[(alpha, beta)]
+
     def test_bessel_ratio_is_one(self):
-        fam = bessel(-1.0)
-        c = seminorm_constant(
-            fam.expr, (0,), (0,), ClassParams(-1, 1, 0), (8, 128), params=fam.parameters
-        )
+        c = self.constant(bessel(-1.0), (0,), (0,), ClassParams(-1, 1, 0), (8, 128))
         assert c == pytest.approx(1.0, abs=1e-12)
 
     def test_bessel_first_difference_stable(self):
-        fam = bessel(-1.0)
-        c1 = seminorm_constant(
-            fam.expr, (1,), (0,), ClassParams(-1, 1, 0), (8, 256), params=fam.parameters
-        )
-        c2 = seminorm_constant(
-            fam.expr, (1,), (0,), ClassParams(-1, 1, 0), (16, 512), params=fam.parameters
-        )
+        fam, cls = bessel(-1.0), ClassParams(-1, 1, 0)
+        c1 = self.constant(fam, (1,), (0,), cls, (8, 256))
+        c2 = self.constant(fam, (1,), (0,), cls, (16, 512))
         assert c1 > 0 and c2 > 0
         assert abs(c2 - c1) <= 0.10 * c1
 
@@ -226,27 +159,23 @@ class TestSeminorm:
         # oscillating symbol certified *out* of rho = 1 by constant doubling
         fam = exotic(0.0, 0.75, 1.0)
         wrong = ClassParams(0.0, 1.0, 0.0)
-        c1 = seminorm_constant(fam.expr, (1,), (0,), wrong, (8, 128), params=fam.parameters)
-        c2 = seminorm_constant(fam.expr, (1,), (0,), wrong, (8, 256), params=fam.parameters)
+        c1 = self.constant(fam, (1,), (0,), wrong, (8, 128))
+        c2 = self.constant(fam, (1,), (0,), wrong, (8, 256))
         assert c2 >= 2.0 * c1 * 0.5 and c2 / c1 >= 1.5  # doubling the top shell grows it
-        c3 = seminorm_constant(fam.expr, (1,), (0,), wrong, (8, 512), params=fam.parameters)
+        c3 = self.constant(fam, (1,), (0,), wrong, (8, 512))
         assert c3 / c1 >= 2.0
 
     def test_x_independent_beta_derivative_vanishes(self):
-        fam = wainger(0.5, 1.0)
-        c = seminorm_constant(
-            fam.expr, (0,), (1,), ClassParams(-1, 0.5, 0), (8, 128), params=fam.parameters
-        )
+        c = self.constant(wainger(0.5, 1.0), (0,), (1,), ClassParams(-1, 0.5, 0), (8, 128))
         assert c < 1e-10
-
 
     @pytest.mark.parametrize(
         "dim, shell, x_resolution",
         [(1, (8.0, 16.0), 64), (1, (64.0, 128.0), 64), (2, (8.0, 16.0), 4)],
     )
     def test_shared_evaluation_matches_difference(self, dim, shell, x_resolution):
-        # oracle: the public difference at each shell point, maximised over
-        # the same x-sample
+        # oracle: the pointwise difference at each shell point, maximised
+        # over the same x-sample
         fam = exotic(0.0, 0.75, 1.0)
         alphas = [a for a in np.ndindex(*([3] * dim)) if sum(a) <= 2]
         axes = np.meshgrid(*[np.arange(x_resolution) / x_resolution] * dim, indexing="ij")
@@ -399,12 +328,23 @@ class TestFitOrder:
         ids=["bessel", "wainger", "exotic", "exotic-m0.5", "exotic-2d"],
     )
     def test_constants_are_seminorm_constants(self, fam, dim, shell_hi, x_resolution, nominal):
+        # oracle: max over the whole x_resolution^dim grid and every shell
+        # point of |d^beta_x D^alpha_xi p| <xi>^-(m - rho|alpha| + delta|beta|),
+        # by the pointwise difference
         cls = ClassParams(fam.order, fam.rho, fam.delta) if nominal else None
         est = fit_order(fam.expr, dim=dim, params=fam.parameters, nominal=cls,
                         shell_range=(8.0, shell_hi), x_resolution=x_resolution)
+        grid = np.meshgrid(*[np.arange(x_resolution) / x_resolution] * dim, indexing="ij")
+        x = tuple(m.reshape(-1, 1) for m in grid)
+        points = [shell_lattice_points(lo, hi, dim) for lo, hi in est.shells]
         for (alpha, beta), value in est.constants.items():
-            want = seminorm_constant(fam.expr, alpha, beta, est.params, (8.0, shell_hi), dim,
-                                     fam.parameters, x_resolution)
+            tree, exponent = diff_x_multi(fam.expr, beta), est.params.seminorm_exponent(alpha, beta)
+            want = 0.0
+            for xi in points:
+                sup = np.max(np.abs(difference(tree, alpha, x, tuple(xi.T[:, None, :]),
+                                               fam.parameters)), axis=0)
+                br = np.sqrt(1.0 + np.sum(xi.astype(float) ** 2, axis=1))
+                want = max(want, float(np.max(sup * br ** (-exponent))))
             assert value == max(want, 1e-300)
 
     def test_each_shifted_symbol_evaluated_once(self, monkeypatch):
@@ -433,10 +373,6 @@ class TestFitOrder:
                   x_resolution=4)  # 6 indices, 3 of them nonzero derivatives, 4 shells
         assert len(calls) == 3
         check(2, (8.0, 128.0), [g for g in np.ndindex(3, 3) if sum(g) <= 2])
-        seminorm_constant(fam.expr, (2,), (1,), ClassParams(0, 0.25, 0.75),
-                          params=fam.parameters)
-        assert len(calls) == 1
-        check(1, (8.0, 512.0), [(0,), (1,), (2,)])
 
     @pytest.mark.parametrize("dim, shell_range, x_resolution",
                              [(1, (8.0, 512.0), 64), (2, (8.0, 128.0), 4)])
@@ -478,18 +414,13 @@ class TestFitOrder:
                 fit()
             assert calls == []  # raised before any evaluation
 
-    @pytest.mark.parametrize("which", ["fit_order", "seminorm_constant"])
-    def test_size_guard_runs_before_any_lattice_point(self, monkeypatch, which):
-        # 4096 x-samples on the 1025^2 or 1023^2 box of the shells (8, 512)
+    def test_size_guard_runs_before_any_lattice_point(self, monkeypatch):
+        # 4096 x-samples on the 1025^2 box of the shells (8, 512)
         calls = []
         monkeypatch.setattr(calculus, "shell_lattice_points", lambda *a: calls.append(a))
         fam = exotic(0.0, 0.75, 1.0)
         with pytest.raises(SizeGuardError, match="4096 x-samples"):
-            if which == "fit_order":
-                fit_order(fam.expr, dim=2, params=fam.parameters)
-            else:
-                seminorm_constant(fam.expr, (0, 0), (0, 0), ClassParams(0, 0.25, 0.75), dim=2,
-                                  params=fam.parameters)
+            fit_order(fam.expr, dim=2, params=fam.parameters)
         assert calls == []
 
     @pytest.mark.parametrize("symbol, dim, x_resolution, beta, read", [
@@ -552,9 +483,3 @@ class TestFitOrder:
         fam = exotic(0.0, 0.75, 1.0)
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             fit_order(fam.expr, params=fam.parameters, **kwargs)
-
-    def test_seminorm_rejects_empty_x_sample(self):
-        fam = exotic(0.0, 0.75, 1.0)
-        with pytest.raises(ValidationError, match="x_resolution"):
-            seminorm_constant(fam.expr, (0,), (0,), ClassParams(0, 0.25, 0.75),
-                              params=fam.parameters, x_resolution=0)

@@ -377,7 +377,14 @@ class TestErrorsAndDeterminism:
          ("weak11", "weak11.truncations=[8,64]", "weak11.truncations"),
          ("h1l1", "grid=[4]", "h1l1.radii"),
          ("h1l1", "grid=[8]", "h1l1.radii"),
-         ("h1l1", "h1l1.radii=[0.25,0.01]", "h1l1.radii")],
+         ("h1l1", "h1l1.radii=[0.25,0.01]", "h1l1.radii"),
+         # a ball of radius sqrt(n)/2 or more is the whole torus, with no atom
+         ("h1l1", "h1l1.radii=[0.6]", "h1l1.radii"),
+         ("h1l1", "h1l1.radii=[0.5,0.25]", "h1l1.radii"),
+         # no trial would read a max ratio and a stability of 0
+         ("h1l1", "h1l1.trials=0", "h1l1.trials"),
+         ("bmo", "bmo.trials=0", "bmo.trials"),
+         ("weak11", "weak11.trials=0", "weak11.trials")],
     )
     def test_endpoint_setting_errors_name_the_config_field(self, tmp_path, capsys, command,
                                                             setting, field):
@@ -419,6 +426,15 @@ class TestErrorsAndDeterminism:
         assert err.startswith(f"error: symbol_class.{field}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("setting", ["sweep.m_grid=[]", "sweep.n_grid=[64,100,128]",
+                                         "sweep.n_grid=[64,128]"])
+    def test_sweep_grid_errors_name_the_config_field(self, tmp_path, capsys, setting):
+        code, out, err = run(["sweep", "--out", str(tmp_path), "--set", setting], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {setting.split('=')[0]}: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["admissible", "symbol-class", "weak11"])
     def test_class_beside_a_family_exits_1(self, tmp_path, capsys, command):
         # a built-in family carries its own class; a config class beside it
@@ -450,7 +466,15 @@ class TestErrorsAndDeterminism:
          ('sweep.family_params={"c":[1]}', "sweep.family_params.c"),
          ("sweep.family_params=5", "sweep.family_params"), ("sweep=5", "sweep"),
          ("kernel.decay_exponent=1.5", "kernel.decay_exponent"),
-         ("kernel.decay_exponent=-1", "kernel.decay_exponent")],
+         ("kernel.decay_exponent=-1", "kernel.decay_exponent"),
+         # an integer or a list of integers by its default, a count >= 1:
+         # a fractional value is an error, never truncated
+         ("bmo.trials=2.5", "bmo.trials"), ("sweep.trials=1.5", "sweep.trials"),
+         ("h1l1.trials=0", "h1l1.trials"), ("weak11.lam_count=61.5", "weak11.lam_count"),
+         ("kernel.samples=8.5", "kernel.samples"), ("seed=1.5", "seed"),
+         ("grid=[64.5]", "grid"), ("sweep.n_grid=[64.7,128,256]", "sweep.n_grid"),
+         ("kernel.truncations=[16.9,32,64]", "kernel.truncations"),
+         ("bmo.truncations=[32.0]", "bmo.truncations")],
     )
     def test_mistyped_setting_names_its_field(self, tmp_path, capsys, setting, field):
         # a field whose default is a number must hold a number, a bool field a bool

@@ -11,7 +11,7 @@ from toruslab import operators
 from toruslab.calculus import ClassParams
 from toruslab.errors import DslError, SizeGuardError, ValidationError
 from toruslab.grid import GridFunction, GridSpec, pure_wave
-from toruslab.kernels import derivative_kernel, synthesize_kernel
+from toruslab.kernels import synthesize_kernel
 from toruslab.operators import (
     AdjointOperator,
     MultiplierOperator,
@@ -292,8 +292,8 @@ class TestCompose:
 
     @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
     def test_right_composition_is_a_symbol(self, sizes):
-        # Op(p) o J^s = Op(p <xi>^s): kernel synthesis, lattice truncation and
-        # derivative kernels work on it, and its kernel is the matrix product
+        # Op(p) o J^s = Op(p <xi>^s): kernel synthesis and lattice truncation
+        # work on it, and its kernel is the matrix product
         spec = GridSpec(sizes)
         T = PdoOperator.from_family(exotic(-1.0, 0.5, 1.0), spec)
         C = compose_bessel(T, 0.5, "right")
@@ -310,9 +310,6 @@ class TestCompose:
         # are truncated
         truncated = every_row(synthesize_kernel(C, lattice_box=4).offset_rows, G)
         assert max_rel_diff(truncated, offset_rows_by_definition(C, 4)) <= 1e-12
-        dx = derivative_kernel(C, (1,) + (0,) * (spec.dim - 1), (0,) * spec.dim)
-        assert every_row(dx.offset_rows, G).shape == (spec.npoints,) + sizes
-        assert np.all(np.isfinite(dx.offset_rows))
 
     def test_invalid_compositions_and_rebuilds_raise(self):
         spec = GridSpec((16,))
@@ -1166,11 +1163,9 @@ class TestOn:
         assert isinstance(M, PdoOperator) and M.is_multiplier and M.lattice == spec.lattice()
         methods = {name for name, value in vars(MultiplierOperator).items() if callable(value)}
         assert methods == {"__init__", "on"}
-        # there is no symbol to fold J^s into or to differentiate
+        # there is no symbol to fold J^s into
         with pytest.raises(ValidationError, match="MultiplierOperator"):
             compose_bessel(M, 0.5, "right")
-        with pytest.raises(ValidationError, match="expression-backed"):
-            derivative_kernel(M, (1,), (0,))
 
     def test_different_profiles_are_different_operators(self):
         spec = GridSpec((16,))

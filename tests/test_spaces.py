@@ -23,7 +23,6 @@ from toruslab.spaces import (
     lp_norm,
     lp_norms,
     make_atom,
-    maximal_function,
     weak_lp,
 )
 
@@ -423,12 +422,6 @@ class TestBmo2D:
         f = random_function(spec, 21, real=True)
         assert abs(bmo_norm(f).value - bmo_oracle(f)) <= 1e-10
 
-    def test_maximal_dominates(self):
-        spec = GridSpec((16, 16))
-        f = random_function(spec, 22)
-        M = maximal_function(f)
-        assert np.all(M.values.real >= np.abs(f.values) - 1e-12)
-
 
 class TestAtoms:
     def test_balanced_signs(self):
@@ -473,56 +466,6 @@ class TestAtoms:
         profile = random_function(spec, 1)
         with pytest.raises(ValidationError):
             make_atom((0.5,), 0.8, profile)
-
-
-def maximal_oracle(f: GridFunction):
-    """Mf by direct summation: max of |f| and every family ball's mean of |f|
-    over the points of that ball."""
-    spec = f.spec
-    a = np.abs(f.values).ravel()
-    out = np.array(a)
-    for radius in dyadic_radii(spec):
-        for c in spec.points():
-            idx = ball(c, radius, spec)
-            out[idx] = np.maximum(out[idx], a[idx].sum() / idx.size)
-    return out.reshape(spec.sizes)
-
-
-class TestMaximal:
-    @pytest.mark.parametrize("sizes", [(256,), (64,), (16, 16), (8, 32), (8, 8, 4)],
-                             ids=lambda sizes: "x".join(map(str, sizes)))
-    @pytest.mark.parametrize("kind", ["complex", "spike", "signs"])
-    def test_matches_direct_sum(self, kind, sizes):
-        f = sample_function(kind, sizes)
-        want = maximal_oracle(f)
-        got = maximal_function(f).values.real
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-
-    def test_constant(self):
-        f = constant_function(GridSpec((32,)), -2.0)
-        assert np.allclose(maximal_function(f).values, 2.0, atol=1e-12)
-
-    def test_dominates_f(self):
-        for seed in range(20):
-            f = random_function(GridSpec((64,)), 2000 + seed)
-            M = maximal_function(f).values.real
-            assert np.all(M >= 0.99 * np.abs(f.values))
-
-    def test_weak_1_1_constant(self):
-        spec = GridSpec((64,))
-        for seed in range(100):
-            f = random_function(spec, 3000 + seed)
-            M = maximal_function(f)
-            assert weak_lp(M, 1).value <= 6.0 * lp_norm(f, 1).value
-
-    def test_spike(self):
-        spec = GridSpec((64,))
-        v = np.zeros(64)
-        v[10] = 64.0
-        M = maximal_function(GridFunction(spec, v)).values.real
-        assert M[10] == pytest.approx(64.0, rel=1e-12)
-        # at distance d the best family ball has radius ~ 2d: mean ~ G/(2 ball count)
-        assert M[20] > 1.0
 
 
 class TestCZ:

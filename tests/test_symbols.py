@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from toruslab import symbols
-from toruslab.errors import DslError, TableRangeError, ValidationError
-from toruslab.grid import GridSpec
+from toruslab.errors import DslError, ValidationError
 from toruslab.symbols import (
     FUNCTIONS,
     BinOp,
@@ -11,19 +10,16 @@ from toruslab.symbols import (
     Const,
     Neg,
     Param,
-    TableSymbol,
     XVar,
     XiVar,
     XiVec,
     bessel,
-    bind,
     depends_on_x,
     diff_x,
     eval_expr,
     exotic,
     family_from_text,
     parse,
-    to_source,
     tokenize,
     wainger,
 )
@@ -239,7 +235,7 @@ class TestFamilies:
         for _ in range(1000):
             x = rng.random()
             xi = int(rng.integers(-600, 600))
-            got = fam.eval(x, xi)
+            got = eval_expr(fam.expr, x, xi, fam.parameters)
             want = oracle(x, xi)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -273,14 +269,14 @@ def random_expr(rng, depth=0):
         if leaf == 0:
             return Const(complex(round(rng.uniform(0, 3), 3)))
         if leaf == 1:
-            return Const(1j, name="i")
+            return Const(1j)
         if leaf == 2:
             return XVar(0)
         if leaf == 3:
             return XiVar(0)
         if leaf == 4:
             return Call("bracket", XiVec())
-        return Const(complex(np.pi), name="pi")
+        return Const(complex(np.pi))
     kind = rng.integers(0, 7)
     if kind == 0:
         return BinOp("+", random_expr(rng, depth + 1), random_expr(rng, depth + 1))
@@ -302,39 +298,6 @@ def random_expr(rng, depth=0):
     return Neg(random_expr(rng, depth + 1))
 
 
-class TestPrinter:
-    STRINGS = [
-        "1+2*3",
-        "2^3^2",
-        "(2^3)^2",
-        "-2^2",
-        "-x1*xi1",
-        "(1+x1)*(2-xi1)",
-        "exp(i*2*pi*x1)",
-        "bracket(xi)^m*exp(i*c*x1*bracket(xi)^d)",
-        "a-(b-c)",
-        "a/(b/c)",
-        "2^-2",
-        "1--2",
-    ]
-
-    @pytest.mark.parametrize("src", STRINGS)
-    def test_parse_print_parse_fixed_point(self, src):
-        t1 = parse(src)
-        s1 = to_source(t1)
-        t2 = parse(s1)
-        assert t2 == t1
-        assert to_source(t2) == s1
-
-    def test_random_trees_round_trip(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            tree = random_expr(rng)
-            s1 = to_source(tree)
-            t1 = parse(s1)
-            assert parse(to_source(t1)) == t1
-
-
 class TestPeriodicity:
     def test_builtins_periodic(self):
         rng = np.random.default_rng(5)
@@ -343,8 +306,8 @@ class TestPeriodicity:
             for _ in range(50):
                 x = rng.random()
                 xi = int(rng.integers(-100, 100))
-                v0 = fam.eval(x, xi)
-                v1 = fam.eval(x + 1.0, xi)
+                v0 = eval_expr(fam.expr, x, xi, fam.parameters)
+                v1 = eval_expr(fam.expr, x + 1.0, xi, fam.parameters)
                 assert abs(v0 - v1) <= 1e-12 * max(1.0, abs(v0))
 
     def test_random_expressions_periodic(self):
@@ -372,14 +335,14 @@ class TestDiffX:
     def test_exotic_closed_form(self):
         # d/dx1 of bracket^m exp(i c x1 bracket^d) = i c bracket^d * p
         fam = exotic(0.0, 0.5, 1.0)
-        d = diff_x(bind(fam.expr, fam.parameters), 0)
+        d = diff_x(fam.expr, 0)
         rng = np.random.default_rng(7)
         for _ in range(100):
             x = rng.random()
             xi = int(rng.integers(-300, 300))
             br = np.sqrt(1.0 + xi**2)
             want = 1j * br**0.5 * exotic_closed(0.0, 0.5, 1.0)(x, xi)
-            got = eval_expr(d, x, xi)
+            got = eval_expr(d, x, xi, fam.parameters)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_against_finite_differences(self):
@@ -401,7 +364,7 @@ class TestDiffX:
 
 
 class TestFunctionTable:
-    """Every row of the function table parses, prints, evaluates and differentiates."""
+    """Every row of the function table parses, evaluates and differentiates."""
 
     ARG = "0.3+0.2*x1+0.1*i*xi1"  # no zero and off the branch cut of log on the samples
 
@@ -409,10 +372,8 @@ class TestFunctionTable:
         assert f"functions  {', '.join(FUNCTIONS)}  " in symbols.__doc__
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
-    def test_round_trip(self, name):
-        tree = parse(f"{name}({self.ARG})")
-        assert tree == Call(name, parse(self.ARG))
-        assert parse(to_source(tree)) == tree
+    def test_parses_to_its_call(self, name):
+        assert parse(f"{name}({self.ARG})") == Call(name, parse(self.ARG))
 
     @pytest.mark.parametrize("name", list(FUNCTIONS))
     def test_scalar_and_array_values_agree(self, name):
@@ -460,28 +421,3 @@ class TestFunctionTable:
                 eval_expr(tree, (0.0, 0.0), (3, 4))
         else:  # |xi| = 5 at xi = (3, 4)
             assert eval_expr(tree, (0.0, 0.0), (3, 4)) == eval_expr(parse(f"{name}(5)"), 0.0, 0)
-
-
-class TestTableSymbol:
-    def make(self):
-        spec = GridSpec((8,))
-        lat = spec.lattice()
-        vals = np.zeros((8, 8), dtype=complex)
-        for gi in range(8):
-            for li, xi in enumerate(range(-4, 4)):
-                vals[gi, li] = np.sqrt(1.0 + xi**2)
-        return TableSymbol(spec, lat, vals)
-
-    def test_lookup(self):
-        tab = self.make()
-        assert tab.eval((0.25,), (2,)) == np.sqrt(5.0)
-
-    def test_outside_box(self):
-        tab = self.make()
-        with pytest.raises(TableRangeError):
-            tab.eval((0.0,), (4,))
-
-    def test_off_grid_point(self):
-        tab = self.make()
-        with pytest.raises(ValidationError):
-            tab.eval((0.13,), (0,))
