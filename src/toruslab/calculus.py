@@ -246,7 +246,7 @@ class ClassEstimate:
         }
 
 
-def _loglog_fit(radii, values):
+def loglog_fit(radii, values):
     """Least-squares slope of log(values) vs log(radii) with residual report."""
     u = np.log(np.asarray(radii, dtype=float))
     v = np.log(np.asarray(values, dtype=float))
@@ -315,7 +315,7 @@ def fit_order(
             slopes[key] = None
             residuals[key] = {"slope": None, "note": "vanishing derivative"}
             continue
-        report = _loglog_fit(centers, np.maximum(fit_values, 1e-300))
+        report = loglog_fit(centers, np.maximum(fit_values, 1e-300))
         slopes[key] = report["slope"]
         residuals[key] = report
 

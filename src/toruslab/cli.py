@@ -37,13 +37,14 @@ from .experiments import (
     lp_threshold,
     threshold_sweep,
     weak11_experiment,
+    WEAK11_LEVELS,
 )
 from .grid import GridFunction, GridSpec
 from .kernels import decay_scan, log_bound_check, sigma_estimates, synthesize_kernel
 from .operators import (AdjointOperator, PdoOperator, compose_bessel, resolve_family,
                         resolve_symbol)
 from .spaces import bmo_norm, cz_decompose, lp_norm, weak_lp
-from .symbols import eval_expr, parse
+from .symbols import bessel, eval_expr, exotic, parse, wainger
 
 DEFAULT_CONFIG = {
     "grid": [128],
@@ -69,13 +70,14 @@ DEFAULT_CONFIG = {
     "cz": {"input": None, "generator": "2+cos(2*pi*x1)", "level": 1.5},
     "sweep": {
         "family": "wainger",
-        "family_params": {"a": 0.5},
+        "family_params": {},
         "p": 2.0,
         "m_grid": [-0.25, 0.25],
         "n_grid": [64, 128, 256],
         "trials": 9,
     },
-    "weak11": {"trials": 60, "truncations": None, "lam_lo": 1e-3, "lam_hi": 1e3, "lam_count": 61},
+    "weak11": {"trials": 60, "truncations": None, "lam_lo": WEAK11_LEVELS[0],
+               "lam_hi": WEAK11_LEVELS[1], "lam_count": WEAK11_LEVELS[2]},
     "bmo": {"trials": 40, "truncations": None},
     "h1l1": {"trials": 12, "truncations": None, "radii": [0.25, 0.125, 0.0625, 0.03125]},
     "admissible": {"p": 2.0, "q": 2.0},
@@ -483,22 +485,26 @@ def cmd_cz(config):
     return payload, []
 
 
+# each sweep family: its symbol of the order m, and the family_params it takes with their defaults
+_SWEEP_FAMILIES = {"bessel": (bessel, {}), "wainger": (lambda m, a: wainger(a, -m), {"a": 0.5}),
+                   "exotic": (exotic, {"d": 0.75, "c": 1.0})}
+
+
 def _sweep_family_builder(config):
+    """m -> the sweep family's symbol of order m; a family_params key that
+    the family does not take is rejected."""
     sub = config["sweep"]
     name = sub["family"]
-    params = sub.get("family_params") or {}
-    from .symbols import bessel, exotic, wainger
-
-    if name == "bessel":
-        return lambda m: bessel(m)
-    if name == "wainger":
-        a = float(params.get("a", 0.5))
-        return lambda m: wainger(a, -m)
-    if name == "exotic":
-        d = float(params.get("d", 0.75))
-        c = float(params.get("c", 1.0))
-        return lambda m: exotic(m, d, c)
-    raise ValidationError(f"unknown family {name!r}", field="sweep.family")
+    if name not in _SWEEP_FAMILIES:
+        raise ValidationError(f"unknown family {name!r}", field="sweep.family")
+    family, defaults = _SWEEP_FAMILIES[name]
+    unknown = sorted(set(sub["family_params"]) - set(defaults))
+    if unknown:
+        takes = ", ".join(defaults) or "no parameter"
+        raise ValidationError(f"{name} takes {takes}, not {', '.join(unknown)}",
+                              field="sweep.family_params")
+    params = {**defaults, **{key: float(value) for key, value in sub["family_params"].items()}}
+    return lambda m: family(m, **params)
 
 
 def cmd_sweep(config):

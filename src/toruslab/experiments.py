@@ -22,7 +22,9 @@ truncation scan: the operator is rebuilt with ``op.on`` at each truncation
 in ascending order, one rebuilt operator alive at a time, and the trial
 draws are made once, independent of the grid.  They report the same
 common fields (operator, per-truncation maxima, max ratio, stability,
-trials, seed, whether the order meets the endpoint threshold).
+trials, seed, whether the order meets the endpoint threshold); weak-(1,1)
+and H^1 -> L^1, which drop a trial that makes no atom, also report the
+inputs ``applied`` at each truncation.
 
 All randomness is seeded; sweep cells derive their seed from (master seed,
 cell index), so results are independent of execution order.
@@ -35,9 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ClassParams
+from .calculus import ClassParams, loglog_fit
 from .errors import ConvergenceError, ValidationError
-from .grid import GridFunction, GridSpec, pure_wave
+from .grid import GridFunction, GridSpec, half_diameter, pure_wave
 from .operators import PdoOperator
 from .spaces import bmo_sup, dyadic_radii, lp_norm, lp_norms, make_atom
 
@@ -46,6 +48,7 @@ SLOPE_GROWTH = 0.15
 ASCENT_STEPS = 50
 H1_UNIT_SCALE = 0.125  # h1_l1_experiment: atom radii below it count as small scale
 WEAK11_FINEST_BUMP = 5  # weak11 bump radii are 2^-2 ... 2^-WEAK11_FINEST_BUMP
+WEAK11_LEVELS = (1e-3, 1e3, 61)  # weak11 levels lam: geomspace(lo, hi, count)
 
 
 @dataclass
@@ -56,11 +59,7 @@ class NormEstimate:
     q: float
     value: float
     method: str
-    trials: int
-    seed: int
-    truncation: tuple
     witness: GridFunction = field(repr=False, default=None)
-    label: str = ""
 
     def verify(self, op) -> float:
         """Re-achieve the stored ratio from the stored witness."""
@@ -112,17 +111,7 @@ def l2_norm(op, seed: int = 0) -> NormEstimate:
             final_gap=residual,
         )
     witness = np.tensordot(bh[0].conj(), np.array(V), axes=1)
-    return NormEstimate(
-        p=2.0,
-        q=2.0,
-        value=sigma,
-        method="golub-kahan",
-        trials=1,
-        seed=seed,
-        truncation=spec.sizes,
-        witness=GridFunction(spec, witness),
-        label=op.label,
-    )
+    return NormEstimate(2.0, 2.0, sigma, "golub-kahan", GridFunction(spec, witness))
 
 
 def _orthonormalize(w: np.ndarray, basis: list) -> float:
@@ -169,7 +158,7 @@ def _witness_battery(spec: GridSpec, rng, trials: int):
         out.append(rng.standard_normal(spec.sizes) + 1j * rng.standard_normal(spec.sizes))
     for _ in range(max(1, trials // 3)):
         out.append(rng.choice([-1.0, 1.0], size=spec.sizes).astype(complex))
-    radii = [r for r in dyadic_radii(spec) if r < math.sqrt(spec.dim) / 2]
+    radii = [r for r in dyadic_radii(spec) if r < half_diameter(spec.dim)]
     for radius in radii[: max(1, trials - 2 * (trials // 3))]:
         profile = GridFunction(spec, rng.standard_normal(spec.sizes))
         center = tuple(rng.random(spec.dim))
@@ -239,17 +228,8 @@ def lp_lq_lower_bound(op, p: float, q: float, trials: int = 12, seed: int = 0) -
     if best_witness is None:
         best_witness = np.ones(spec.sizes, dtype=complex)
         best_ratio = scored(best_witness[None])[0][0]
-    return NormEstimate(
-        p=float(p),
-        q=float(q),
-        value=best_ratio,
-        method="battery+ascent",
-        trials=trials,
-        seed=seed,
-        truncation=spec.sizes,
-        witness=GridFunction(spec, best_witness),
-        label=op.label,
-    )
+    return NormEstimate(float(p), float(q), best_ratio, "battery+ascent",
+                        GridFunction(spec, best_witness))
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +303,8 @@ def _exact_l2_norm(op, seed: int) -> NormEstimate:
         return l2_norm(op, seed=seed)
     moduli = np.abs(op.multiplier_profile()).ravel()
     at = int(np.argmax(moduli))
-    return NormEstimate(
-        p=2.0,
-        q=2.0,
-        value=float(moduli[at]),
-        method="multiplier-max",
-        trials=1,
-        seed=seed,
-        truncation=op.spec.sizes,
-        witness=pure_wave(op.spec, op.lattice.points()[at]),
-        label=op.label,
-    )
+    return NormEstimate(2.0, 2.0, float(moduli[at]), "multiplier-max",
+                        pure_wave(op.spec, op.lattice.points()[at]))
 
 
 def _powers_of_two(sizes, field: str) -> list:
@@ -361,14 +332,14 @@ def threshold_sweep(
     ``lp_lq_lower_bound`` with ``trials`` witnesses.  ``family_builder`` maps
     an order m to a SymbolFamily; per-cell seeds are derived from (seed, cell
     index) so the sweep is order-independent.  Before any work, ``m_grid``
-    must hold an order and ``n_grid`` three or more powers of two >= 4.
+    must hold an order and ``n_grid`` three or more distinct powers of two >= 4.
     """
     m_grid = [float(m) for m in m_grid]
     if not m_grid:
         raise ValidationError("needs at least one order", field="m_grid")
     n_grid = [int(N) for N in _powers_of_two(n_grid, "n_grid")]
-    if len(n_grid) < 3:
-        raise ValidationError("need at least 3 truncations for a slope", field="n_grid")
+    if len(set(n_grid)) < 3:
+        raise ValidationError("need at least 3 distinct truncations for a slope", field="n_grid")
     probe = family_builder(m_grid[0])
     estimates, slopes, classifications = {}, {}, {}
     for i, m in enumerate(m_grid):
@@ -384,9 +355,7 @@ def threshold_sweep(
                 est = lp_lq_lower_bound(op, p, p, trials=trials, seed=cell_seed)
             estimates[(m, N)] = est
             values.append(est.value)
-        slope = float(
-            np.polyfit(np.log(np.asarray(n_grid, float)), np.log(np.maximum(values, 1e-300)), 1)[0]
-        )
+        slope = loglog_fit(n_grid, np.maximum(values, 1e-300))["slope"]
         slopes[m] = slope
         if slope < SLOPE_BOUNDED:
             classifications[m] = "bounded-consistent"
@@ -445,14 +414,14 @@ def _check_radii(radii, truncations: list, dim: int, field: str):
     """Raise before any work if a ball of one of ``radii`` can miss every point
     of the coarsest grid, below half its spacing times sqrt(n), or is no
     proper ball, at sqrt(n)/2 or above, where a ball is the whole torus."""
-    N, reach = truncations[0], math.sqrt(dim) / (2 * truncations[0])
+    N, reach = truncations[0], half_diameter(dim) / truncations[0]
     if min(radii) < reach:
         raise ValidationError(f"a ball of radius {min(radii):g} can miss every point of the "
                               f"{N}^{dim} grid (half its spacing x sqrt({dim}) is {reach:g})",
                               field=field)
-    if max(radii) >= math.sqrt(dim) / 2:
+    if max(radii) >= half_diameter(dim):
         raise ValidationError(f"a ball of radius {max(radii):g} is the whole torus, not a proper "
-                              f"ball (sqrt({dim})/2 is {math.sqrt(dim) / 2:g})", field=field)
+                              f"ball (sqrt({dim})/2 is {half_diameter(dim):g})", field=field)
 
 
 def _rebuilt(op, truncations: list):
@@ -568,16 +537,19 @@ def weak11_experiment(
     truncations (N and 2N by default) and reports the relative change.
     At the finest truncation it also reports ``per_lam``, the max over
     trials of lam |{|Tf| > lam}| at each level of ``lam_grid``, and
-    ``input_norms``, the trials' ||f||_1.
+    ``input_norms``, the trials' ||f||_1.  A bump trial whose profile is
+    constant on its ball makes no atom and is dropped at that truncation, so
+    ``applied`` counts the trials applied at each truncation; ``trials`` is
+    the count requested.
     """
     _check_trials(trials)
     truncations = _truncations(op, truncations)
     _check_radii([2.0**-WEAK11_FINEST_BUMP], truncations, op.spec.dim, "truncations")
     if lam_grid is None:
-        lam_grid = list(np.geomspace(1e-3, 1e3, 61))
+        lam_grid = list(np.geomspace(*WEAK11_LEVELS))
     lams = np.asarray(lam_grid, dtype=float)
     params = _weak11_trial_params(np.random.default_rng(seed), trials, op.spec.dim)
-    per_truncation = {}
+    per_truncation, applied = {}, {}
     for N, op_N in _rebuilt(op, truncations):
         spec = op_N.spec
         G = spec.npoints
@@ -589,6 +561,7 @@ def weak11_experiment(
         realized = [v for param in params
                     if (v := _realize_weak11_trial(param, spec, bumps)) is not None]
         stack = np.array(realized).reshape((-1,) + spec.sizes)
+        applied[str(N)] = len(stack)
         input_norms = lp_norms(stack, 1.0)
         magnitudes = np.sort(np.abs(op_N.apply(stack)).reshape(len(stack), G), axis=1)
         for norm1, Tf in zip(input_norms, magnitudes):
@@ -597,7 +570,7 @@ def weak11_experiment(
             best = float(np.max(values / norm1, initial=best))
             np.maximum(per_lam, values, out=per_lam)
         per_truncation[N] = best
-    return _endpoint_report(op, per_truncation, trials, seed, lam_grid=lam_grid,
+    return _endpoint_report(op, per_truncation, trials, seed, applied=applied, lam_grid=lam_grid,
                             per_lam=per_lam.tolist(), input_norms=input_norms)
 
 
@@ -656,7 +629,9 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     H^1 -> L^1 witness.  The per-radius breakdown, at the finest
     truncation, separates radii below and above the unit scale
     H1_UNIT_SCALE (the desk-scale stand-in for the sigma < 1 / sigma >= 1
-    dichotomy).
+    dichotomy).  ``trials`` atoms are drawn per radius; one whose profile is
+    constant on its ball is dropped at that truncation, so ``applied``
+    counts the atoms applied at each truncation.
     """
     _check_trials(trials)
     truncations = _truncations(op, truncations)
@@ -668,7 +643,7 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
     rng = np.random.default_rng(seed)
     draws = [(radius, rng.random(op.spec.dim), rng.standard_normal(33))
              for radius in atom_radii for _ in range(trials)]
-    per_truncation = {}
+    per_truncation, applied = {}, {}
     for N, op_N in _rebuilt(op, truncations):
         spec = op_N.spec
         profiles = _trig_profile([coeffs for *_, coeffs in draws], spec) if draws else ()
@@ -682,12 +657,14 @@ def h1_l1_experiment(op, atom_radii=None, trials: int = 20, seed: int = 0,
                 continue
             atoms.append((radius, atom.values.values))
         stack = np.array([values for _, values in atoms]).reshape((-1,) + spec.sizes)
+        applied[str(N)] = len(stack)
         per_radius = dict.fromkeys(atom_radii, 0.0)
         for (radius, _), norm1 in zip(atoms, lp_norms(op_N.apply(stack), 1.0)):
             per_radius[radius] = max(per_radius[radius], norm1)
         per_truncation[N] = max(per_radius.values())
     return _endpoint_report(
-        op, per_truncation, trials, seed, per_radius={f"{r:g}": v for r, v in per_radius.items()},
+        op, per_truncation, trials, seed, applied=applied,
+        per_radius={f"{r:g}": v for r, v in per_radius.items()},
         small_scale_max=max(
             (v for r, v in per_radius.items() if r < H1_UNIT_SCALE), default=0.0
         ),

@@ -209,7 +209,8 @@ def offset_distance_grid(spec: GridSpec) -> np.ndarray:
     return _center_distance_grid(np.zeros(spec.dim), spec)
 
 
-def _max_radius(dim: int) -> float:
+def half_diameter(dim: int) -> float:
+    """sqrt(n)/2, the largest geodesic distance on the unit torus T^n."""
     return float(np.sqrt(dim) / 2.0)
 
 
@@ -222,7 +223,7 @@ def ball(center, radius: float, spec: GridSpec) -> np.ndarray:
     """
     if radius <= 0:
         raise ValidationError("ball radius must be positive", field="radius")
-    radius = min(float(radius), _max_radius(spec.dim))
+    radius = min(float(radius), half_diameter(spec.dim))
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.shape != (spec.dim,):
         raise ValidationError(

@@ -7,11 +7,12 @@ The kernel of Op(p) on the truncated lattice is
 held as one offset row per distinct x over the operator's x_axes, the axes
 its symbol reads, which a composition J^s o T and an adjoint T* take from T
 (KernelMatrix).  A symbol's rows are made straight from it, with no dense
-matrix; a wrapper's are regathered from its dense matrix.  The decay and log
-checks read it, a truncation filtering copies of its row blocks, and the
-sigma integrals read rows and columns of k gathered from it.  Three estimate
-families are probed empirically, always with finite-truncation stability
-diagnostics (never as certificates):
+matrix; a wrapper that reads no axis has one row, its image of a unit-mass
+delta, and any other wrapper's are regathered from its dense matrix.  The
+decay and log checks read it, a truncation filtering copies of its row
+blocks, and the sigma integrals read rows and columns of k gathered from
+it.  Three estimate families are probed empirically, always with
+finite-truncation stability diagnostics (never as certificates):
 
   * polynomial off-diagonal decay: sup_{d(x,y) >= cutoff} d^N |k| stays
     bounded as the truncation grows, once N is large enough relative to the
@@ -50,18 +51,15 @@ DEFAULT_SUB_UNIT_SCALE = 0.03125  # excluded-ball scale in the sigma < 1 regime
 class KernelMatrix:
     """Kernel samples in offset form, one row per distinct x over ``x_axes``,
     the grid axes the kernel varies along, in C order over them: grid row r
-    reads the row of its representative (operators.representatives).  With
-    no axes given, one row serves every x and G rows are one per grid row."""
+    reads the row of its representative (operators.representatives).  Over
+    no axis one row serves every x; over every axis there is one per grid row."""
 
     spec: GridSpec
     offset_rows: np.ndarray  # shape (rows,) + sizes; K[r, z] = k(x_r, x_r - z)
-    label: str = "kernel"
-    x_axes: tuple = None
+    x_axes: tuple
     class_params: ClassParams = None  # the nominal class of the operator it came from
 
     def __post_init__(self):
-        if self.x_axes is None:
-            self.x_axes = () if len(self.offset_rows) == 1 else tuple(range(self.spec.dim))
         if len(self.offset_rows) != math.prod(self.spec.sizes[ax] for ax in self.x_axes):
             raise ValidationError(f"{len(self.offset_rows)} offset rows for x axes {self.x_axes} "
                                   f"of the grid {self.spec.sizes}")
@@ -106,8 +104,7 @@ def synthesize_kernel(op, lattice_box: int = None) -> KernelMatrix:
     that per-axis size, and an axis no larger than the box stays whole; the
     default keeps the grid's full FFT box.
     """
-    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.label, op.x_axes,
-                        op.class_params)
+    return KernelMatrix(op.spec, kernel_offset_rows(op, lattice_box), op.x_axes, op.class_params)
 
 
 # ---------------------------------------------------------------------------

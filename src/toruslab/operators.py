@@ -27,34 +27,33 @@ place box by box (_boxes): each box of at most _BLOCK_BYTES of kernel rows
 makes the rows of its distinct representatives only and copies every grid
 row of the box from them by offset, M[r, y] = K[rep(r), (x_r - y) mod N] / G,
 through one strided view (_offset_view).  apply is M @ f and the adjoint
-conj(conj(g) @ M), with no DFT and no transposed copy (DenseOperatorMatrix
-shares both).  Above MATRIX_GUARD grid points nothing is stored; apply and
-adjoint recompute blocks of at most _CHUNK grid rows on every call.
+conj(conj(g) @ M), with no DFT and no transposed copy.  Above MATRIX_GUARD
+grid points nothing is stored; apply and adjoint recompute blocks of at most
+_CHUNK grid rows on every call.
 
 ``apply`` and ``apply_adjoint`` take a GridFunction, or a stack of values of
 shape (B,) + spec.sizes in one call (FFTs over the grid axes, one gemv per
 function, a streamed block built once), each function bit for bit as alone.
 Every operator also carries ``spec``, ``label``, ``class_params``,
-``x_axes`` and ``on(spec)``, the same operator on another grid.  The
+``x_axes`` and ``on(spec)``, the same operator on another grid.  The four
 types are PdoOperator (Op(p) for a symbol expression), MultiplierOperator
-(a PdoOperator with a given profile), ComposedOperator (J^s o T),
-AdjointOperator (T*) and DenseOperatorMatrix; a given table cannot be
-rebuilt, so ``on`` raises for the last and MultiplierOperator.  Right
-composition folds into the symbol, Op(p) o J^s = Op(p <xi>^s), so it stays
-a PdoOperator with kernel synthesis and the calculus; left composition
-stays a composition.  J^s o T and T* commute with every translation that T
-commutes with, so they take T's x_axes, and a DenseOperatorMatrix reads
-every axis.
+(a PdoOperator with a given profile, which ``on`` cannot rebuild),
+ComposedOperator (J^s o T) and AdjointOperator (T*).  Right composition
+folds into the symbol, Op(p) o J^s = Op(p <xi>^s), so it stays a
+PdoOperator with kernel synthesis and the calculus; left composition stays a
+composition.  J^s o T and T* commute with every translation that T commutes
+with, so they take T's x_axes.
 
-to_matrix is one recursion through the wrappers: a PdoOperator gives its
-cached M or a multiplier's one kernel row gathered, J^s o T maps the columns
-of T's matrix through J^s, T* conjugate-transposes T's matrix (in place by
-tiles when that matrix is fresh), and a DenseOperatorMatrix is its own.
-Every operator's kernel rows are one per distinct x over its x_axes: a
-PdoOperator makes them straight from its symbol, R G entries for R rows, by
-the same boxes as M; a wrapper takes G times its dense matrix's
-representative rows regathered by offset.  box_filter cuts them to a
-lattice sub-box in place.
+to_matrix returns the grid-basis matrix with its spec (DenseOperatorMatrix),
+made by one recursion through the wrappers: a PdoOperator gives its cached M
+or a multiplier's one kernel row gathered, J^s o T maps the columns of T's
+matrix through J^s, and T* conjugate-transposes T's matrix (in place by
+tiles when that matrix is fresh).  Every operator's kernel rows are one per
+distinct x over its x_axes: a PdoOperator makes them straight from its
+symbol, R G entries for R rows, by the same boxes as M; a wrapper that reads
+no axis takes its one row as its image of a unit-mass delta, one apply; any
+other wrapper takes G times its dense matrix's representative rows
+regathered by offset.  box_filter cuts them to a lattice sub-box in place.
 
 The weight 1/G in M makes M @ f equal apply(T, f), and the numerical
 conjugate transpose is the exact adjoint under the uniform 1/G inner product.
@@ -318,28 +317,10 @@ class PdoOperator:
 
 @dataclass
 class DenseOperatorMatrix:
-    """G x G action in the grid basis, quadrature weight included."""
+    """The G x G grid-basis matrix of an operator on ``spec``, quadrature weight included."""
 
     spec: GridSpec
     matrix: np.ndarray
-    label: str = "matrix"
-    class_params: ClassParams = None
-
-    @property
-    def x_axes(self) -> tuple:
-        return tuple(range(self.spec.dim))
-
-    def _dense(self):
-        return self.matrix, False  # the caller's array
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        return _dense_apply(self.spec, f, [(slice(None), self.matrix)])
-
-    def apply_adjoint(self, g: GridFunction) -> GridFunction:
-        return _dense_adjoint(self.spec, g, [(slice(None), self.matrix)])
-
-    def on(self, spec: GridSpec):
-        raise ValidationError(f"{type(self).__name__} cannot be rebuilt: its table is given")
 
 
 def _guard(spec: GridSpec):
@@ -356,11 +337,11 @@ def to_matrix(op) -> DenseOperatorMatrix:
     i.e. M[x, y] = (1/G) k(x, y); M @ f then reproduces apply(T, f).  Each
     operator's ``_dense`` gives (M, fresh), recursing through the wrappers: a
     PdoOperator its cached M or a multiplier's one row gathered, J^s o T
-    J^s of the columns of T's matrix (in place when that is fresh), T* the
-    conjugate transpose of T's matrix and a DenseOperatorMatrix its own.
+    J^s of the columns of T's matrix (in place when that is fresh) and T*
+    the conjugate transpose of T's matrix.
     """
     _guard(op.spec)
-    return DenseOperatorMatrix(op.spec, op._dense()[0], label=op.label, class_params=op.class_params)
+    return DenseOperatorMatrix(op.spec, op._dense()[0])
 
 
 def kernel_offset_rows(op, box: int = None) -> np.ndarray:
@@ -369,8 +350,10 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
     Every operator has one row per distinct x over its x_axes, in C order
     over those axes (representatives): a PdoOperator makes them from its
     symbol, by boxes of at most _BLOCK_BYTES of rows (a multiplier its one kernel
-    row), any other operator takes G times its dense matrix's representative
-    rows regathered by offset.  ``box`` truncates them to a centered lattice
+    row).  A wrapper that reads no axis commutes with every translation, so
+    its one row is its image of a unit-mass delta at 0, K[0] = T(G delta_0);
+    any other wrapper takes G times its dense matrix's representative rows
+    regathered by offset.  ``box`` truncates them to a centered lattice
     sub-box (box_filter).  The dense size guard applies.
     """
     _guard(op.spec)
@@ -381,6 +364,10 @@ def kernel_offset_rows(op, box: int = None) -> np.ndarray:
         for _, rows in op._kernel_boxes(op.x_axes, _BLOCK_BYTES // (16 * spec.npoints)):
             K[start:start + len(rows)] = rows
             start += len(rows)
+    elif not op.x_axes:
+        delta = np.zeros((1,) + spec.sizes, dtype=complex)
+        delta.flat[0] = spec.npoints
+        K = op.apply(delta)
     else:
         reps_box = tuple(slice(None) if ax in op.x_axes else slice(0, 1) for ax in range(spec.dim))
         rows = to_matrix(op).matrix[_box_reps(reps_box, spec, op.x_axes)]
@@ -524,7 +511,7 @@ class ComposedOperator:
 
     def _dense(self):
         """J^s of the inner matrix's columns, by stacks of _CHUNK columns, in
-        place when that matrix is fresh (a cached M or a given one is not)."""
+        place when that matrix is fresh (a cached M is not)."""
         M, fresh = self.inner._dense()
         out = M if fresh else np.empty(M.shape, dtype=np.complex128)
         for start in range(0, len(M), _CHUNK):
@@ -580,7 +567,8 @@ class AdjointOperator:
 
     def _dense(self):
         """The conjugate transpose of the inner matrix, in C order as every
-        other: in place by square tiles when that matrix is fresh, else new."""
+        other: in place by square tiles when that matrix is fresh, else (a
+        cached M) new."""
         M, fresh = self.inner._dense()
         if not fresh:
             return np.conj(M.T, out=np.empty(M.shape, dtype=np.complex128)), True

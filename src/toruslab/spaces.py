@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridFunction, GridSpec, ball, offset_distance_grid
+from .grid import GridFunction, GridSpec, ball, half_diameter, offset_distance_grid
 
 MIN_BALL_CELLS = 2  # smallest dyadic ball radius, in grid cells
 _SLAB_CENTERS = 256  # BMO ball centers whose bounds are tested at once
@@ -50,10 +50,9 @@ _PADDED_VALUES = 2**20  # wrap-padded BMO values held at once, 16 MiB
 
 @dataclass(frozen=True)
 class NormValue:
-    kind: str  # Lp | weakLp | BMO | operator-lower-bound
-    exponent: object
+    """A norm of a grid function, finite and >= 0."""
+
     value: float
-    method: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.value) and self.value >= 0):
@@ -66,7 +65,7 @@ def lp_norm(f: GridFunction, p: float) -> NormValue:
     if p < 1:
         raise ValidationError(f"exponent p={p:g} must be >= 1")
     value = lp_norms(f.values[None], p)[0]
-    return NormValue("Lp", p, value, "max of samples" if math.isinf(p) else "grid quadrature")
+    return NormValue(value)
 
 
 def lp_norms(stack: np.ndarray, p: float, a: np.ndarray = None) -> list:
@@ -87,7 +86,7 @@ def weak_lp(f: GridFunction, p: float) -> NormValue:
     a = np.sort(np.abs(f.values).ravel())[::-1]
     G = a.size
     ranks = (np.arange(1, G + 1) / G) ** (1.0 / p)
-    return NormValue("weakLp", p, float(np.max(a * ranks)), "sorted rearrangement")
+    return NormValue(float(np.max(a * ranks)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def bmo_norm(f: GridFunction) -> NormValue:
     the exact sup, to the last bit, of the full family.
     """
     value = bmo_sup(f.spec, f.values[None], [1.0]).value
-    return NormValue("BMO", None, value, "grid centers x dyadic radii, median centering")
+    return NormValue(value)
 
 
 def bmo_sup(spec: GridSpec, stack, scales) -> BmoBall:
@@ -273,8 +272,6 @@ def _oscillation_bounds(f, balls) -> list:
 class Atom:
     """Mean-zero profile supported on a ball with the H^1 normalization."""
 
-    center: tuple
-    radius: float
     values: GridFunction
     indices: np.ndarray = field(repr=False, default=None)
 
@@ -303,7 +300,7 @@ def make_atom(center, radius: float, profile: GridFunction) -> Atom:
     and profiles that are constant on the ball (zero atom).
     """
     spec = profile.spec
-    if radius >= math.sqrt(spec.dim) / 2:
+    if radius >= half_diameter(spec.dim):
         raise ValidationError("atom support must be a proper ball, not the whole torus")
     idx = ball(center, radius, spec)
     flat = np.zeros(spec.npoints, dtype=np.complex128)
@@ -317,7 +314,7 @@ def make_atom(center, radius: float, profile: GridFunction) -> Atom:
     bound = 1.0 / measure
     if peak > bound:
         flat[idx] *= bound / peak
-    atom = Atom(tuple(np.atleast_1d(center)), float(radius), GridFunction(spec, flat), idx)
+    atom = Atom(GridFunction(spec, flat), idx)
     atom.check()
     return atom
 
@@ -343,7 +340,6 @@ class DyadicCube:
 
 @dataclass
 class CZDecomposition:
-    level: float
     good: GridFunction
     bad_parts: list  # (DyadicCube, restricted values ndarray)
     omega_mask: np.ndarray
@@ -424,4 +420,4 @@ def cz_decompose(f: GridFunction, level: float) -> CZDecomposition:
         bad_parts.append((cube, block - mean))
         good[sl] = mean
         omega[sl] = True
-    return CZDecomposition(float(level), GridFunction(spec, good), bad_parts, omega, flagged)
+    return CZDecomposition(GridFunction(spec, good), bad_parts, omega, flagged)

@@ -335,6 +335,7 @@ class TestErrorsAndDeterminism:
             pytest.param("kernel", "bessel(-2)", ('kernel.samples="x"', 'kernel.checks=["sigma"]'),
                          id="kernel-bessel(-2)-kernel.samples=x-kernel.checks=sigma"),
             ("sweep", "bessel(-2)", 'sweep.p="four"'),
+            ("sweep", "bessel(-2)", 'sweep.family_params={"A":0.9}'),
             ("h1l1", "bessel(-2)", "h1l1.radii=[]"),
             ("weak11", "bessel(-2)", "adjoint=yes"),
             ("bmo", "bessel(-2)", "bmo.truncations=[0]"),
@@ -427,7 +428,7 @@ class TestErrorsAndDeterminism:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("setting", ["sweep.m_grid=[]", "sweep.n_grid=[64,100,128]",
-                                         "sweep.n_grid=[64,128]"])
+                                         "sweep.n_grid=[64,128]", "sweep.n_grid=[64,64,128]"])
     def test_sweep_grid_errors_name_the_config_field(self, tmp_path, capsys, setting):
         code, out, err = run(["sweep", "--out", str(tmp_path), "--set", setting], capsys)
         assert code == 1
@@ -490,13 +491,35 @@ class TestErrorsAndDeterminism:
         assert err.startswith("error: sweep.family_params.c: must be a number")
         assert len(err.strip().splitlines()) == 1
 
-    def test_unknown_family_params_are_kept(self, tmp_path, capsys):
-        # exotic reads d and c; the default {"a": 0.5} is left as it is
-        code, out, err = run(["sweep", "--grid", "16", "--out", str(tmp_path),
-                              "--set", "sweep.family=exotic", "--set", "sweep.n_grid=[16,32,64]",
-                              "--set", "sweep.trials=1"], capsys)
-        assert code == 0, err
-        assert load_report(tmp_path, "sweep")["config"]["sweep"]["family_params"] == {"a": 0.5}
+    @pytest.mark.parametrize("family, params", [("wainger", '{"A":0.9}'),
+                                                ("exotic", '{"d":0.5,"a":0.5}'),
+                                                ("bessel", '{"a":0.5}')])
+    def test_unknown_family_params_exit_1(self, tmp_path, capsys, family, params):
+        # each family takes its own parameters only: bessel none, wainger a,
+        # exotic d and c; any other key would be dropped unread
+        code, out, err = run(["sweep", "--out", str(tmp_path), "--set", f"sweep.family={family}",
+                              "--set", f"sweep.family_params={params}"], capsys)
+        assert code == 1
+        assert err.startswith("error: sweep.family_params: ")
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_default_family_params_are_each_family_defaults(self, tmp_path, capsys):
+        # the default {} runs every family on its own defaults: wainger's a = 0.5
+        # reads as the explicit {"a": 0.5}, and exotic runs as well
+        common = ["--set", "sweep.n_grid=[16,32,64]", "--set", "sweep.m_grid=[0.25]"]
+        payloads = []
+        for name, extra in [("default", []), ("explicit", ["--set", 'sweep.family_params={"a":0.5}']),
+                            ("exotic", ["--set", "sweep.family=exotic", "--set", "sweep.p=4",
+                                        "--set", "sweep.trials=1"])]:
+            out_dir = tmp_path / name
+            code, out, err = run(["sweep", "--grid", "16", "--out", str(out_dir)] + common + extra,
+                                 capsys)
+            assert code == 0, err
+            payloads.append(load_report(out_dir, "sweep")["payload"])
+        assert payloads[0] == payloads[1] and payloads[0]["rho"] == 0.5
+        assert load_report(tmp_path / "default", "sweep")["config"]["sweep"]["family_params"] == {}
+        assert payloads[2]["family"] == "exotic" and payloads[2]["delta"] == 0.75
 
     def test_class_beside_a_raw_expression_is_the_nominal_class(self, tmp_path, capsys):
         code, out, _ = run(

@@ -575,6 +575,14 @@ class TestWeak11:
         assert rep["hypothesis_satisfied"]
         assert rep["stability"] <= 0.25
 
+    def test_applied_counts_the_trials_made(self):
+        # at seed 6 one of the 7 trials is a bump constant on its ball: it
+        # makes no atom and is dropped, while trials stays the count requested
+        op = PdoOperator.from_family(bessel(-1.0), GridSpec((32, 32)))
+        rep = weak11_experiment(op, trials=7, seed=6, truncations=[32])
+        assert rep["trials"] == 7
+        assert rep["applied"] == {"32": 6} == {"32": len(rep["input_norms"])}
+
 
 class TestLinfBmo:
     def test_strong_smoothing_kills_oscillation(self):
@@ -635,6 +643,15 @@ class TestH1L1:
         I = PdoOperator.from_family(bessel(0.0), GridSpec((32,)))
         rep = h1_l1_experiment(I, atom_radii=[0.49], trials=2, truncations=[32])
         assert rep["per_radius"]["0.49"] > 0
+
+    def test_applied_counts_the_atoms_made(self):
+        # a ball of radius 1/64 holds one point of the 32-grid, where every
+        # profile is constant and makes no atom, and two of the 64-grid
+        op = PdoOperator.from_family(bessel(-1.0), GridSpec((32,)))
+        rep = h1_l1_experiment(op, atom_radii=[1 / 64, 0.25], trials=5, seed=0,
+                               truncations=[32, 64])
+        assert rep["trials"] == 5
+        assert rep["applied"] == {"32": 5, "64": 10}
 
     def test_no_radii_rejected(self):
         I = PdoOperator.from_family(bessel(0.0), GridSpec((32,)))

@@ -102,7 +102,8 @@ class TestSynthesize:
         spec = GridSpec(sizes)
         k = synthesize_kernel(PdoOperator.from_family(wainger(0.5, 1.0), spec), lattice_box=box)
         assert k.offset_rows.shape == (1,) + sizes
-        repeated = KernelMatrix(spec, np.repeat(k.offset_rows, spec.npoints, axis=0))
+        repeated = KernelMatrix(spec, np.repeat(k.offset_rows, spec.npoints, axis=0),
+                                tuple(range(spec.dim)))
         assert k.max_abs() == repeated.max_abs()
         assert [np.max(np.abs(K - K[0])) for K in (k.offset_rows, repeated.offset_rows)] == [0, 0]
         assert all(np.array_equal(k.row(r), repeated.row(r)) for r in range(spec.npoints))
@@ -127,7 +128,7 @@ class TestSynthesize:
         assert k.x_axes == axes and k.offset_rows.shape == (math.prod(read),) + sizes
         coords = np.unravel_index(np.arange(spec.npoints), sizes)
         expanded = KernelMatrix(spec, k.offset_rows[np.ravel_multi_index(
-            [coords[ax] for ax in axes], read)])
+            [coords[ax] for ax in axes], read)], tuple(range(spec.dim)))
         assert k.max_abs() == expanded.max_abs()
         defect, expanded_defect = (np.max(np.abs(K - K[0]))
                                    for K in (k.offset_rows, expanded.offset_rows))

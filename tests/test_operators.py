@@ -212,21 +212,21 @@ class TestAdjoint:
     def test_duality_identity(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_family(exotic(-0.5, 0.5, 2.0), spec)
-        A = to_matrix(AdjointOperator(T))
+        A = to_matrix(AdjointOperator(T)).matrix
         for seed in range(50):
             f = random_function(spec, 200 + seed)
             g = random_function(spec, 300 + seed)
             lhs = inner_product(T.apply(f), g)
-            rhs = inner_product(f, A.apply(g))
+            rhs = inner_product(f, GridFunction(spec, A @ g.values))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_matrix_free_adjoint_action(self):
         spec = GridSpec((32,))
         T = PdoOperator.from_family(exotic(-0.5, 0.75, 1.0), spec)
-        A = to_matrix(AdjointOperator(T))
+        A = to_matrix(AdjointOperator(T)).matrix
         g = random_function(spec, 17)
         lhs = T.apply_adjoint(g).values
-        rhs = A.apply(g).values
+        rhs = A @ g.values
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(rhs))
 
     # fresh inner matrices: a multiplier's gathered row and a composition's
@@ -922,7 +922,6 @@ def operator_cases(spec=GridSpec((16,))):
         "composed": compose_bessel(general, -0.5, "left"),
         "composed-multiplier": ComposedOperator(multiplier, 0.5),
         "adjoint": AdjointOperator(multiplier),
-        "dense": to_matrix(general),
     }
 
 
@@ -941,7 +940,7 @@ class TestProtocol:
     """Every operator carries x_axes, and to_matrix recurses through the wrappers."""
 
     AXES = {"general": (0,), "multiplier": (), "stored": (), "composed": (0,),
-            "composed-multiplier": (), "adjoint": (), "dense": (0, 1)}
+            "composed-multiplier": (), "adjoint": ()}
 
     @pytest.mark.parametrize("kind", list(operator_cases()))
     def test_every_operator_carries_its_axes(self, kind):
@@ -953,7 +952,6 @@ class TestProtocol:
         nested = AdjointOperator(ComposedOperator(AdjointOperator(T), -0.5))
         assert nested.x_axes == nested.inner.x_axes == axes
         assert nested.on(GridSpec(sizes)).x_axes == axes
-        assert ComposedOperator(AdjointOperator(to_matrix(T)), 0.5).x_axes == tuple(range(len(sizes)))
 
     @staticmethod
     def cases(spec):
@@ -963,15 +961,12 @@ class TestProtocol:
             "adjoint-general": AdjointOperator(general),
             "adjoint-left": AdjointOperator(compose_bessel(general, -0.5, "left")),
             "left-adjoint": ComposedOperator(AdjointOperator(general), -0.5),
-            "left-dense": ComposedOperator(to_matrix(general), -0.5),
-            "adjoint-dense": AdjointOperator(to_matrix(general)),
         }
 
-    # the matrices built from a general operator's M or a given one, which
-    # are the basis images bit for bit; a multiplier's gathered row differs
-    # from its FFT apply in the last bits
-    EXACT = {"general", "composed", "dense", "adjoint-general", "left-adjoint", "left-dense",
-             "adjoint-dense"}
+    # the matrices built from a general operator's M, which are the basis
+    # images bit for bit; a multiplier's gathered row differs from its FFT
+    # apply in the last bits
+    EXACT = {"general", "composed", "adjoint-general", "left-adjoint"}
 
     @pytest.mark.parametrize("sizes", [(64,), (8, 16), (4, 8, 4)])
     @pytest.mark.parametrize("kind", list(cases(GridSpec((16,)))))
@@ -991,19 +986,71 @@ class TestProtocol:
         else:
             assert max_rel_diff(got, want) <= 1e-13
 
-    def test_a_wrapper_leaves_a_given_matrix_alone(self):
+    def test_a_wrapper_leaves_a_cached_matrix_alone(self):
         spec = GridSpec((16,))
-        D = to_matrix(_general(spec))
-        D.matrix = D.matrix.copy()  # writeable, and the caller's
-        before = D.matrix.copy()
-        for op in (ComposedOperator(D, -0.5), AdjointOperator(ComposedOperator(D, 0.5)),
-                   ComposedOperator(AdjointOperator(D), 0.5)):
+        T = _general(spec)
+        before = to_matrix(T).matrix.copy()
+        for op in (ComposedOperator(T, -0.5), AdjointOperator(ComposedOperator(T, 0.5)),
+                   ComposedOperator(AdjointOperator(T), 0.5), AdjointOperator(T)):
             to_matrix(op)
             kernel_offset_rows(op)
-        assert np.array_equal(D.matrix, before)
-        T = _general(spec)
-        to_matrix(ComposedOperator(T, -0.5))
         assert np.array_equal(T._matrix, before) and not T._matrix.flags.writeable
+
+
+class TestZeroAxisRows:
+    """An operator that reads no axis commutes with every translation, so its
+    one kernel row is its image of a unit-mass delta: one apply, no matrix."""
+
+    KINDS = [kind for kind, op in operator_cases().items() if not op.x_axes]
+
+    @staticmethod
+    def nested(spec):
+        inner = PdoOperator.from_family(wainger(0.5, 1.0), spec)
+        return AdjointOperator(ComposedOperator(AdjointOperator(inner), -0.5))
+
+    def test_the_zero_axis_kinds(self):
+        assert self.KINDS == ["multiplier", "stored", "composed-multiplier", "adjoint"]
+
+    @pytest.mark.parametrize("sizes", [(16,), (8, 4)])
+    @pytest.mark.parametrize("box", [None, 4])
+    @pytest.mark.parametrize("kind", KINDS + ["nested"])
+    def test_row_matches_the_toroidal_symbol(self, monkeypatch, sizes, box, kind):
+        spec = GridSpec(sizes)
+        op = self.nested(spec) if kind == "nested" else operator_cases(spec)[kind]
+        monkeypatch.setattr(operators, "to_matrix", None)  # no dense route
+        K = kernel_offset_rows(op, box)
+        assert K.shape == (1,) + sizes
+        want = offset_rows_by_toroidal_symbol(op, max(sizes) if box is None else box)
+        assert max_rel_diff(every_row(K, spec.npoints), want) <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1024,), (32, 32), (8, 4, 16)])
+    def test_a_multiplier_row_equals_its_delta_image(self, sizes):
+        # a PdoOperator makes its row from its profile; the delta rule gives
+        # every entry equal (a real profile's zero imaginary parts may differ
+        # in sign)
+        spec = GridSpec(sizes)
+        delta = np.zeros((1,) + sizes, dtype=complex)
+        delta.flat[0] = spec.npoints  # G delta_0, of unit mass
+        stored = MultiplierOperator(np.random.default_rng(5).standard_normal(sizes), spec)
+        for T in (PdoOperator.from_family(bessel(-1.0), spec),
+                  PdoOperator.from_family(wainger(0.5, 1.0), spec), stored):
+            assert np.array_equal(kernel_offset_rows(T), T.apply(delta))
+
+    @pytest.mark.parametrize("wrap", ["composed", "adjoint"])
+    def test_wrapper_row_memory(self, wrap):
+        # one 16 KiB row at G = 1024; the dense route gathered a G x G
+        # matrix for it (24.3 and 18.2 MiB traced)
+        spec = GridSpec((32, 32))
+        op = (ComposedOperator(PdoOperator.from_family(bessel(-1.0), spec), -0.5)
+              if wrap == "composed" else AdjointOperator(PdoOperator.from_family(wainger(0.5, 1.0), spec)))
+        tracemalloc.start()
+        try:
+            K = kernel_offset_rows(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (1, 32, 32)
+        assert peak < 2**20
 
 
 class TestGridMismatch:
@@ -1149,7 +1196,6 @@ class TestOn:
         spec = GridSpec((16,))
         cases = [
             (MultiplierOperator(np.ones(16), spec), "MultiplierOperator"),
-            (to_matrix(self.general(spec)), "DenseOperatorMatrix"),
             # a composition is rebuilt through its inner operator
             (ComposedOperator(MultiplierOperator(np.ones(16), spec), 0.5), "MultiplierOperator"),
         ]
@@ -1175,13 +1221,12 @@ class TestOn:
 
     def test_dense_adjoint_makes_no_matrix_copy(self):
         spec = GridSpec((1024,))
-        rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
-        D = operators.DenseOperatorMatrix(spec, matrix)
+        T = self.general(spec)
+        matrix = to_matrix(T).matrix  # the cached M
         g = random_function(spec, 3)
         tracemalloc.start()
         try:
-            got = D.apply_adjoint(g)
+            got = T.apply_adjoint(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
